@@ -12,6 +12,7 @@ from .errors import (
     DivisionByZero,
     DomainError,
     HalfPowerResidue,
+    InvariantViolation,
     MethodMismatch,
     NonExactDivision,
     NotGbsError,

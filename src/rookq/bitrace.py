@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
-from .errors import WeightMismatch
+from .errors import InvariantViolation, WeightMismatch
 from .exact import LaurentPoly
 from .shapes import (
     comp_sub,
@@ -196,9 +196,11 @@ def hl_inner(alpha: Sequence[int], beta: Sequence[int]) -> LaurentPoly:
         total = total + prod
     via_matrix = total.times_power(-2 * w)
     via_pbasis = inner_product(q_mu(alpha), q_mu(beta)).substitute_inverse()
-    assert via_matrix == via_pbasis, (
-        f"contingency and power-sum routes disagree for {list(alpha)}, {list(beta)}"
-    )
+    if via_matrix != via_pbasis:
+        raise InvariantViolation(
+            f"contingency and power-sum routes disagree for {list(alpha)}, {list(beta)}: "
+            f"{via_matrix} vs {via_pbasis}"
+        )
     return via_matrix
 
 

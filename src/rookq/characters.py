@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import VariantMismatch, WeightMismatch
+from .errors import InvariantViolation, MethodMismatch, VariantMismatch, WeightMismatch
 from .exact import LaurentPoly, RationalFunction
 from .shapes import (
     Partition,
@@ -470,7 +470,6 @@ class CharacterValue:
     mu: Partition
     chi: LaurentPoly
     method: str
-    x_poly: LaurentPoly
 
 
 def is_hook(lam: Partition) -> bool:
@@ -516,15 +515,9 @@ def compute_chi(lam: Sequence[int], mu: Sequence[int], method: str = "auto") -> 
         chi = trace_standard_element(lam, mu)
     else:
         raise ValueError(f"unknown method {method!r}")
-    assert chi.is_ordinary() and chi.has_integer_coefficients(), (
-        f"character value must lie in Z[q]: {chi}"
-    )
-    return CharacterValue(lam=lam, mu=mu, chi=chi, method=method, x_poly=x_of_chi(chi, mu))
-
-
-def _table_cell(args):
-    lam, mu, methods = args
-    return lam, mu, [(m, compute_chi(lam, mu, m).chi) for m in methods]
+    if not (chi.is_ordinary() and chi.has_integer_coefficients()):
+        raise InvariantViolation(f"character value must lie in Z[q]: {chi}")
+    return CharacterValue(lam=lam, mu=mu, chi=chi, method=method)
 
 
 def table_rows(n: int, *, restrict: bool = False, order: str = "paper") -> Tuple[Partition, ...]:
@@ -566,34 +559,18 @@ class CharacterTable:
         *,
         restrict_lambda_lt_n: bool = False,
         order: str = "paper",
-        jobs: int = 1,
     ) -> "CharacterTable":
-        from .errors import MethodMismatch
-
         methods = tuple(methods)
         rows = table_rows(n, restrict=restrict_lambda_lt_n, order=order)
         cols = table_columns(n, order=order)
-        work = [(lam, mu, methods) for lam in rows for mu in cols]
-        results = {}
-        if jobs > 1:
-            import concurrent.futures
-
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                for lam, mu, values in pool.map(_table_cell, work, chunksize=8):
-                    results[(lam, mu)] = values
-        else:
-            for args in work:
-                lam, mu, values = _table_cell(args)
-                results[(lam, mu)] = values
         cells = {}
-        for (lam, mu), values in results.items():
-            first = values[0][1]
-            for name, chi in values[1:]:
-                if chi != first:
+        for lam in rows:
+            for mu in cols:
+                values = [(m, compute_chi(lam, mu, m).chi) for m in methods]
+                first = values[0][1]
+                if any(chi != first for _, chi in values[1:]):
                     raise MethodMismatch(lam, mu, {m: str(c) for m, c in values})
-            cells[(lam, mu)] = CharacterValue(
-                lam=lam, mu=mu, chi=first, method=methods[0], x_poly=x_of_chi(first, mu)
-            )
+                cells[(lam, mu)] = CharacterValue(lam=lam, mu=mu, chi=first, method=methods[0])
         return cls(n, rows, cols, cells, methods, restrict_lambda_lt_n, order)
 
     def value(self, lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly:

@@ -3,7 +3,7 @@
 Subcommands::
 
     rookq table   --n N [--restrict-lambda-lt-n] [--format csv|json|latex]
-                  [--methods m1,m2,...] [--order paper|revlex] [--jobs J]
+                  [--methods m1,m2,...] [--order paper|revlex]
     rookq char    --lambda [3,1] --mu [5] [--method auto|oracle|iterative|mn|
                   hook|two_row|seminormal] [--check]
     rookq bitrace --mu [2,1] --nu [1,1,1] [--method matrix|def]
@@ -24,7 +24,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import MethodMismatch, RookqError, VariantMismatch
@@ -81,14 +80,6 @@ def parse_partition(text: str, *, sorted_required: bool = True) -> Tuple[int, ..
 
 def partition_str(p: Sequence[int]) -> str:
     return "[" + ",".join(str(x) for x in p) + "]"
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    lam: Tuple[int, ...]
-    mu: Tuple[int, ...]
-    value: str
-    method: str
 
 
 def _check_n(n: int) -> int:
@@ -166,7 +157,6 @@ def cmd_table(args) -> int:
         methods=methods,
         restrict_lambda_lt_n=args.restrict_lambda_lt_n,
         order=args.order,
-        jobs=args.jobs,
     )
     if args.format == "csv":
         emit_table_csv(table, sys.stdout)
@@ -202,8 +192,7 @@ def cmd_char(args) -> int:
         values = [(m, compute_chi(lam, mu, m).chi) for m in candidates]
         if any(chi != cv.chi for _, chi in values):
             raise MethodMismatch(lam, mu, {m: str(c) for m, c in values})
-    record = OutputRecord(lam=lam, mu=mu, value=str(cv.chi), method=cv.method)
-    print(record.value)
+    print(cv.chi)
     return EXIT_OK
 
 
@@ -252,7 +241,6 @@ def build_parser() -> _Parser:
     p.add_argument("--format", default="csv", choices=["csv", "json", "latex"])
     p.add_argument("--methods", default="mn", help="comma-separated; cells are cross-checked")
     p.add_argument("--order", default="paper", choices=["paper", "revlex"])
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("char", help="one character value")

@@ -13,12 +13,16 @@ class DivisionByZero(RookqError):
     """Zero denominator in exact division or rational-function construction."""
 
 
-class NonExactDivision(RookqError):
-    """A division that the theory guarantees to be exact left a remainder.
+class InvariantViolation(RookqError):
+    """A property that the theory guarantees failed to hold.
 
-    This always signals a bug (or a violated invariant) upstream, never a
-    legitimate runtime condition.
+    This always signals a bug upstream, never a legitimate runtime condition.
+    The checks raise it explicitly, so they still run under ``python -O``.
     """
+
+
+class NonExactDivision(InvariantViolation):
+    """A division that the theory guarantees to be exact left a remainder."""
 
 
 class WeightMismatch(RookqError):

@@ -2,14 +2,21 @@
 
 The scalar tower is
 
-    Rational  =  fractions.Fraction        (arbitrary precision, auto-reduced)
+    coefficient   int, or fractions.Fraction when not integral
     LaurentPoly                            (one tagged variable q, t or s)
     RationalFunction                       (quotient of two LaurentPoly)
+
+A stored coefficient is a plain ``int`` whenever it is integral and a
+``Fraction`` only otherwise; a ``Fraction`` with denominator 1 is folded back
+to ``int`` on construction, and a ``float`` is refused.  Character values and
+border-strip weights therefore run on ``int`` arithmetic, while the 1/z_lambda
+coefficients of the power-sum basis and the seminormal entries keep their
+fractions.
 
 Exponents of a ``LaurentPoly`` are stored in half-integer units: the internal
 key ``h`` stands for ``var**(h/2)``.  This makes ``q**(1/2)`` a first-class
 monomial (needed by the seminormal matrices) without a separate field
-extension type.  Operations that must land in ordinary polynomials assert
+extension type.  Operations that must land in ordinary polynomials check
 that all exponents are even in these units.
 
 No floating point is used anywhere; all arithmetic is exact.
@@ -31,17 +38,40 @@ _VALID_VARS = ("q", "t", "s")
 _TAG_SWAP = {"t": "q", "q": "t"}
 
 
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
+def _as_coeff(x: Scalar) -> Scalar:
+    """A valid coefficient: ``int`` when integral, ``Fraction`` otherwise."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
+
+
+def _fold(terms: Mapping[int, Scalar]) -> Dict[int, Scalar]:
+    """Drop zero terms and fold integral Fractions of valid coefficients to int."""
+    return {
+        h: c if type(c) is int or c.denominator != 1 else c.numerator
+        for h, c in terms.items()
+        if c
+    }
+
+
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """Exact quotient of two coefficients (``a / b`` on two ints gives a float)."""
+    if type(a) is int and type(b) is int:
+        quot, rem = divmod(a, b)
+        if not rem:
+            return quot
+    return _as_coeff(Fraction(a) / b)
 
 
 class LaurentPoly:
     """Laurent polynomial in one formal variable with rational coefficients.
 
+    ``_terms`` maps half-unit exponents to nonzero coefficients, each an
+    ``int`` when integral and a ``Fraction`` otherwise, never a ``float``.
     Instances are immutable (by convention: internal dicts are never touched
     after construction) and hashable, so they can be shared freely across
     threads and used as cache keys.
@@ -52,15 +82,24 @@ class LaurentPoly:
     def __init__(self, var: str, half_terms: Mapping[int, Scalar] | None = None):
         if var not in _VALID_VARS:
             raise ValueError(f"unknown variable tag {var!r}")
-        terms: Dict[int, Fraction] = {}
+        terms: Dict[int, Scalar] = {}
         if half_terms:
             for h, c in half_terms.items():
-                c = _as_fraction(c)
+                c = _as_coeff(c)
                 if c:
                     terms[int(h)] = c
         self.var = var
         self._terms = terms
         self._hash = None
+
+    @classmethod
+    def _make(cls, var: str, terms: Dict[int, Scalar]) -> "LaurentPoly":
+        """Wrap a dict of valid nonzero coefficients without re-checking it."""
+        self = object.__new__(cls)
+        self.var = var
+        self._terms = terms
+        self._hash = None
+        return self
 
     # ------------------------------------------------------------------
     # constructors
@@ -116,18 +155,18 @@ class LaurentPoly:
             return 0
         return max(self._terms)
 
-    def half_items(self) -> List[Tuple[int, Fraction]]:
+    def half_items(self) -> List[Tuple[int, Scalar]]:
         return sorted(self._terms.items(), reverse=True)
 
-    def coefficient(self, exp: int) -> Fraction:
-        return self._terms.get(2 * exp, Fraction(0))
+    def coefficient(self, exp: int) -> Scalar:
+        return self._terms.get(2 * exp, 0)
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get(0, Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self._terms.get(0, 0)
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Scalar:
         if not self._terms:
-            return Fraction(0)
+            return 0
         return self._terms[max(self._terms)]
 
     def has_integer_coefficients(self) -> bool:
@@ -162,9 +201,10 @@ class LaurentPoly:
             return NotImplemented
         var = self._result_var(other)
         terms = dict(self._terms)
+        get = terms.get
         for h, c in other._terms.items():
-            terms[h] = terms.get(h, Fraction(0)) + c
-        return LaurentPoly(var, terms)
+            terms[h] = get(h, 0) + c
+        return LaurentPoly._make(var, _fold(terms))
 
     __radd__ = __add__
 
@@ -181,21 +221,21 @@ class LaurentPoly:
         return other + (-self)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.var, {h: -c for h, c in self._terms.items()})
+        return LaurentPoly._make(self.var, {h: -c for h, c in self._terms.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         var = self._result_var(other)
-        if self.is_zero or other.is_zero:
-            return LaurentPoly(var, {})
-        out: Dict[int, Fraction] = {}
+        out: Dict[int, Scalar] = {}
+        get = out.get
+        terms2 = other._terms.items()
         for h1, c1 in self._terms.items():
-            for h2, c2 in other._terms.items():
+            for h2, c2 in terms2:
                 h = h1 + h2
-                out[h] = out.get(h, Fraction(0)) + c1 * c2
-        return LaurentPoly(var, out)
+                out[h] = get(h, 0) + c1 * c2
+        return LaurentPoly._make(var, _fold(out))
 
     __rmul__ = __mul__
 
@@ -212,12 +252,12 @@ class LaurentPoly:
         return result
 
     def scale(self, c: Scalar) -> "LaurentPoly":
-        c = _as_fraction(c)
-        return LaurentPoly(self.var, {h: cc * c for h, cc in self._terms.items()})
+        c = _as_coeff(c)
+        return LaurentPoly._make(self.var, _fold({h: cc * c for h, cc in self._terms.items()}))
 
     def shifted(self, half_steps: int) -> "LaurentPoly":
         """Multiply by ``var**(half_steps/2)``."""
-        return LaurentPoly(self.var, {h + half_steps: c for h, c in self._terms.items()})
+        return LaurentPoly._make(self.var, {h + half_steps: c for h, c in self._terms.items()})
 
     def times_power(self, exp: int) -> "LaurentPoly":
         """Multiply by ``var**exp`` for an integer exponent."""
@@ -245,7 +285,7 @@ class LaurentPoly:
         quot, rem = _divmod_half(a, b)
         if rem:
             raise NonExactDivision(f"({self}) is not divisible by ({other})")
-        return LaurentPoly(self.var, {h + ma - mb: c for h, c in quot.items()})
+        return LaurentPoly._make(self.var, {h + ma - mb: c for h, c in quot.items()})
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact value at a rational point.
@@ -255,7 +295,7 @@ class LaurentPoly:
         """
         if self.has_half_exponents():
             raise DomainError("cannot evaluate a polynomial with half-integer exponents")
-        x = _as_fraction(x)
+        x = Fraction(_as_coeff(x))
         if x == 0 and self.min_half_exp() < 0:
             raise DomainError("evaluation at 0 with negative exponents present")
         total = Fraction(0)
@@ -271,11 +311,11 @@ class LaurentPoly:
         """
         if self.var not in _TAG_SWAP:
             raise DomainError(f"substitute_inverse is defined for tags t and q, not {self.var!r}")
-        return LaurentPoly(_TAG_SWAP[self.var], {-h: c for h, c in self._terms.items()})
+        return LaurentPoly._make(_TAG_SWAP[self.var], {-h: c for h, c in self._terms.items()})
 
     def reversed_exponents(self) -> "LaurentPoly":
         """Substitute var -> 1/var keeping the same tag."""
-        return LaurentPoly(self.var, {-h: c for h, c in self._terms.items()})
+        return LaurentPoly._make(self.var, {-h: c for h, c in self._terms.items()})
 
     # ------------------------------------------------------------------
     # equality / hashing / pickling
@@ -318,7 +358,7 @@ class LaurentPoly:
                 chunks.append((" + " if c > 0 else " - ") + body)
         return "".join(chunks)
 
-    def _term_body(self, h: int, mag: Fraction) -> str:
+    def _term_body(self, h: int, mag: Scalar) -> str:
         if h == 0:
             return str(mag)
         if h % 2 == 0:
@@ -368,7 +408,7 @@ class LaurentPoly:
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty polynomial string")
-        terms: Dict[int, Fraction] = {}
+        terms: Dict[int, Scalar] = {}
         seen_var = var
         for piece in _split_terms(s):
             sign = 1
@@ -377,7 +417,7 @@ class LaurentPoly:
             m = cls._TERM_RE.match(piece)
             if not m or (m.group("coeff") is None and m.group("var") is None):
                 raise ValueError(f"cannot parse polynomial term {piece!r}")
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+            coeff = Fraction(m.group("coeff")) if m.group("coeff") else 1
             v = m.group("var")
             if v is not None:
                 if seen_var is None:
@@ -393,7 +433,7 @@ class LaurentPoly:
                     h = 2 * int(exp)
             else:
                 h = 0
-            terms[h] = terms.get(h, Fraction(0)) + sign * coeff
+            terms[h] = terms.get(h, 0) + sign * coeff
         return cls(seen_var or "q", terms)
 
 
@@ -413,7 +453,7 @@ def _split_terms(s: str) -> Iterator[str]:
     yield last if not last.startswith("+") else last[1:]
 
 
-def _frac_latex(c: Fraction) -> str:
+def _frac_latex(c: Scalar) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"\\tfrac{{{c.numerator}}}{{{c.denominator}}}"
@@ -422,29 +462,29 @@ def _frac_latex(c: Fraction) -> str:
 # ----------------------------------------------------------------------
 # dict-level helpers (keys are half-unit exponents >= 0)
 # ----------------------------------------------------------------------
-def _divmod_half(a: Dict[int, Fraction], b: Dict[int, Fraction]):
+def _divmod_half(a: Dict[int, Scalar], b: Dict[int, Scalar]):
     """Long division of ordinary term dicts; returns (quotient, remainder)."""
     a = dict(a)
-    q: Dict[int, Fraction] = {}
+    q: Dict[int, Scalar] = {}
     db = max(b)
     lb = b[db]
     while a:
         da = max(a)
         if da < db:
             break
-        f = a[da] / lb
+        f = _div(a[da], lb)
         q[da - db] = f
         for h, c in b.items():
             nh = h + da - db
-            nc = a.get(nh, Fraction(0)) - f * c
+            nc = a.get(nh, 0) - f * c
             if nc:
-                a[nh] = nc
+                a[nh] = _as_coeff(nc)
             else:
                 a.pop(nh, None)
     return q, a
 
 
-def _gcd_half(a: Dict[int, Fraction], b: Dict[int, Fraction]) -> Dict[int, Fraction]:
+def _gcd_half(a: Dict[int, Scalar], b: Dict[int, Scalar]) -> Dict[int, Scalar]:
     """Monic polynomial gcd of ordinary term dicts (Euclid over Q)."""
     a, b = dict(a), dict(b)
     while b:
@@ -453,7 +493,7 @@ def _gcd_half(a: Dict[int, Fraction], b: Dict[int, Fraction]) -> Dict[int, Fract
     if a:
         lc = a[max(a)]
         if lc != 1:
-            a = {h: c / lc for h, c in a.items()}
+            a = {h: _div(c, lc) for h, c in a.items()}
     return a
 
 
@@ -498,11 +538,12 @@ class RationalFunction:
         if g and not (len(g) == 1 and 0 in g and g[0] == 1):
             n_ord, r1 = _divmod_half(n_ord, g)
             d_ord, r2 = _divmod_half(d_ord, g)
-            assert not r1 and not r2, "gcd failed to divide exactly"
+            if r1 or r2:
+                raise NonExactDivision(f"gcd ({LaurentPoly(v, g)}) failed to divide exactly")
         lc = d_ord[max(d_ord)]
         if lc != 1:
-            n_ord = {h: c / lc for h, c in n_ord.items()}
-            d_ord = {h: c / lc for h, c in d_ord.items()}
+            n_ord = {h: _div(c, lc) for h, c in n_ord.items()}
+            d_ord = {h: _div(c, lc) for h, c in d_ord.items()}
         self.num = LaurentPoly(v, {h + mn: c for h, c in n_ord.items()})
         self.den = LaurentPoly(v, d_ord)
 

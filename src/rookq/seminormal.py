@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import HalfPowerResidue, ShapeTooLarge, WeightMismatch
+from .errors import HalfPowerResidue, InvariantViolation, ShapeTooLarge, WeightMismatch
 from .exact import LaurentPoly, RationalFunction
 from .shapes import Partition, standard_count
 
@@ -69,7 +69,11 @@ def enumerate_tableaux(lam: Partition, n: int) -> Tuple[Tableau, ...]:
     for subset in itertools.combinations(range(1, n + 1), k):
         for t in base:
             out.append(tuple(tuple(subset[v - 1] for v in row) for row in t))
-    assert len(out) == standard_count(lam, n)
+    if len(out) != standard_count(lam, n):
+        raise InvariantViolation(
+            f"{len(out)} tableaux of shape {list(lam)} on {n} labels, "
+            f"expected {standard_count(lam, n)}"
+        )
     return tuple(out)
 
 

@@ -14,27 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .errors import NotGbsError
+from .errors import NonExactDivision, NotGbsError
 from .exact import LaurentPoly
 
 Partition = Tuple[int, ...]
 Composition = Tuple[int, ...]
-
-
-def as_partition(parts: Iterable[int]) -> Partition:
-    """Validate and normalize a partition given as any iterable."""
-    t = tuple(int(p) for p in parts)
-    if any(p <= 0 for p in t):
-        raise ValueError(f"partition parts must be positive: {t}")
-    if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing: {t}")
-    return t
-
-
-def weight(lam: Sequence[int]) -> int:
-    return sum(lam)
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +173,8 @@ def f_lambda(lam: Partition) -> int:
         for h in row:
             prod *= h
     f, rem = divmod(math.factorial(n), prod)
-    assert rem == 0, "hook length product must divide n!"
+    if rem:
+        raise NonExactDivision(f"hook length product {prod} does not divide {n}!")
     return f
 
 
@@ -198,15 +185,11 @@ def standard_count(lam: Partition, n: int) -> int:
 
 @dataclass(frozen=True)
 class BorderStrip:
-    """A connected 2x2-free component of a skew diagram."""
+    """A connected 2x2-free component of a skew diagram, by its extent."""
 
-    cells: frozenset
+    size: int
     rows: int
     cols: int
-
-    @property
-    def size(self) -> int:
-        return len(self.cells)
 
 
 @dataclass(frozen=True)
@@ -221,40 +204,33 @@ class GbsDecomposition:
 
 
 def gbs_decompose(s: SkewShape) -> Optional[GbsDecomposition]:
-    """Connected components of the cell graph (edge adjacency).
+    """Connected components of the cell graph (edge adjacency), top to bottom.
 
     Returns None when the shape contains a 2x2 block of cells, i.e. when it
     is not a generalized border strip.  An empty shape decomposes into zero
     components.
+
+    Row i holds the cells of columns inner_i .. outer_i - 1, and rows i and
+    i+1 share the columns inner_i .. outer_{i+1} - 1.  So the shape is
+    2x2-free iff inner_i >= outer_{i+1} - 1 for every i, and a component is a
+    maximal run of non-empty rows linked by inner_i < outer_{i+1}.  A run
+    from row a to row b spans b - a + 1 rows and the columns inner_b ..
+    outer_a - 1.
     """
-    cells = set(s.cells())
-    for (i, j) in cells:
-        if {(i, j + 1), (i + 1, j), (i + 1, j + 1)} <= cells:
-            return None
-    seen: set = set()
+    outer, inner = s.outer, s.inner
     comps: List[BorderStrip] = []
-    for start in sorted(cells):
-        if start in seen:
+    top = size = 0
+    for i, (o, v) in enumerate(zip(outer, inner)):
+        below = outer[i + 1] if i + 1 < len(outer) else 0
+        if v < below - 1:
+            return None
+        if v == o:
+            top = i + 1
             continue
-        stack = [start]
-        comp = set()
-        while stack:
-            c = stack.pop()
-            if c in comp:
-                continue
-            comp.add(c)
-            i, j = c
-            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if nb in cells and nb not in comp:
-                    stack.append(nb)
-        seen |= comp
-        comps.append(
-            BorderStrip(
-                cells=frozenset(comp),
-                rows=len({i for i, _ in comp}),
-                cols=len({j for _, j in comp}),
-            )
-        )
+        size += o - v
+        if v >= below:
+            comps.append(BorderStrip(size=size, rows=i - top + 1, cols=outer[top] - v))
+            top, size = i + 1, 0
     return GbsDecomposition(components=tuple(comps))
 
 
@@ -270,15 +246,12 @@ def gbs_weight(s: SkewShape, var: str = "t") -> LaurentPoly:
 
 
 def _weight_of_decomposition(dec: GbsDecomposition, var: str) -> LaurentPoly:
-    if not dec.components:
+    comps = dec.components
+    if not comps:
         return LaurentPoly.one(var)
-    m = len(dec.components)
-    t = LaurentPoly.monomial(var, 1)
-    w = (t - 1) ** (m - 1)
-    for comp in dec.components:
-        sign = -1 if (comp.rows - 1) % 2 else 1
-        w = w * LaurentPoly.monomial(var, comp.cols - 1, sign)
-    return w
+    sign = (-1) ** sum(c.rows - 1 for c in comps)
+    w = (LaurentPoly.monomial(var, 1) - 1) ** (len(comps) - 1)
+    return w.scale(sign).times_power(sum(c.cols - 1 for c in comps))
 
 
 def gbs_weight_k(s: SkewShape, k: int, var: str = "t") -> LaurentPoly:
@@ -294,11 +267,10 @@ def gbs_weight_k(s: SkewShape, k: int, var: str = "t") -> LaurentPoly:
     if size > k:
         return LaurentPoly.zero(var)
     w = gbs_weight(s, var)
-    t = LaurentPoly.monomial(var, 1)
     if size == 0:
-        return LaurentPoly.monomial(var, k - 1) * w
+        return w.times_power(k - 1)
     if size < k:
-        return (t - 1) * LaurentPoly.monomial(var, k - size - 1) * w
+        return ((LaurentPoly.monomial(var, 1) - 1) * w).times_power(k - size - 1)
     return w
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
-from .errors import WeightMismatch
+from .errors import InvariantViolation, WeightMismatch
 from .exact import LaurentPoly
 from .shapes import (
     Partition,
@@ -199,7 +199,8 @@ def qn_expansion(n: int) -> PExpansion:
         for part in lam:
             c = c * (1 - LaurentPoly.monomial("t", part))
         c = c.scale(Fraction(1, z_lambda(lam)))
-        assert c.is_ordinary(), "q_n(t) coefficients must be polynomials in t"
+        if not c.is_ordinary():
+            raise InvariantViolation(f"q_n(t) coefficients must be polynomials in t, got {c}")
         terms[lam] = c
     return PExpansion(terms)
 

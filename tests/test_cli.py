@@ -141,12 +141,6 @@ class TestTableCommand:
         assert code == 0
         assert out.splitlines()[0].startswith("lambda/mu")
 
-    def test_jobs_output_identical(self, capsys):
-        code1, out1, _ = run_cli(capsys, "table", "--n", "3")
-        code2, out2, _ = run_cli(capsys, "table", "--n", "3", "--jobs", "2")
-        assert code1 == code2 == 0
-        assert out1 == out2
-
     def test_order_flag(self, capsys):
         _, paper, _ = run_cli(capsys, "table", "--n", "3")
         _, revlex, _ = run_cli(capsys, "table", "--n", "3", "--order", "revlex")

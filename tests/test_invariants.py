@@ -1,0 +1,76 @@
+"""Each invariant check raises when its invariant is broken, also under -O."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import rookq
+from rookq import bitrace, characters, exact, seminormal, shapes, symfunc, verify
+from rookq.errors import InvariantViolation, NonExactDivision
+from rookq.exact import LaurentPoly, RationalFunction
+from rookq.symfunc import PExpansion
+
+Q = LaurentPoly.monomial("q", 1)
+HALF = LaurentPoly.const(Fraction(1, 2), "q")
+
+
+class TestInvariantChecks:
+    def test_compute_chi_value_outside_zq(self, monkeypatch):
+        monkeypatch.setattr(characters, "chi_mn", lambda lam, mu: HALF)
+        with pytest.raises(InvariantViolation, match=r"Z\[q\]"):
+            characters.compute_chi((1,), (1,), "mn")
+
+    def test_hl_inner_routes_disagree(self, monkeypatch):
+        monkeypatch.setattr(bitrace, "q_mu", lambda mu: PExpansion.one())
+        with pytest.raises(InvariantViolation, match="routes disagree"):
+            bitrace.hl_inner((1,), (1,))
+        result = verify.check_hl_inner_routes(1)
+        assert not result.ok and "routes disagree" in result.detail
+
+    def test_rational_function_gcd_not_a_divisor(self, monkeypatch):
+        monkeypatch.setattr(exact, "_gcd_half", lambda a, b: {2: 1, 0: 1})
+        with pytest.raises(NonExactDivision, match="gcd"):
+            RationalFunction(Q, Q + 2)
+
+    def test_enumerate_tableaux_count(self, monkeypatch):
+        monkeypatch.setattr(seminormal, "standard_count", lambda lam, n: 0)
+        with pytest.raises(InvariantViolation, match="expected 0"):
+            seminormal.enumerate_tableaux.__wrapped__((1,), 2)
+
+    def test_f_lambda_hook_product(self, monkeypatch):
+        monkeypatch.setattr(shapes, "hook_lengths", lambda lam: ((4,),))
+        with pytest.raises(NonExactDivision, match="hook length"):
+            shapes.f_lambda((2, 1))
+
+    def test_qn_expansion_coefficients(self, monkeypatch):
+        monkeypatch.setattr(symfunc, "partitions_of", lambda n: ((-1,),))
+        with pytest.raises(InvariantViolation, match="polynomials in t"):
+            symfunc.qn_expansion.__wrapped__(1)
+
+    def test_check_survives_optimize_flag(self):
+        script = (
+            "from fractions import Fraction\n"
+            "from rookq import characters\n"
+            "from rookq.errors import InvariantViolation\n"
+            "from rookq.exact import LaurentPoly\n"
+            "print(__debug__)\n"
+            "characters.chi_mn = lambda lam, mu: LaurentPoly.const(Fraction(1, 2), 'q')\n"
+            "try:\n"
+            "    characters.compute_chi((1,), (1,), 'mn')\n"
+            "except InvariantViolation:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(rookq.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\nraised\n"

@@ -26,6 +26,37 @@ from rookq.shapes import (
 T = LaurentPoly.monomial("t", 1)
 
 
+def bfs_strips(s):
+    """Reference decomposition by search over the cell set.
+
+    None when the shape holds a 2x2 block, else the sorted (size, rows,
+    cols) of each edge-connected component.
+    """
+    cells = set(s.cells())
+    for (i, j) in cells:
+        if {(i, j + 1), (i + 1, j), (i + 1, j + 1)} <= cells:
+            return None
+    seen = set()
+    strips = []
+    for start in sorted(cells):
+        if start in seen:
+            continue
+        stack = [start]
+        comp = set()
+        while stack:
+            c = stack.pop()
+            if c in comp:
+                continue
+            comp.add(c)
+            i, j = c
+            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if nb in cells and nb not in comp:
+                    stack.append(nb)
+        seen |= comp
+        strips.append((len(comp), len({i for i, _ in comp}), len({j for _, j in comp})))
+    return sorted(strips)
+
+
 def brute_partitions(n):
     """Independent enumeration: sorted tuples of all compositions."""
     found = set()
@@ -168,6 +199,20 @@ class TestGbs:
     def test_border_strip_single_component(self):
         dec = gbs_decompose(skew((3, 2), (1, 1)))
         assert dec is not None and len(dec.components) == 1
+
+    def test_matches_cell_search_up_to_nine(self):
+        pairs = 0
+        for n in range(10):
+            for lam in partitions_of(n):
+                for nu in sub_partitions(lam):
+                    sk = skew(lam, nu)
+                    dec = gbs_decompose(sk)
+                    got = None if dec is None else sorted(
+                        (c.size, c.rows, c.cols) for c in dec.components
+                    )
+                    assert got == bfs_strips(sk), (lam, nu)
+                    pairs += 1
+        assert pairs == 1592
 
     def test_weight_figure_example(self):
         w = gbs_weight(skew((4, 3, 3, 1), (3, 2, 1)))
