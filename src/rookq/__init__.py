@@ -4,7 +4,7 @@ The package computes the character values chi^lambda_mu(q) by several
 independent algorithms (power-sum inner products, a row-peeling recursion,
 the Murnaghan-Nakayama rule, compact hook/two-row closed forms, and
 seminormal matrix traces), cross-validates them, and evaluates the bitrace
-both as a character sum and as a weighted contingency-matrix enumeration.
+both as a character sum and as a weighted contingency-matrix sum.
 All arithmetic is exact.
 """
 

@@ -9,15 +9,23 @@ extra border row and column.  The weight of a border entry m is
 (1 - q^{-1})^{[m>0]} q^m, and of an inner entry the bracket
 
     (r)_q = (q-1)(q^{2r} - 1)/(q+1),   (0)_q = 1,   (r)_q = 0 for r < 0.
+
+A matrix weight is a product over entries, so ``btr_matrix`` never lists the
+matrices.  The inner sum H(alpha, beta) over matrices with row sums alpha and
+column sums beta is evaluated one row at a time, memoised on the sorted
+margins still to be filled; a border row or column with l nonzero entries
+summing to k contributes (1 - q^{-1})^l q^k.  ``contingency_matrices`` and
+``ContingencyMatrix.weight`` keep the entry-by-entry listing as a reference.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .errors import InvariantViolation, WeightMismatch
 from .exact import LaurentPoly
@@ -144,13 +152,75 @@ def contingency_matrices(mu: Sequence[int], nu: Sequence[int]) -> Iterator[Conti
                     yield ContingencyMatrix(mu=mu, nu=nu, entries=entries)
 
 
+@lru_cache(maxsize=None)
+def inner_sum(alpha: Tuple[int, ...], beta: Tuple[int, ...]) -> LaurentPoly:
+    """H(alpha, beta): the sum over nonnegative matrices with row sums alpha
+    and column sums beta of the product of entry brackets (m)_q.
+
+    Both margins are partitions (sorted, no zeros) of the same weight; H is
+    symmetric and invariant under permuting rows or columns.  The first row
+    r ranges over C(beta; alpha_1), and the rows below fill sort(beta - r):
+
+        H(alpha, beta) = sum_r prod_j (r_j)_q * H(alpha_2..., sort(beta - r)).
+
+    Rows r with the same nonzero entries and the same remainder are counted
+    once with their multiplicity before any polynomial is multiplied.
+    """
+    if not alpha:
+        return _ONE if not beta else LaurentPoly.zero("q")
+    groups: Dict[Tuple[int, ...], Counter] = {}
+    for r in subcompositions(beta, alpha[0]):
+        rest = sort_to_partition(comp_sub(beta, r))
+        groups.setdefault(rest, Counter())[sort_to_partition(r)] += 1
+    total = LaurentPoly.zero("q")
+    for rest, rows in groups.items():
+        row_weight = LaurentPoly.zero("q")
+        for parts, count in rows.items():
+            w = _ONE
+            for m in parts:
+                w = w * bracket(m)
+            row_weight = row_weight + w.scale(count)
+        total = total + row_weight * inner_sum(alpha[1:], rest)
+    return total
+
+
+def _border_groups(mu: Tuple[int, ...], k: int) -> Dict[Tuple[int, ...], LaurentPoly]:
+    """Border entries a in C(mu; k), grouped by the inner margin sort(mu - a):
+    each group sums (1 - q^{-1})^{l(a)} over its members."""
+    counts: Counter = Counter()
+    for a in subcompositions(mu, k):
+        counts[sort_to_partition(comp_sub(mu, a)), nonzero_length(a)] += 1
+    out: Dict[Tuple[int, ...], LaurentPoly] = {}
+    for (rest, length), count in counts.items():
+        term = (_ONE_MINUS_QINV**length).scale(count)
+        out[rest] = out[rest] + term if rest in out else term
+    return out
+
+
 def btr_matrix(mu: Sequence[int], nu: Sequence[int]) -> LaurentPoly:
-    """Bitrace by weighted contingency-matrix enumeration."""
+    """Bitrace by the weighted contingency-matrix formula, summed row by row.
+
+    btr(mu, nu) = (q-1)^{-(l(mu)+l(nu))} sum_k q^{2k}
+        sum_{a in C(mu;k), b in C(nu;k)} (1-q^{-1})^{l(a)+l(b)}
+            H(sort(mu-a), sort(nu-b)),
+
+    where k is the shared border total and H is ``inner_sum``.
+    """
     mu = _validate_composition(mu)
     nu = _validate_composition(nu)
+    n = sum(mu)
+    if sum(nu) != n:
+        raise WeightMismatch(f"|mu|={n} but |nu|={sum(nu)}")
     total = LaurentPoly.zero("q")
-    for m in contingency_matrices(mu, nu):
-        total = total + m.weight()
+    for k in range(n + 1):
+        cols = _border_groups(nu, k)
+        level = LaurentPoly.zero("q")
+        for rest_mu, wa in _border_groups(mu, k).items():
+            inner = LaurentPoly.zero("q")
+            for rest_nu, wb in cols.items():
+                inner = inner + wb * inner_sum(rest_mu, rest_nu)
+            level = level + wa * inner
+        total = total + level.times_power(2 * k)
     return total.exact_div(_QM1 ** (len(mu) + len(nu)))
 
 
@@ -176,25 +246,17 @@ def btr_def(mu: Sequence[int], nu: Sequence[int], chi=None) -> LaurentPoly:
 def hl_inner(alpha: Sequence[int], beta: Sequence[int]) -> LaurentPoly:
     """<q_alpha(q^{-1}), q_beta(q^{-1})> computed by two routes.
 
-    Matrix route: q^{-2|alpha|} * sum over matrices with margins (alpha, beta)
-    of the product of entry brackets.  Power-sum route: the t-inner product of
-    the one-row Hall-Littlewood products, followed by t -> q^{-1}.  The two
-    must agree exactly.
+    Matrix route: q^{-2|alpha|} * H(alpha, beta), the sum over matrices with
+    margins (alpha, beta) of the product of entry brackets (``inner_sum``).
+    Power-sum route: the t-inner product of the one-row Hall-Littlewood
+    products, followed by t -> q^{-1}.  The two must agree exactly.
     """
     alpha = sort_to_partition(alpha)
     beta = sort_to_partition(beta)
     w = sum(alpha)
     if sum(beta) != w:
         raise WeightMismatch(f"|alpha|={w} but |beta|={sum(beta)}")
-    total = LaurentPoly.zero("q")
-    for m in margin_matrices(alpha, beta):
-        prod = _ONE
-        for row in m:
-            for entry in row:
-                if entry:
-                    prod = prod * bracket(entry)
-        total = total + prod
-    via_matrix = total.times_power(-2 * w)
+    via_matrix = inner_sum(alpha, beta).times_power(-2 * w)
     via_pbasis = inner_product(q_mu(alpha), q_mu(beta)).substitute_inverse()
     if via_matrix != via_pbasis:
         raise InvariantViolation(

@@ -177,9 +177,10 @@ def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
         if sum(lam) - sum(nu) > k or sum(nu) > rest_weight:
             continue
         sk = skew(lam, nu)
-        if gbs_decompose(sk) is None:
+        dec = gbs_decompose(sk)
+        if dec is None:
             continue
-        w = gbs_weight_k(sk, k, var="q")
+        w = gbs_weight_k(sk, k, var="q", dec=dec)
         if w.is_zero:
             continue
         total = total + w * chi_mn(nu, rest)
@@ -349,9 +350,10 @@ def chi_special(variant: str, lam: Partition, mu: Partition) -> LaurentPoly:
         if mu != (n,) or n == 0:
             raise VariantMismatch(f"variant 'single' needs mu=(n), got {list(mu)}")
         sk = skew(lam)
-        if gbs_decompose(sk) is None:
+        dec = gbs_decompose(sk)
+        if dec is None:
             return LaurentPoly.zero("q")
-        return gbs_weight_k(sk, n, var="q")
+        return gbs_weight_k(sk, n, var="q", dec=dec)
     raise VariantMismatch(f"unknown variant {variant!r}")
 
 

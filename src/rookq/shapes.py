@@ -254,19 +254,22 @@ def _weight_of_decomposition(dec: GbsDecomposition, var: str) -> LaurentPoly:
     return w.scale(sign).times_power(sum(c.cols - 1 for c in comps))
 
 
-def gbs_weight_k(s: SkewShape, k: int, var: str = "t") -> LaurentPoly:
+def gbs_weight_k(
+    s: SkewShape, k: int, var: str = "t", dec: Optional[GbsDecomposition] = None
+) -> LaurentPoly:
     """The k-bounded weight wt(theta; k, t).
 
     Cases on the strip size |theta|: t^(k-1)*wt for an empty shape,
     (t-1)*t^(k-|theta|-1)*wt when 0 < |theta| < k, wt itself at |theta| = k,
-    and 0 beyond k.
+    and 0 beyond k.  A caller that already holds ``gbs_decompose(s)`` passes
+    it as ``dec`` so the shape is not decomposed again.
     """
     if k <= 0:
         raise ValueError("k must be a positive integer")
     size = s.size
     if size > k:
         return LaurentPoly.zero(var)
-    w = gbs_weight(s, var)
+    w = gbs_weight(s, var) if dec is None else _weight_of_decomposition(dec, var)
     if size == 0:
         return w.times_power(k - 1)
     if size < k:

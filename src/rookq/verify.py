@@ -2,7 +2,7 @@
 
 ``run_suite(n)`` exercises the library's cross-validation properties up to
 weight n (individual checks cap their weight where the computation grows
-fast: the seminormal model at 5, the bitrace enumeration at 4).  Each check
+fast: the seminormal model at 5, the bitrace routes at 5).  Each check
 returns a CheckResult; the CLI prints one pass/fail line per check and exits
 nonzero when anything fails.
 """
@@ -322,18 +322,12 @@ def check_hecke_block(n: int) -> CheckResult:
 
 
 def check_bitrace_routes(n: int) -> CheckResult:
-    cap = min(n, 4)
+    cap = min(n, 5)
     for w in range(cap + 1):
         for mu in sh.partitions_of(w):
             for nu in sh.partitions_of(w):
                 if bt.btr_matrix(mu, nu) != bt.btr_def(mu, nu):
                     return CheckResult("bitrace-routes", False, f"{mu}, {nu}")
-    if n >= 5:
-        rng = random.Random(5)
-        pairs = list(itertools.product(sh.partitions_of(5), repeat=2))
-        for mu, nu in rng.sample(pairs, 10):
-            if bt.btr_matrix(mu, nu) != bt.btr_def(mu, nu):
-                return CheckResult("bitrace-routes", False, f"{mu}, {nu}")
     return CheckResult("bitrace-routes", True)
 
 

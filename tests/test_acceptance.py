@@ -9,7 +9,6 @@ the arithmetic is exact.
 
 import itertools
 import math
-import random
 import time
 
 from rookq.exact import LaurentPoly
@@ -158,21 +157,14 @@ def test_c5_identity_suites():
 
 def test_c6_bitrace_equivalence():
     """Criterion 6: contingency-matrix and character-sum bitraces agree on all
-    ordered pairs with n <= 4 and ten random pairs at n = 5; the one-row
-    Hall-Littlewood inner product agrees across its two routes for n <= 5."""
-    for n in range(5):
+    ordered pairs with n <= 5; the one-row Hall-Littlewood inner product
+    agrees across its two routes for n <= 5."""
+    for n in range(6):
         for mu in partitions_of(n):
             for nu in partitions_of(n):
                 assert bt.btr_matrix(mu, nu) == bt.btr_def(mu, nu), (mu, nu)
-    rng = random.Random(5)
-    pairs = list(itertools.product(partitions_of(5), repeat=2))
-    for mu, nu in rng.sample(pairs, 10):
-        assert bt.btr_matrix(mu, nu) == bt.btr_def(mu, nu), (mu, nu)
-    for n in range(6):
-        for alpha in partitions_of(n):
-            for beta in partitions_of(n):
-                bt.hl_inner(alpha, beta)  # dual-route agreement asserted inside
-    print("ACCEPTANCE 6 bitrace-equivalence: PASS (exhaustive n<=4, 10 spot pairs n=5)")
+                bt.hl_inner(mu, nu)  # dual-route agreement asserted inside
+    print("ACCEPTANCE 6 bitrace-equivalence: PASS (exhaustive n<=5)")
 
 
 def test_c7_regular_character_and_dimension():

@@ -1,11 +1,8 @@
-import itertools
-import random
-
 import pytest
 
 from rookq.errors import WeightMismatch
 from rookq.exact import LaurentPoly
-from rookq.shapes import partitions_of
+from rookq.shapes import partitions_of, sort_to_partition
 from rookq.bitrace import (
     ContingencyMatrix,
     bracket,
@@ -14,11 +11,19 @@ from rookq.bitrace import (
     contingency_matrices,
     dim_rn,
     hl_inner,
+    inner_sum,
     margin_matrices,
     regular_char,
 )
 
 Q = LaurentPoly.monomial("q", 1)
+
+
+def _compositions(n):
+    """Every composition of n (positive parts, each order)."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, n + 1) for rest in _compositions(n - first)]
 
 
 class TestBracket:
@@ -78,16 +83,23 @@ class TestBitrace:
             btr_matrix((2,), (1,))
 
     def test_routes_agree_exhaustive(self):
-        for n in range(5):
+        for n in range(7):
             for mu in partitions_of(n):
                 for nu in partitions_of(n):
                     assert btr_matrix(mu, nu) == btr_def(mu, nu), (mu, nu)
 
-    def test_routes_agree_spot_weight_five(self):
-        rng = random.Random(55)
-        pairs = list(itertools.product(partitions_of(5), repeat=2))
-        for mu, nu in rng.sample(pairs, 10):
-            assert btr_matrix(mu, nu) == btr_def(mu, nu), (mu, nu)
+    def test_matches_matrix_listing(self):
+        # the row-by-row sum against the entry-by-entry weights of every
+        # listed matrix; compositions keep their part order in the listing
+        pairs = [(mu, nu) for n in range(5) for mu in _compositions(n) for nu in _compositions(n)]
+        pairs += [(mu, nu) for mu in partitions_of(5) for nu in partitions_of(5)]
+        pairs += [((1, 2, 2), (2, 1, 2)), ((1, 4), (3, 1, 1)), ((1, 1, 3), (2, 3))]
+        for mu, nu in pairs:
+            total = LaurentPoly.zero("q")
+            for m in contingency_matrices(mu, nu):
+                total = total + m.weight()
+            expected = total.exact_div((Q - 1) ** (len(mu) + len(nu)))
+            assert btr_matrix(mu, nu) == expected, (mu, nu)
 
     def test_symmetry(self):
         for n in range(5):
@@ -114,6 +126,20 @@ class TestHlInner:
         # both routes agree (asserted inside) and the value is exact
         value = hl_inner((2,), (1, 1))
         assert value == (1 - LaurentPoly.monomial("q", -1)) ** 4
+
+    def test_inner_sum_matches_margin_matrices(self):
+        # every ordering of the margins, so the sort inside inner_sum is tested
+        for n in range(6):
+            for alpha in _compositions(n):
+                for beta in partitions_of(n):
+                    total = LaurentPoly.zero("q")
+                    for m in margin_matrices(alpha, beta[::-1]):
+                        prod = LaurentPoly.one("q")
+                        for row in m:
+                            for entry in row:
+                                prod = prod * bracket(entry)
+                        total = total + prod
+                    assert inner_sum(sort_to_partition(alpha), beta) == total, (alpha, beta)
 
     def test_all_pairs_up_to_five(self):
         for n in range(6):

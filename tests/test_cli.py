@@ -86,6 +86,23 @@ class TestBitraceCommand:
         code, _, _ = run_cli(capsys, "bitrace", "--mu", "[2]", "--nu", "[1]")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "mu, nu",
+        [
+            ("[1,1,1,1,1,1,1,1,1,1,1,1]", "[1,1,1,1,1,1,1,1,1,1,1,1]"),
+            ("[3,2,2,1,1,1,1,1]", "[2,2,2,1,1,1,1,1,1]"),
+        ],
+    )
+    def test_routes_agree_at_weight_cap(self, capsys, monkeypatch, mu, nu):
+        # weight 12 is the default ROOKQ_MAX_WEIGHT; both routes must finish
+        monkeypatch.delenv("ROOKQ_MAX_WEIGHT", raising=False)
+        outputs = []
+        for method in ["matrix", "def"]:
+            code, out, _ = run_cli(capsys, "bitrace", "--mu", mu, "--nu", nu, "--method", method)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
 
 class TestDimsCommand:
     def test_value(self, capsys):
