@@ -29,13 +29,13 @@ from .shapes import (
     Partition,
     comp_sub,
     f_lambda,
+    gbs_complements,
     gbs_decompose,
     gbs_weight_k,
     nonzero_length,
     partitions_of,
     skew,
     sort_to_partition,
-    sub_partitions,
     subcompositions,
     vertical_strip_complements,
 )
@@ -173,17 +173,8 @@ def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
     rest = mu[1:]
     rest_weight = sum(rest)
     total = LaurentPoly.zero("q")
-    for nu in sub_partitions(lam):
-        if sum(lam) - sum(nu) > k or sum(nu) > rest_weight:
-            continue
-        sk = skew(lam, nu)
-        dec = gbs_decompose(sk)
-        if dec is None:
-            continue
-        w = gbs_weight_k(sk, k, var="q", dec=dec)
-        if w.is_zero:
-            continue
-        total = total + w * chi_mn(nu, rest)
+    for nu in gbs_complements(lam, sum(lam) - rest_weight, k):
+        total = total + gbs_weight_k(skew(lam, nu), k, var="q") * chi_mn(nu, rest)
     return total
 
 

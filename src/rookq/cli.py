@@ -12,7 +12,8 @@ Subcommands::
 
 Partitions are written as comma-separated parts in brackets, e.g. ``[3,2,1]``
 and ``[]`` for the empty partition.  The environment variable
-ROOKQ_MAX_WEIGHT caps the admissible weight (default 12).
+ROOKQ_MAX_WEIGHT caps the admissible weight (default 12); the seminormal
+method is refused above its own lower ceiling, ``seminormal.MAX_TRACE_WEIGHT``.
 
 Exit codes: 0 success, 2 verification/cross-check failure, 3 parse error.
 """
@@ -35,6 +36,7 @@ from .characters import (
     is_two_row,
 )
 from .bitrace import btr_def, btr_matrix, dim_rn
+from .seminormal import MAX_TRACE_WEIGHT
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -80,6 +82,13 @@ def parse_partition(text: str, *, sorted_required: bool = True) -> Tuple[int, ..
 
 def partition_str(p: Sequence[int]) -> str:
     return "[" + ",".join(str(x) for x in p) + "]"
+
+
+def _check_seminormal(weight: int) -> None:
+    if weight > MAX_TRACE_WEIGHT:
+        raise CLIError(
+            f"the seminormal method runs up to weight {MAX_TRACE_WEIGHT}, got {weight}"
+        )
 
 
 def _check_n(n: int) -> int:
@@ -152,6 +161,8 @@ def cmd_table(args) -> int:
             raise CLIError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
     if args.order not in ("paper", "revlex"):
         raise CLIError("--order must be 'paper' or 'revlex'")
+    if "seminormal" in methods:
+        _check_seminormal(n)
     table = CharacterTable.build(
         n,
         methods=methods,
@@ -177,6 +188,8 @@ def cmd_char(args) -> int:
     method = args.method
     if method not in METHODS + ("auto",):
         raise CLIError(f"unknown method {method!r}")
+    if method == "seminormal":
+        _check_seminormal(sum(mu))
     try:
         cv = compute_chi(lam, mu, method)
     except VariantMismatch as e:

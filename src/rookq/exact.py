@@ -19,6 +19,13 @@ monomial (needed by the seminormal matrices) without a separate field
 extension type.  Operations that must land in ordinary polynomials check
 that all exponents are even in these units.
 
+A ``RationalFunction`` is kept in a canonical reduced form, normalised by a
+Euclidean gcd in its constructor.  Its arithmetic skips that gcd when the
+result is canonical by construction: polynomial with polynomial, a monomial
+times anything, a sum over one shared denominator that is 1, and negation
+(see ``RationalFunction``).  The seminormal traces are mostly such products
+and sums.
+
 No floating point is used anywhere; all arithmetic is exact.
 """
 
@@ -504,6 +511,22 @@ class RationalFunction:
     exponents, nonzero constant term) made monic, and shares no polynomial
     factor with the ordinary part of the numerator.  Equality of canonical
     forms is therefore plain syntactic equality.
+
+    The constructor is the one place that normalises.  Arithmetic wraps its
+    result with ``_make`` instead, skipping the gcd, only where the result is
+    canonical already, both operands sharing a variable tag:
+
+    - polynomial * polynomial and polynomial + polynomial give a Laurent
+      polynomial over 1, which is canonical;
+    - c*q^(h/2) * (num/den) gives (c*q^(h/2)*num)/den: den(0) != 0, so the
+      monomial shares no factor with den, and num/den was reduced;
+    - -(num/den) is (-num)/den.
+
+    A sum over one shared denominator other than 1 is normalised from
+    (num1 + num2)/den, which skips the product of the denominators and the
+    larger gcd.  A zero result always goes through the constructor, so zero
+    has the one form 0/1.  Since the canonical form of a value is unique,
+    every shortcut gives the same fields as the full normalisation.
     """
 
     __slots__ = ("num", "den")
@@ -547,6 +570,20 @@ class RationalFunction:
         self.num = LaurentPoly(v, {h + mn: c for h, c in n_ord.items()})
         self.den = LaurentPoly(v, d_ord)
 
+    @classmethod
+    def _make(cls, num: LaurentPoly, den: LaurentPoly) -> "RationalFunction":
+        """Wrap a pair already in canonical form without normalising it.
+
+        A zero numerator still goes through ``__init__``, so zero keeps its
+        one form (0 over 1).
+        """
+        if not num._terms:
+            return cls(num, den)
+        self = object.__new__(cls)
+        self.num = num
+        self.den = den
+        return self
+
     # ------------------------------------------------------------------
     @property
     def var(self) -> str:
@@ -557,7 +594,9 @@ class RationalFunction:
         return self.num.is_zero
 
     def is_polynomial(self) -> bool:
-        return self.den == LaurentPoly.one(self.den.var)
+        # the denominator is ordinary, monic and has a nonzero constant term,
+        # so a one-term denominator is 1
+        return len(self.den._terms) == 1
 
     def as_poly(self) -> LaurentPoly:
         if not self.is_polynomial():
@@ -576,6 +615,10 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.num.var == other.num.var and self.den == other.den:
+            if self.is_polynomial():
+                return RationalFunction._make(self.num + other.num, self.den)
+            return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -584,7 +627,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + (-other)
 
     def __rsub__(self, other) -> "RationalFunction":
         other = self._coerce(other)
@@ -593,12 +636,20 @@ class RationalFunction:
         return other - self
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._make(-self.num, self.den)
 
     def __mul__(self, other) -> "RationalFunction":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.num.var == other.num.var:
+            # a polynomial times a polynomial, or a monomial c*q^(h/2) times
+            # anything: c*q^(h/2) shares no factor with a denominator whose
+            # constant term is nonzero
+            if self.is_polynomial() and (other.is_polynomial() or len(self.num._terms) == 1):
+                return RationalFunction._make(self.num * other.num, other.den)
+            if other.is_polynomial() and len(other.num._terms) == 1:
+                return RationalFunction._make(self.num * other.num, self.den)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -28,6 +28,12 @@ _Q = LaurentPoly.monomial("q", 1)
 _S = LaurentPoly.half_monomial("q", 1)  # q^(1/2)
 _RF_ONE = RationalFunction(1, 1, var="q")
 
+# The largest |mu| the command line runs this method on.  The slowest trace
+# of each weight from cold caches, on a 2-core host: 0.16 s at weight 7
+# ((3,2,1) x (7)), 0.80 s at 8 ((3,2,1,1) x (8)), 5.2 s at 9 ((4,2,1,1) x
+# (9)); the whole table takes 4.7 s at weight 7 and 52 s at weight 8.
+MAX_TRACE_WEIGHT = 8
+
 
 @lru_cache(maxsize=None)
 def _syt(lam: Partition) -> Tuple[Tableau, ...]:

@@ -295,6 +295,40 @@ def sub_partitions(lam: Partition) -> Tuple[Partition, ...]:
     return tuple(out)
 
 
+def gbs_complements(lam: Partition, lo: int, hi: int) -> Tuple[Partition, ...]:
+    """Partitions nu in lam with lam/nu a generalized border strip of lo..hi cells.
+
+    The same nu, in the same order, as ``sub_partitions(lam)`` filtered by
+    strip size and ``gbs_decompose``, without building the rest.  nu is built
+    row by row.  lam/nu is 2x2-free iff nu_i >= lam_{i+1} - 1 for every row i
+    (see ``gbs_decompose``), so nu_i goes no lower than that, nor so low that
+    more than hi cells are removed; and no higher than leaves lo reachable,
+    since rows i+1.. can give up at most the hook length of their first cell.
+    """
+    rows = len(lam)
+    # the rows chosen so far: (nu, cells removed, last part)
+    layer = [((), 0, lam[0] if lam else 0)]
+    for i, part in enumerate(lam):
+        below = lam[i + 1] if i + 1 < rows else 0
+        floor = below - 1 if below else 0
+        later = below + rows - 2 - i if below else 0
+        grown = []
+        for nu, removed, cap in layer:
+            # min(cap, part, ...) without the call: this loop is hot in chi_mn
+            top = removed + part + later - lo
+            if top > cap:
+                top = cap
+            if top > part:
+                top = part
+            for v in range(top, floor - 1, -1):
+                r = removed + part - v
+                if r > hi:
+                    break
+                grown.append((nu + (v,) if v else nu, r, v))
+        layer = grown
+    return tuple(nu for nu, removed, _ in layer if removed >= lo)
+
+
 def vertical_strip_complements(lam: Partition) -> Tuple[Partition, ...]:
     """All partitions nu contained in lam with lam/nu a vertical strip."""
     out: List[Partition] = []

@@ -24,13 +24,13 @@ from .exact import LaurentPoly
 from .shapes import (
     Partition,
     comp_sub,
+    gbs_complements,
     gbs_decompose,
     multiplicities,
     nonzero_length,
     partitions_of,
     skew,
     sort_to_partition,
-    sub_partitions,
     subcompositions,
     z_lambda,
 )
@@ -252,11 +252,9 @@ def _classical_rec(lam: Partition, rho: Partition) -> int:
     rest = rho[1:]
     # the "remove nothing" branch dies on weight grounds when |lam| = |rho|
     total = _classical_rec(lam, rest)
-    for nu in sub_partitions(lam):
-        if sum(lam) - sum(nu) != rho[0]:
-            continue
+    for nu in gbs_complements(lam, rho[0], rho[0]):
         dec = gbs_decompose(skew(lam, nu))
-        if dec is None or len(dec.components) != 1:
+        if len(dec.components) != 1:
             continue
         strip = dec.components[0]
         sign = -1 if (strip.rows - 1) % 2 else 1

@@ -6,6 +6,7 @@ import pytest
 
 from rookq.exact import LaurentPoly
 from rookq.cli import main, parse_partition, partition_str, CLIError
+from rookq.seminormal import MAX_TRACE_WEIGHT
 
 from table1_golden import MUS, ROWS, TABLE1
 
@@ -72,6 +73,27 @@ class TestCharCommand:
     def test_weight_error(self, capsys):
         code, _, _ = run_cli(capsys, "char", "--lambda", "[3]", "--mu", "[2]")
         assert code == 3
+
+    def test_seminormal_ceiling(self, capsys):
+        top = MAX_TRACE_WEIGHT
+        # at the ceiling the trace runs and agrees with mn
+        values = []
+        for method in ["seminormal", "mn"]:
+            code, out, _ = run_cli(
+                capsys, "char", "--lambda", f"[{top - 2},1]", "--mu", f"[{top - 1},1]",
+                "--method", method,
+            )
+            assert code == 0
+            values.append(out)
+        assert values[0] == values[1]
+        # one box more is refused, naming the ceiling
+        for argv in [
+            ("char", "--lambda", "[1]", "--mu", f"[{top + 1}]", "--method", "seminormal"),
+            ("table", "--n", str(top + 1), "--methods", "mn,seminormal"),
+        ]:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == ""
+            assert f"seminormal method runs up to weight {top}" in err
 
 
 class TestBitraceCommand:

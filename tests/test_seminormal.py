@@ -119,8 +119,9 @@ class TestTraces:
         with pytest.raises(WeightMismatch):
             trace_standard_element((3, 1), (2, 1))
 
-    def test_matches_oracle_up_to_five(self):
-        for n in range(6):
+    def test_matches_oracle_up_to_six(self):
+        # every cell through weight 6: 330 of them at n = 6
+        for n in range(7):
             for mu in partitions_of(n):
                 for lam in partitions_up_to(n):
                     assert trace_standard_element(lam, mu) == chi_oracle(lam, mu), (lam, mu)

@@ -8,6 +8,7 @@ from rookq.exact import LaurentPoly
 from rookq.shapes import (
     conjugate,
     f_lambda,
+    gbs_complements,
     gbs_decompose,
     gbs_weight,
     gbs_weight_k,
@@ -241,3 +242,18 @@ class TestGbs:
     def test_sub_partitions(self):
         subs = sub_partitions((2, 1))
         assert set(subs) == {(2, 1), (2,), (1, 1), (1,), ()}
+
+    def test_gbs_complements_match_filtered_sub_partitions(self):
+        # every strip-size window lo..hi, in sub_partitions order
+        for n in range(10):
+            for lam in partitions_of(n):
+                strips = [
+                    (n - sum(nu), nu)
+                    for nu in sub_partitions(lam)
+                    if gbs_decompose(skew(lam, nu)) is not None
+                ]
+                for lo in range(n + 1):
+                    for hi in range(lo, n + 1):
+                        want = tuple(nu for size, nu in strips if lo <= size <= hi)
+                        assert gbs_complements(lam, lo, hi) == want, (lam, lo, hi)
+                assert gbs_complements(lam, -1, n + 1) == tuple(nu for _, nu in strips)
