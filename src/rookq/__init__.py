@@ -21,15 +21,7 @@ from .errors import (
     VariantMismatch,
     WeightMismatch,
 )
-from .exact import (
-    LaurentPoly,
-    Rational,
-    RationalFunction,
-    evaluate,
-    poly_exact_div,
-    rf_normalize,
-    substitute_inverse,
-)
+from .exact import LaurentPoly, RationalFunction
 from .shapes import (
     BorderStrip,
     GbsDecomposition,
@@ -55,7 +47,6 @@ from .symfunc import (
     classical_char,
     hn_expansion,
     inner_product,
-    p_mul,
     q_mu,
     qhat_expansion,
     qhat_mu,

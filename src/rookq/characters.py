@@ -473,21 +473,17 @@ def is_two_row(lam: Partition) -> bool:
     return 1 <= len(lam) <= 2
 
 
-def compute_chi(lam: Sequence[int], mu: Sequence[int], method: str = "auto") -> CharacterValue:
+def compute_chi(lam: Sequence[int], mu: Sequence[int], method: str = "mn") -> CharacterValue:
     """Compute one character value with the requested algorithm.
 
-    ``auto`` picks the hook/two-row fast paths when the shape allows and the
-    Murnaghan-Nakayama recursion otherwise.
+    ``auto`` is another spelling of ``mn``: the Murnaghan-Nakayama recursion
+    is faster than the hook and two-row closed forms even on their own
+    shapes, so those run only when asked for by name.
     """
     lam, mu = tuple(lam), tuple(mu)
     _check_weights(lam, mu)
     if method == "auto":
-        if is_hook(lam):
-            method = "hook"
-        elif is_two_row(lam):
-            method = "two_row"
-        else:
-            method = "mn"
+        method = "mn"
     if method == "oracle":
         chi = chi_oracle(lam, mu)
     elif method == "iterative":
@@ -535,12 +531,11 @@ class CharacterTable:
     the results cross-checked; any disagreement raises MethodMismatch.
     """
 
-    def __init__(self, n, rows, cols, cells, methods, restrict, order):
+    def __init__(self, n, rows, cols, cells, restrict, order):
         self.n = n
         self.rows = rows
         self.cols = cols
         self.cells = cells  # (lam, mu) -> CharacterValue
-        self.methods = methods
         self.restrict = restrict
         self.order = order
 
@@ -564,7 +559,7 @@ class CharacterTable:
                 if any(chi != first for _, chi in values[1:]):
                     raise MethodMismatch(lam, mu, {m: str(c) for m, c in values})
                 cells[(lam, mu)] = CharacterValue(lam=lam, mu=mu, chi=first, method=methods[0])
-        return cls(n, rows, cols, cells, methods, restrict_lambda_lt_n, order)
+        return cls(n, rows, cols, cells, restrict_lambda_lt_n, order)
 
     def value(self, lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly:
         return self.cells[(tuple(lam), tuple(mu))].chi

@@ -4,11 +4,13 @@ Subcommands::
 
     rookq table   --n N [--restrict-lambda-lt-n] [--format csv|json|latex]
                   [--methods m1,m2,...] [--order paper|revlex]
-    rookq char    --lambda [3,1] --mu [5] [--method auto|oracle|iterative|mn|
+    rookq char    --lambda [3,1] --mu [5] [--method mn|oracle|iterative|
                   hook|two_row|seminormal] [--check]
     rookq bitrace --mu [2,1] --nu [1,1,1] [--method matrix|def]
     rookq verify  --n N
     rookq dims    --n N
+
+``--method auto`` is accepted as another spelling of the default ``mn``.
 
 Partitions are written as comma-separated parts in brackets, e.g. ``[3,2,1]``
 and ``[]`` for the empty partition.  The environment variable
@@ -259,7 +261,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("char", help="one character value")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    p.add_argument("--method", default="auto")
+    p.add_argument("--method", default="mn")
     p.add_argument("--check", action="store_true", help="cross-check against all applicable methods")
     p.set_defaults(func=cmd_char)
 

@@ -3,7 +3,7 @@
 The scalar tower is
 
     coefficient   int, or fractions.Fraction when not integral
-    LaurentPoly                            (one tagged variable q, t or s)
+    LaurentPoly                            (one tagged variable, q or t)
     RationalFunction                       (quotient of two LaurentPoly)
 
 A stored coefficient is a plain ``int`` whenever it is integral and a
@@ -37,11 +37,9 @@ from typing import Dict, Iterator, List, Mapping, Tuple, Union
 
 from .errors import DivisionByZero, DomainError, NonExactDivision
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
-_VALID_VARS = ("q", "t", "s")
+_VALID_VARS = ("q", "t")
 _TAG_SWAP = {"t": "q", "q": "t"}
 
 
@@ -167,14 +165,6 @@ class LaurentPoly:
 
     def coefficient(self, exp: int) -> Scalar:
         return self._terms.get(2 * exp, 0)
-
-    def constant_term(self) -> Scalar:
-        return self._terms.get(0, 0)
-
-    def leading_coefficient(self) -> Scalar:
-        if not self._terms:
-            return 0
-        return self._terms[max(self._terms)]
 
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self._terms.values())
@@ -316,8 +306,6 @@ class LaurentPoly:
         Each ``t**e`` becomes ``q**(-e)`` (and vice versa); applying the map
         twice returns the original polynomial.
         """
-        if self.var not in _TAG_SWAP:
-            raise DomainError(f"substitute_inverse is defined for tags t and q, not {self.var!r}")
         return LaurentPoly._make(_TAG_SWAP[self.var], {-h: c for h, c in self._terms.items()})
 
     def reversed_exponents(self) -> "LaurentPoly":
@@ -405,7 +393,7 @@ class LaurentPoly:
 
     _TERM_RE = re.compile(
         r"^(?P<coeff>\d+(?:/\d+)?)?"
-        r"(?:\*?(?P<var>[qts])"
+        r"(?:\*?(?P<var>[qt])"
         r"(?:\^(?P<exp>-?\d+|\(-?\d+/2\)))?)?$"
     )
 
@@ -690,26 +678,3 @@ class RationalFunction:
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__
-
-
-# ----------------------------------------------------------------------
-# operation-style entry points
-# ----------------------------------------------------------------------
-def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact quotient c with a = b*c; raises NonExactDivision otherwise."""
-    return a.exact_div(b)
-
-
-def substitute_inverse(f: LaurentPoly) -> LaurentPoly:
-    """Map each t**e to q**(-e) (tags t and q are swapped)."""
-    return f.substitute_inverse()
-
-
-def evaluate(f: LaurentPoly, x: Scalar) -> Fraction:
-    """Exact evaluation of f at a rational point."""
-    return f.evaluate(x)
-
-
-def rf_normalize(num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
-    """Canonical reduced rational function num/den."""
-    return RationalFunction(num, den)

@@ -130,10 +130,6 @@ class PExpansion:
     __repr__ = __str__
 
 
-def p_mul(f: PExpansion, g: PExpansion) -> PExpansion:
-    return f * g
-
-
 def inner_product(f: PExpansion, g: PExpansion) -> LaurentPoly:
     """<p_lambda, p_mu> = delta_{lambda,mu} z_lambda, extended bilinearly."""
     total = LaurentPoly.zero("t")

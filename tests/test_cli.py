@@ -58,6 +58,16 @@ class TestCharCommand:
         assert code == 0
         assert out.strip() == "2*q^3 - 6*q^2 + 4*q - 1"
 
+    def test_check_flag_at_weight_cap(self, capsys, monkeypatch):
+        # weight 12 is the default ROOKQ_MAX_WEIGHT; oracle, iterative, mn and
+        # two_row must all finish and agree
+        monkeypatch.delenv("ROOKQ_MAX_WEIGHT", raising=False)
+        code, out, _ = run_cli(
+            capsys, "char", "--lambda", "[7,5]", "--mu", "[3,3,3,3]", "--check"
+        )
+        assert code == 0
+        assert out.strip() == "9*q^8 - 24*q^7 + 24*q^6 - 12*q^5 + 3*q^4"
+
     def test_explicit_methods(self, capsys):
         for method in ["oracle", "iterative", "mn", "seminormal"]:
             code, out, _ = run_cli(
