@@ -143,12 +143,24 @@ class TestHlInner:
 
 
 class TestRegularCharacter:
+    def test_identity_element_is_dimension(self):
+        for n in range(6):
+            assert regular_char((1,) * n) == LaurentPoly.const(dim_rn(n), "q")
+
     def test_derived_values(self):
         assert regular_char((1, 1, 1)) == LaurentPoly.const(34, "q")
         assert regular_char((1, 1, 1, 1)) == LaurentPoly.const(209, "q")
 
+    def test_matches_bitrace(self):
+        for n in range(5):
+            for mu in partitions_of(n):
+                assert regular_char(mu) == btr_def(mu, (1,) * n), mu
+
 
 class TestDims:
+    def test_sequence(self):
+        assert [dim_rn(n) for n in range(6)] == [1, 2, 7, 34, 209, 1546]
+
     def test_brute_force_small(self):
         # count n x n partial permutation matrices directly
         import itertools as it

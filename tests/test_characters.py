@@ -21,6 +21,7 @@ from rookq.characters import (
     compute_chi,
     hecke_char,
     identity_suite_ab,
+    is_hook,
     perm_sum_closed_forms,
     perm_sums,
     x_of_chi,
@@ -123,6 +124,13 @@ class TestMurnaghanNakayama:
 
 
 class TestCompactFormulas:
+    def test_hook_matches_oracle(self):
+        for n in range(6):
+            for mu in partitions_of(n):
+                for lam in partitions_up_to(n):
+                    if is_hook(lam):
+                        assert chi_hook(lam[0], sum(lam), mu) == chi_oracle(lam, mu)
+
     def test_hook_column_case(self):
         # k=1 single-column hooks
         assert chi_hook(1, 2, (3, 2)) == qp("q^3 - 4*q^2 + 2*q")

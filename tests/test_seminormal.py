@@ -113,3 +113,11 @@ class TestTraces:
             for mu in partitions_of(n):
                 for lam in partitions_up_to(n):
                     assert trace_standard_element(lam, mu) == chi_oracle(lam, mu), (lam, mu)
+
+    def test_traces_land_in_z_q(self):
+        # no odd powers of q^(1/2) survive in any trace
+        for n in range(5):
+            for mu in partitions_of(n):
+                for lam in partitions_up_to(n):
+                    chi = trace_standard_element(lam, mu)
+                    assert chi.is_ordinary() and not chi.has_half_exponents()
