@@ -32,7 +32,6 @@ from .shapes import (
     gbs_weight,
     gbs_weight_k,
     hook_lengths,
-    is_vertical_strip,
     partitions_of,
     partitions_up_to,
     skew,
@@ -66,7 +65,6 @@ from .characters import (
     chi_special,
     chi_two_row,
     compute_chi,
-    hecke_char,
     identity_suite_ab,
     perm_sums,
     perm_sums_agree,

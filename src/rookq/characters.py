@@ -18,6 +18,7 @@ coefficients; all internal divisions by powers of (q-1) are exact and checked.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -164,6 +165,10 @@ def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
     chi^lambda_mu = sum over nu with lambda/nu a generalized border strip of
     size at most mu_1 and |nu| <= |mu^[1]| of
     wt(lambda/nu; mu_1, q) * chi^nu_{mu^[1]}.
+
+    The weights come from the memo behind ``gbs_weight_k``, and the products
+    are summed by ``LaurentPoly.sum_of_products`` into one dict rather than
+    one fresh polynomial per product and per partial sum.
     """
     lam, mu = tuple(lam), tuple(mu)
     _check_weights(lam, mu)
@@ -171,11 +176,10 @@ def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
         return _ONE if not lam else LaurentPoly.zero("q")
     k = mu[0]
     rest = mu[1:]
-    rest_weight = sum(rest)
-    total = LaurentPoly.zero("q")
-    for nu in gbs_complements(lam, sum(lam) - rest_weight, k):
-        total = total + gbs_weight_k(skew(lam, nu), k, var="q") * chi_mn(nu, rest)
-    return total
+    return LaurentPoly.sum_of_products(
+        (gbs_weight_k(skew(lam, nu), k, var="q"), chi_mn(nu, rest))
+        for nu in gbs_complements(lam, sum(lam) - sum(rest), k)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -245,16 +249,18 @@ def _ab_direct(mu: Partition, i: int, j: int, b_family: bool) -> LaurentPoly:
     mu = tuple(mu)
     if i < 0 or j < 0 or i + j > sum(mu):
         return LaurentPoly.zero("q")
-    one_minus_q = _ONE - _Q
-    total = LaurentPoly.zero("q")
+    # every (tau, theta) contributes by its two lengths alone, so count the
+    # pairs before building any polynomial
+    counts: Counter = Counter()
     for tau in subcompositions(mu, i):
         rem = comp_sub(mu, tau)
+        lt = nonzero_length(tau)
         for theta in subcompositions(rem, j):
-            rest = comp_sub(rem, theta)
-            term = _ONE_MINUS_QINV ** (nonzero_length(tau) + nonzero_length(theta))
-            tail = nonzero_length(rest)
-            term = term * (_ONE_MINUS_QINV if b_family else one_minus_q) ** tail
-            total = total + term
+            counts[lt + nonzero_length(theta), nonzero_length(comp_sub(rem, theta))] += 1
+    tail = _ONE_MINUS_QINV if b_family else _ONE - _Q
+    total = LaurentPoly.zero("q")
+    for (border, rest), count in counts.items():
+        total = total + (_ONE_MINUS_QINV**border * tail**rest).scale(count)
     return total
 
 
@@ -563,11 +569,3 @@ class CharacterTable:
 
     def value(self, lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly:
         return self.cells[(tuple(lam), tuple(mu))].chi
-
-
-def hecke_char(lam: Partition, mu: Partition) -> LaurentPoly:
-    """Iwahori-Hecke character: the full-weight diagonal block |lambda| = |mu|."""
-    lam, mu = tuple(lam), tuple(mu)
-    if sum(lam) != sum(mu):
-        raise WeightMismatch("Hecke characters need |lambda| = |mu|")
-    return chi_mn(lam, mu)

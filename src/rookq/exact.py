@@ -19,6 +19,12 @@ monomial (needed by the seminormal matrices) without a separate field
 extension type.  Operations that must land in ordinary polynomials check
 that all exponents are even in these units.
 
+``LaurentPoly.sum_of_products`` sums a*b over many pairs into one dict and
+folds it once, where ``__mul__`` and ``__add__`` would build a dict for every
+product and every partial sum.  Only the Murnaghan-Nakayama route
+(``characters.chi_mn``) uses it; the routes it is cross-checked against stay
+on ``__mul__`` and ``__add__``, so no two compared routes share the kernel.
+
 A ``RationalFunction`` is kept in a canonical reduced form, normalised by a
 Euclidean gcd in its constructor.  Its arithmetic skips that gcd when the
 result is canonical by construction: polynomial with polynomial, a monomial
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from .errors import DivisionByZero, DomainError, NonExactDivision
 
@@ -235,6 +241,32 @@ class LaurentPoly:
         return LaurentPoly._make(var, _fold(out))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_of_products(
+        cls, pairs: Iterable[Tuple["LaurentPoly", "LaurentPoly"]], var: str = "q"
+    ) -> "LaurentPoly":
+        """sum a*b over the pairs, the same polynomial as folding
+        ``total = total + a * b`` from ``zero(var)``.
+
+        Every product is accumulated into one dict and folded once at the
+        end, instead of a fresh dict for each product and each partial sum.
+        Each pair's tags go through ``_result_var``; when a product's tag
+        differs from the running one, the running sum and that product are
+        built as ``__add__`` would see them, so a mismatch raises and a
+        constant adopts the other tag exactly as in the fold.
+        """
+        out: Dict[int, Scalar] = {}
+        get = out.get
+        for a, b in pairs:
+            if a._result_var(b) != var:
+                var = cls._make(var, _fold(out))._result_var(a * b)
+            terms2 = b._terms.items()
+            for h1, c1 in a._terms.items():
+                for h2, c2 in terms2:
+                    h = h1 + h2
+                    out[h] = get(h, 0) + c1 * c2
+        return cls._make(var, _fold(out))
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int) or n < 0:

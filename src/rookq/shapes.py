@@ -151,11 +151,6 @@ def skew(outer: Sequence[int], inner: Sequence[int] = ()) -> SkewShape:
     return SkewShape(tuple(outer), tuple(inner))
 
 
-def is_vertical_strip(s: SkewShape) -> bool:
-    """At most one cell per row: outer_i - inner_i <= 1 for all i."""
-    return all(o - i <= 1 for o, i in zip(s.outer, s.inner))
-
-
 def hook_lengths(lam: Partition) -> Tuple[Tuple[int, ...], ...]:
     """Table h_{ij} = lam_i + lam'_j - i - j + 1 (1-indexed in the formula)."""
     conj = conjugate(lam)
@@ -239,19 +234,7 @@ def gbs_weight(s: SkewShape, var: str = "t") -> LaurentPoly:
 
     The empty shape has weight 1 by convention.
     """
-    dec = gbs_decompose(s)
-    if dec is None:
-        raise NotGbsError(f"{s} is not a generalized border strip")
-    return _weight_of_decomposition(dec, var)
-
-
-def _weight_of_decomposition(dec: GbsDecomposition, var: str) -> LaurentPoly:
-    comps = dec.components
-    if not comps:
-        return LaurentPoly.one(var)
-    sign = (-1) ** sum(c.rows - 1 for c in comps)
-    w = (LaurentPoly.monomial(var, 1) - 1) ** (len(comps) - 1)
-    return w.scale(sign).times_power(sum(c.cols - 1 for c in comps))
+    return _strip_weight_of(s, gbs_decompose(s), s.size, s.size, var)
 
 
 def gbs_weight_k(
@@ -263,18 +246,55 @@ def gbs_weight_k(
     (t-1)*t^(k-|theta|-1)*wt when 0 < |theta| < k, wt itself at |theta| = k,
     and 0 beyond k.  A caller that already holds ``gbs_decompose(s)`` passes
     it as ``dec`` so the shape is not decomposed again.
+
+    Below k + 1 cells the weight is +-t^a (t-1)^b, fixed by the component
+    count, the parity of the row total, the column total, the size and k.
+    ``_strip_weight`` builds it by one closed form, memoised on those five
+    values and the tag, so the 14 662 strips of the weight-9 table share 278
+    polynomials.  ``gbs_weight`` reads the same memo at k = |theta|.
     """
     if k <= 0:
         raise ValueError("k must be a positive integer")
     size = s.size
     if size > k:
         return LaurentPoly.zero(var)
-    w = gbs_weight(s, var) if dec is None else _weight_of_decomposition(dec, var)
-    if size == 0:
-        return w.times_power(k - 1)
-    if size < k:
-        return ((LaurentPoly.monomial(var, 1) - 1) * w).times_power(k - size - 1)
-    return w
+    return _strip_weight_of(s, gbs_decompose(s) if dec is None else dec, size, k, var)
+
+
+def _strip_weight_of(
+    s: SkewShape, dec: Optional[GbsDecomposition], size: int, k: int, var: str
+) -> LaurentPoly:
+    """wt(s; k, t) from the memo, keyed by the totals of s's decomposition."""
+    if dec is None:
+        raise NotGbsError(f"{s} is not a generalized border strip")
+    comps = dec.components
+    rows = cols = 0
+    for c in comps:
+        rows += c.rows - 1
+        cols += c.cols - 1
+    return _strip_weight(len(comps), rows % 2, cols, size, k, var)
+
+
+@lru_cache(maxsize=None)
+def _strip_weight(comps: int, odd: int, cols: int, size: int, k: int, var: str) -> LaurentPoly:
+    """(-1)^odd * t^a * (t-1)^b, the weight wt(theta; k, t) of a strip of
+    ``comps`` components with column total ``cols`` and 0 <= size <= k cells.
+
+    At size = k it is wt(theta; t): b = comps - 1 and a = cols, or 1 for the
+    empty shape.  An empty shape below k gives t^(k-1); otherwise 0 < size <
+    k adds one factor (t-1) and shifts by t^(k-size-1).
+    """
+    if size == k:
+        b, a = max(comps - 1, 0), cols
+    elif size == 0:
+        b, a = 0, k - 1
+    else:
+        b, a = comps, cols + k - size - 1
+    sign = -1 if odd else 1
+    # (t-1)^b = sum_j C(b, j) t^j (-1)^(b-j)
+    return LaurentPoly._make(
+        var, {2 * (a + j): sign * (-1) ** (b - j) * math.comb(b, j) for j in range(b + 1)}
+    )
 
 
 def sub_partitions(lam: Partition) -> Tuple[Partition, ...]:

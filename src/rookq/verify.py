@@ -316,7 +316,7 @@ def check_hecke_block(n: int) -> CheckResult:
         ((1, 1, 1), (1, 1, 1)): LaurentPoly.one("q"),
     }
     for (lam, mu), expected in anchors.items():
-        if ch.hecke_char(lam, mu) != expected:
+        if ch.chi_mn(lam, mu) != expected:
             return CheckResult("hecke-diagonal-block", False, f"{lam}, {mu}")
     return CheckResult("hecke-diagonal-block", True)
 

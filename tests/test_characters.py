@@ -19,7 +19,6 @@ from rookq.characters import (
     chi_special,
     chi_two_row,
     compute_chi,
-    hecke_char,
     identity_suite_ab,
     is_hook,
     perm_sum_closed_forms,
@@ -258,13 +257,6 @@ class TestPermSums:
         rhs1, rhs2 = perm_sum_closed_forms(())
         assert RationalFunction(s1) == rhs1
         assert s2 == rhs2 == LaurentPoly.one("q")
-
-
-class TestStructure:
-    def test_hecke_diagonal_block(self):
-        # the block's values are anchored by verify's hecke-diagonal-block check
-        with pytest.raises(WeightMismatch):
-            hecke_char((2,), (1, 1, 1))
 
 
 class TestDispatch:

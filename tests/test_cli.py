@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -196,6 +197,11 @@ class TestTableCommand:
         assert paper != revlex
         header = revlex.splitlines()[0]
         assert header == 'lambda/mu,[3],"[2,1]","[1,1,1]"'
+
+    def test_weight_nine_is_byte_identical(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--n", "9")
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == "a818bece4de8ae6f9c98d6beace9c5d4"
 
     def test_round_trip_all_cells(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--n", "4", "--format", "csv")

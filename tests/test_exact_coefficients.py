@@ -218,3 +218,50 @@ def test_seminormal_trace_skips_most_normalisations(monkeypatch):
     assert trace_standard_element(lam, mu) == expected
     # normalising every product and sum, this trace ran __init__ 137 times
     assert len(calls) <= 13
+
+
+# ----------------------------------------------------------------------
+# LaurentPoly.sum_of_products against a fold of __mul__ and __add__
+# ----------------------------------------------------------------------
+def poly_fields(p):
+    return p.var, p._terms, [type(c) for _, c in p.half_items()]
+
+
+@st.composite
+def product_lists(draw):
+    """Pairs of q polynomials, Fraction and half-exponent terms included; some
+    lists repeat each pair with its sign flipped, so that the sum cancels."""
+    pairs = draw(st.lists(st.tuples(term_dicts, term_dicts), max_size=4))
+    pairs = [(poly(a), poly(b)) for a, b in pairs]
+    if draw(st.booleans()):
+        pairs += [(a, -b) for a, b in reversed(pairs)]
+    return pairs
+
+
+@given(product_lists())
+def test_sum_of_products_matches_fold(pairs):
+    want = LaurentPoly.zero("q")
+    for a, b in pairs:
+        want = want + a * b
+    got = LaurentPoly.sum_of_products(iter(pairs))
+    assert poly_fields(got) == poly_fields(want)
+    assert_coefficient_rule(got)
+
+
+def test_sum_of_products_edge_cases():
+    half = LaurentPoly.half_monomial("q", 1, Fraction(1, 2))
+    cancel = [(half, half), (-half, half)]
+    assert poly_fields(LaurentPoly.sum_of_products(cancel)) == ("q", {}, [])
+    assert poly_fields(LaurentPoly.sum_of_products([])) == ("q", {}, [])
+    assert poly_fields(LaurentPoly.sum_of_products([], "t")) == ("t", {}, [])
+    # a constant adopts the other tag, as in the fold
+    t = LaurentPoly.monomial("t", 1)
+    three = LaurentPoly.const(3, "q")
+    fold = LaurentPoly.zero("q") + three * t
+    got = LaurentPoly.sum_of_products([(three, t)])
+    assert poly_fields(got) == poly_fields(fold) == ("t", {2: 3}, [int])
+    with pytest.raises(ValueError):
+        LaurentPoly.sum_of_products([(t, LaurentPoly.monomial("q", 1) + 1)])
+    # a t product after a non-constant q sum raises, as __add__ does
+    with pytest.raises(ValueError):
+        LaurentPoly.sum_of_products([(half, half), (three, t)])

@@ -12,7 +12,6 @@ from rookq.shapes import (
     gbs_weight,
     gbs_weight_k,
     hook_lengths,
-    is_vertical_strip,
     partitions_of,
     skew,
     sort_to_partition,
@@ -24,6 +23,30 @@ from rookq.shapes import (
 )
 
 T = LaurentPoly.monomial("t", 1)
+
+
+def weight_of_decomposition(dec, var):
+    """Reference wt(theta): (t-1)^(m-1), scaled by the sign, shifted by the columns."""
+    comps = dec.components
+    if not comps:
+        return LaurentPoly.one(var)
+    sign = (-1) ** sum(c.rows - 1 for c in comps)
+    w = (LaurentPoly.monomial(var, 1) - 1) ** (len(comps) - 1)
+    return w.scale(sign).times_power(sum(c.cols - 1 for c in comps))
+
+
+def weight_k_of_decomposition(dec, size, k, var):
+    """Reference wt(theta; k) for 0 <= size <= k, case by case from wt(theta)."""
+    w = weight_of_decomposition(dec, var)
+    if size == 0:
+        return w.times_power(k - 1)
+    if size < k:
+        return ((LaurentPoly.monomial(var, 1) - 1) * w).times_power(k - size - 1)
+    return w
+
+
+def fields(p):
+    return p.var, p._terms, [type(c) for _, c in p.half_items()]
 
 
 def bfs_strips(s):
@@ -124,11 +147,6 @@ class TestCompositions:
 
 
 class TestSkewAndStrips:
-    def test_vertical_strip(self):
-        assert is_vertical_strip(skew((2, 1), (1,)))
-        assert not is_vertical_strip(skew((3, 1), (1,)))
-        assert is_vertical_strip(skew((2, 2), (2, 2)))
-
     def test_vertical_strip_complements(self):
         subs = vertical_strip_complements((2, 1))
         assert set(subs) == {(2, 1), (2,), (1, 1), (1,)}
@@ -215,6 +233,25 @@ class TestGbs:
         assert gbs_weight_k(s, s.size) == gbs_weight(s)
         # size > k vanishes
         assert gbs_weight_k(s, s.size - 1) == LaurentPoly.zero("t")
+
+    def test_weight_k_memo_matches_decomposition(self):
+        # every generalized border strip with |lambda| <= 9, the empty one included
+        strips = 0
+        for n in range(10):
+            for lam in partitions_of(n):
+                for nu in gbs_complements(lam, 0, n):
+                    sk = skew(lam, nu)
+                    dec = gbs_decompose(sk)
+                    for var in ("q", "t"):
+                        wt = weight_of_decomposition(dec, var)
+                        assert fields(gbs_weight(sk, var)) == fields(wt), (lam, nu)
+                        for k in range(max(sk.size, 1), sk.size + 3):
+                            want = weight_k_of_decomposition(dec, sk.size, k, var)
+                            got = gbs_weight_k(sk, k, var)
+                            assert fields(got) == fields(want), (lam, nu, k, var)
+                            assert gbs_weight_k(sk, k, var, dec=dec) is got
+                    strips += 1
+        assert strips == 1419
 
     def test_sub_partitions(self):
         subs = sub_partitions((2, 1))
