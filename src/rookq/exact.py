@@ -244,10 +244,10 @@ class LaurentPoly:
 
     @classmethod
     def sum_of_products(
-        cls, pairs: Iterable[Tuple["LaurentPoly", "LaurentPoly"]], var: str = "q"
+        cls, pairs: Iterable[Tuple["LaurentPoly", "LaurentPoly"]]
     ) -> "LaurentPoly":
         """sum a*b over the pairs, the same polynomial as folding
-        ``total = total + a * b`` from ``zero(var)``.
+        ``total = total + a * b`` from ``zero("q")``.
 
         Every product is accumulated into one dict and folded once at the
         end, instead of a fresh dict for each product and each partial sum.
@@ -256,6 +256,7 @@ class LaurentPoly:
         built as ``__add__`` would see them, so a mismatch raises and a
         constant adopts the other tag exactly as in the fold.
         """
+        var = "q"
         out: Dict[int, Scalar] = {}
         get = out.get
         for a, b in pairs:

@@ -253,7 +253,6 @@ def test_sum_of_products_edge_cases():
     cancel = [(half, half), (-half, half)]
     assert poly_fields(LaurentPoly.sum_of_products(cancel)) == ("q", {}, [])
     assert poly_fields(LaurentPoly.sum_of_products([])) == ("q", {}, [])
-    assert poly_fields(LaurentPoly.sum_of_products([], "t")) == ("t", {}, [])
     # a constant adopts the other tag, as in the fold
     t = LaurentPoly.monomial("t", 1)
     three = LaurentPoly.const(3, "q")
