@@ -23,9 +23,6 @@ from .errors import (
 )
 from .exact import LaurentPoly, RationalFunction
 from .shapes import (
-    BorderStrip,
-    GbsDecomposition,
-    SkewShape,
     conjugate,
     f_lambda,
     gbs_decompose,
@@ -34,7 +31,6 @@ from .shapes import (
     hook_lengths,
     partitions_of,
     partitions_up_to,
-    skew,
     sort_to_partition,
     standard_count,
     subcompositions,

@@ -224,7 +224,7 @@ def btr_matrix(mu: Sequence[int], nu: Sequence[int]) -> LaurentPoly:
     return total.exact_div(_QM1 ** (len(mu) + len(nu)))
 
 
-def btr_def(mu: Sequence[int], nu: Sequence[int], chi=None) -> LaurentPoly:
+def btr_def(mu: Sequence[int], nu: Sequence[int]) -> LaurentPoly:
     """Bitrace by the definitional character sum.
 
     Compositions are admitted: character values depend only on the partition
@@ -235,11 +235,10 @@ def btr_def(mu: Sequence[int], nu: Sequence[int], chi=None) -> LaurentPoly:
     n = sum(mu_p)
     if sum(nu_p) != n:
         raise WeightMismatch(f"|mu|={n} but |nu|={sum(nu_p)}")
-    fn = chi or characters.chi_mn
     total = LaurentPoly.zero("q")
     for k in range(n + 1):
         for lam in partitions_of(k):
-            total = total + fn(lam, mu_p) * fn(lam, nu_p)
+            total = total + characters.chi_mn(lam, mu_p) * characters.chi_mn(lam, nu_p)
     return total
 
 

@@ -35,7 +35,6 @@ from .shapes import (
     gbs_weight_k,
     nonzero_length,
     partitions_of,
-    skew,
     sort_to_partition,
     subcompositions,
     vertical_strip_complements,
@@ -62,13 +61,6 @@ def frobenius_chi(x_t: LaurentPoly, mu: Partition) -> LaurentPoly:
     xq = x_t.substitute_inverse()
     numer = xq.times_power(sum(mu))
     return numer.exact_div(_QM1 ** len(mu))
-
-
-def x_of_chi(chi: LaurentPoly, mu: Partition) -> LaurentPoly:
-    """Inverse Frobenius conversion: X(t) = chi(t^{-1}) t^{|mu|-l} (1-t)^l."""
-    t = LaurentPoly.monomial("t", 1)
-    l = len(mu)
-    return chi.substitute_inverse() * LaurentPoly.monomial("t", sum(mu) - l) * (1 - t) ** l
 
 
 @lru_cache(maxsize=None)
@@ -125,39 +117,6 @@ def chi_iterative(lam: Partition, mu: Partition) -> LaurentPoly:
     return numer.exact_div(_QM1**top) if top else numer
 
 
-def chi_iterative_terms(
-    lam: Partition, mu: Partition
-) -> Dict[Tuple[Partition, Partition], RationalFunction]:
-    """One level of the row-peeling recursion, as collected coefficients.
-
-    Maps (nu, sorted(mu - tau)) to the rational-function coefficient in front
-    of chi^nu_{sort(mu-tau)}; useful for inspecting the expansion.
-    """
-    lam, mu = tuple(lam), tuple(mu)
-    _check_weights(lam, mu)
-    out: Dict[Tuple[Partition, Partition], RationalFunction] = {}
-    if not lam:
-        return out
-    m = sum(lam)
-    head = lam[0]
-    lmu = len(mu)
-    for nu in vertical_strip_complements(lam[1:]):
-        k = m - sum(nu)
-        sign = -1 if (k - head) % 2 else 1
-        for tau in subcompositions(mu, k):
-            lt = nonzero_length(tau)
-            rho = sort_to_partition(comp_sub(mu, tau))
-            e = lmu - lt - len(rho)
-            mono = LaurentPoly.monomial("q", k - lt, sign)
-            if e >= 0:
-                coeff = RationalFunction(mono, _QM1**e)
-            else:
-                coeff = RationalFunction(mono * _QM1 ** (-e), 1)
-            key = (nu, rho)
-            out[key] = out.get(key, RationalFunction(0, 1, var="q")) + coeff
-    return {k: v for k, v in out.items() if not v.is_zero}
-
-
 @lru_cache(maxsize=None)
 def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
     """Murnaghan-Nakayama recursion on the lower partition.
@@ -177,7 +136,7 @@ def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
     k = mu[0]
     rest = mu[1:]
     return LaurentPoly.sum_of_products(
-        (gbs_weight_k(skew(lam, nu), k, var="q"), chi_mn(nu, rest))
+        (gbs_weight_k(lam, nu, k, var="q"), chi_mn(nu, rest))
         for nu in gbs_complements(lam, sum(lam) - sum(rest), k)
     )
 
@@ -346,11 +305,9 @@ def chi_special(variant: str, lam: Partition, mu: Partition) -> LaurentPoly:
     if variant == "single":
         if mu != (n,) or n == 0:
             raise VariantMismatch(f"variant 'single' needs mu=(n), got {list(mu)}")
-        sk = skew(lam)
-        dec = gbs_decompose(sk)
-        if dec is None:
+        if gbs_decompose(lam) is None:
             return LaurentPoly.zero("q")
-        return gbs_weight_k(sk, n, var="q", dec=dec)
+        return gbs_weight_k(lam, (), n, var="q")
     raise VariantMismatch(f"unknown variant {variant!r}")
 
 

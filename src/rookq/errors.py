@@ -45,7 +45,7 @@ class MethodMismatch(RookqError):
 
 
 class NotGbsError(RookqError):
-    """A weight was requested for a skew shape that is not a generalized border strip."""
+    """A weight was requested for a shape lam/nu that is not a generalized border strip."""
 
 
 class ShapeTooLarge(RookqError):

@@ -161,11 +161,6 @@ class LaurentPoly:
             return 0
         return min(self._terms)
 
-    def max_half_exp(self) -> int:
-        if not self._terms:
-            return 0
-        return max(self._terms)
-
     def half_items(self) -> List[Tuple[int, Scalar]]:
         return sorted(self._terms.items(), reverse=True)
 
@@ -618,11 +613,6 @@ class RationalFunction:
         # the denominator is ordinary, monic and has a nonzero constant term,
         # so a one-term denominator is 1
         return len(self.den._terms) == 1
-
-    def as_poly(self) -> LaurentPoly:
-        if not self.is_polynomial():
-            raise NonExactDivision(f"{self} is not a polynomial")
-        return self.num
 
     # ------------------------------------------------------------------
     def _coerce(self, other) -> "RationalFunction | None":

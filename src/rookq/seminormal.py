@@ -172,14 +172,6 @@ class RepMatrix:
                 return val
         return RationalFunction(0, 1, var="q")
 
-    def dense(self) -> List[List[RationalFunction]]:
-        zero = RationalFunction(0, 1, var="q")
-        out = [[zero] * self.dimension for _ in range(self.dimension)]
-        for c, col in enumerate(self.cols):
-            for r, val in col:
-                out[r][c] = val
-        return out
-
 
 def gen_matrix_T(i: int, lam: Sequence[int], n: int) -> RepMatrix:
     """Matrix of the generator T_i on the n-standard tableau basis of lambda."""

@@ -1,4 +1,4 @@
-"""Partitions, compositions, skew diagrams and generalized border strips.
+"""Partitions, compositions and generalized border strips.
 
 Partitions are plain tuples of weakly decreasing positive integers; the empty
 partition is ``()``.  Compositions are tuples of nonnegative integers and may
@@ -12,7 +12,6 @@ golden files are stable across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
@@ -40,11 +39,10 @@ def partitions_of(n: int) -> Tuple[Partition, ...]:
     return tuple(rec(n, n))
 
 
-def partitions_up_to(n: int, *, strict: bool = False) -> Tuple[Partition, ...]:
-    """Partitions of every weight k <= n (k < n when strict), heaviest first."""
-    top = n - 1 if strict else n
+def partitions_up_to(n: int) -> Tuple[Partition, ...]:
+    """Partitions of every weight k <= n, heaviest first."""
     out: List[Partition] = []
-    for k in range(top, -1, -1):
+    for k in range(n, -1, -1):
         out.extend(partitions_of(k))
     return tuple(out)
 
@@ -116,41 +114,6 @@ def comp_sub(mu: Sequence[int], tau: Sequence[int]) -> Composition:
     return diff
 
 
-@dataclass(frozen=True)
-class SkewShape:
-    """Set-theoretic difference outer/inner of two nested partitions."""
-
-    outer: Partition
-    inner: Partition
-
-    def __post_init__(self):
-        inner = tuple(self.inner) + (0,) * (len(self.outer) - len(self.inner))
-        if len(inner) > len(self.outer) and any(inner[len(self.outer) :]):
-            raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
-        if any(i > o for o, i in zip(self.outer, inner)):
-            raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
-        object.__setattr__(self, "inner", inner[: len(self.outer)])
-
-    @property
-    def size(self) -> int:
-        return sum(self.outer) - sum(self.inner)
-
-    def cells(self) -> Tuple[Tuple[int, int], ...]:
-        """Cells (row, col), 0-indexed, rows top to bottom."""
-        out = []
-        for i, o in enumerate(self.outer):
-            start = self.inner[i] if i < len(self.inner) else 0
-            out.extend((i, j) for j in range(start, o))
-        return tuple(out)
-
-    def __str__(self) -> str:
-        return f"{list(self.outer)}/{list(self.inner)}"
-
-
-def skew(outer: Sequence[int], inner: Sequence[int] = ()) -> SkewShape:
-    return SkewShape(tuple(outer), tuple(inner))
-
-
 def hook_lengths(lam: Partition) -> Tuple[Tuple[int, ...], ...]:
     """Table h_{ij} = lam_i + lam'_j - i - j + 1 (1-indexed in the formula)."""
     conj = conjugate(lam)
@@ -178,45 +141,29 @@ def standard_count(lam: Partition, n: int) -> int:
     return math.comb(n, sum(lam)) * f_lambda(lam)
 
 
-@dataclass(frozen=True)
-class BorderStrip:
-    """A connected 2x2-free component of a skew diagram, by its extent."""
+def gbs_decompose(
+    lam: Partition, nu: Partition = ()
+) -> Optional[Tuple[Tuple[int, int, int], ...]]:
+    """The connected components of lam/nu as (cells, rows, cols), top to bottom.
 
-    size: int
-    rows: int
-    cols: int
+    Returns None when lam/nu contains a 2x2 block of cells, i.e. when it is
+    not a generalized border strip, and zero components when nu = lam.
+    Raises ValueError when nu is not contained in lam.
 
-
-@dataclass(frozen=True)
-class GbsDecomposition:
-    """Decomposition of a skew shape into disjoint border strips."""
-
-    components: Tuple[BorderStrip, ...]
-
-    @property
-    def size(self) -> int:
-        return sum(c.size for c in self.components)
-
-
-def gbs_decompose(s: SkewShape) -> Optional[GbsDecomposition]:
-    """Connected components of the cell graph (edge adjacency), top to bottom.
-
-    Returns None when the shape contains a 2x2 block of cells, i.e. when it
-    is not a generalized border strip.  An empty shape decomposes into zero
-    components.
-
-    Row i holds the cells of columns inner_i .. outer_i - 1, and rows i and
-    i+1 share the columns inner_i .. outer_{i+1} - 1.  So the shape is
-    2x2-free iff inner_i >= outer_{i+1} - 1 for every i, and a component is a
-    maximal run of non-empty rows linked by inner_i < outer_{i+1}.  A run
-    from row a to row b spans b - a + 1 rows and the columns inner_b ..
-    outer_a - 1.
+    Row i holds the cells of columns nu_i .. lam_i - 1, and rows i and i+1
+    share the columns nu_i .. lam_{i+1} - 1.  So lam/nu is 2x2-free iff
+    nu_i >= lam_{i+1} - 1 for every i, and a component is a maximal run of
+    non-empty rows linked by nu_i < lam_{i+1}.  A run from row a to row b
+    spans b - a + 1 rows and the columns nu_b .. lam_a - 1.
     """
-    outer, inner = s.outer, s.inner
-    comps: List[BorderStrip] = []
+    rows = len(lam)
+    if any(nu[rows:]) or any(v > o for o, v in zip(lam, nu)):
+        raise ValueError(f"{list(nu)} is not contained in {list(lam)}")
+    nu = tuple(nu) + (0,) * (rows - len(nu))
+    comps: List[Tuple[int, int, int]] = []
     top = size = 0
-    for i, (o, v) in enumerate(zip(outer, inner)):
-        below = outer[i + 1] if i + 1 < len(outer) else 0
+    for i, (o, v) in enumerate(zip(lam, nu)):
+        below = lam[i + 1] if i + 1 < rows else 0
         if v < below - 1:
             return None
         if v == o:
@@ -224,54 +171,44 @@ def gbs_decompose(s: SkewShape) -> Optional[GbsDecomposition]:
             continue
         size += o - v
         if v >= below:
-            comps.append(BorderStrip(size=size, rows=i - top + 1, cols=outer[top] - v))
+            comps.append((size, i - top + 1, lam[top] - v))
             top, size = i + 1, 0
-    return GbsDecomposition(components=tuple(comps))
+    return tuple(comps)
 
 
-def gbs_weight(s: SkewShape, var: str = "t") -> LaurentPoly:
-    """wt(theta; t) = (t-1)^(m-1) * prod (-1)^(r_i - 1) t^(c_i - 1).
+def gbs_weight(lam: Partition, nu: Partition = (), var: str = "t") -> LaurentPoly:
+    """wt(lam/nu; t) = (t-1)^(m-1) * prod (-1)^(r_i - 1) t^(c_i - 1).
 
-    The empty shape has weight 1 by convention.
+    The empty shape has weight 1 by convention, its k-bounded weight at k = 1.
     """
-    return _strip_weight_of(s, gbs_decompose(s), s.size, s.size, var)
+    return gbs_weight_k(lam, nu, max(sum(lam) - sum(nu), 1), var)
 
 
-def gbs_weight_k(
-    s: SkewShape, k: int, var: str = "t", dec: Optional[GbsDecomposition] = None
-) -> LaurentPoly:
-    """The k-bounded weight wt(theta; k, t).
+def gbs_weight_k(lam: Partition, nu: Partition, k: int, var: str = "t") -> LaurentPoly:
+    """The k-bounded weight wt(lam/nu; k, t).
 
     Cases on the strip size |theta|: t^(k-1)*wt for an empty shape,
     (t-1)*t^(k-|theta|-1)*wt when 0 < |theta| < k, wt itself at |theta| = k,
-    and 0 beyond k.  A caller that already holds ``gbs_decompose(s)`` passes
-    it as ``dec`` so the shape is not decomposed again.
+    and 0 beyond k.
 
-    Below k + 1 cells the weight is +-t^a (t-1)^b, fixed by the component
-    count, the parity of the row total, the column total, the size and k.
+    Up to k cells the weight is +-t^a (t-1)^b, fixed by the component count,
+    the parity of the row total, the column total, the size and k.
     ``_strip_weight`` builds it by one closed form, memoised on those five
-    values and the tag, so the 14 662 strips of the weight-9 table share 278
-    polynomials.  ``gbs_weight`` reads the same memo at k = |theta|.
+    values and the variable, so the 14 662 strips of the weight-9 table share
+    278 polynomials.
     """
     if k <= 0:
         raise ValueError("k must be a positive integer")
-    size = s.size
+    comps = gbs_decompose(lam, nu)
+    if comps is None:
+        raise NotGbsError(f"{list(lam)}/{list(nu)} is not a generalized border strip")
+    size = rows = cols = 0
+    for cells, r, c in comps:
+        size += cells
+        rows += r - 1
+        cols += c - 1
     if size > k:
         return LaurentPoly.zero(var)
-    return _strip_weight_of(s, gbs_decompose(s) if dec is None else dec, size, k, var)
-
-
-def _strip_weight_of(
-    s: SkewShape, dec: Optional[GbsDecomposition], size: int, k: int, var: str
-) -> LaurentPoly:
-    """wt(s; k, t) from the memo, keyed by the totals of s's decomposition."""
-    if dec is None:
-        raise NotGbsError(f"{s} is not a generalized border strip")
-    comps = dec.components
-    rows = cols = 0
-    for c in comps:
-        rows += c.rows - 1
-        cols += c.cols - 1
     return _strip_weight(len(comps), rows % 2, cols, size, k, var)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Union
 
 from .errors import InvariantViolation, WeightMismatch
 from .exact import LaurentPoly
@@ -29,7 +29,6 @@ from .shapes import (
     multiplicities,
     nonzero_length,
     partitions_of,
-    skew,
     sort_to_partition,
     subcompositions,
     z_lambda,
@@ -249,12 +248,9 @@ def _classical_rec(lam: Partition, rho: Partition) -> int:
     # the "remove nothing" branch dies on weight grounds when |lam| = |rho|
     total = _classical_rec(lam, rest)
     for nu in gbs_complements(lam, rho[0], rho[0]):
-        dec = gbs_decompose(skew(lam, nu))
-        if len(dec.components) != 1:
-            continue
-        strip = dec.components[0]
-        sign = -1 if (strip.rows - 1) % 2 else 1
-        total += sign * _classical_rec(nu, rest)
+        comps = gbs_decompose(lam, nu)
+        if len(comps) == 1:
+            total += (-1) ** (comps[0][1] - 1) * _classical_rec(nu, rest)
     return total
 
 
@@ -271,12 +267,6 @@ def classical_char(lam: Partition, rho: Partition) -> int:
     if sum(lam) > sum(rho):
         raise WeightMismatch(f"|{list(lam)}| exceeds |{list(rho)}|")
     return _classical_rec(lam, rho)
-
-
-def classical_table(n: int) -> Dict[Tuple[Partition, Partition], int]:
-    """The full character table of the symmetric group on n letters."""
-    parts = partitions_of(n)
-    return {(lam, rho): classical_char(lam, rho) for lam in parts for rho in parts}
 
 
 @lru_cache(maxsize=None)

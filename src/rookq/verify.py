@@ -195,10 +195,9 @@ def check_mn_adjoint_identity(n: int) -> CheckResult:
                 for nu in sh.sub_partitions(lam):
                     if sum(lam) - sum(nu) != k:
                         continue
-                    sk = sh.skew(lam, nu)
-                    if sh.gbs_decompose(sk) is None:
+                    if sh.gbs_decompose(lam, nu) is None:
                         continue
-                    w_rev = sh.gbs_weight(sk, "t").reversed_exponents()
+                    w_rev = sh.gbs_weight(lam, nu, "t").reversed_exponents()
                     coeff = LaurentPoly.monomial("t", k - 1) * (1 - t) * w_rev
                     rhs = rhs + sf.schur_in_p(nu).scale(coeff)
                 if lhs != rhs:

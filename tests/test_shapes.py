@@ -13,7 +13,6 @@ from rookq.shapes import (
     gbs_weight_k,
     hook_lengths,
     partitions_of,
-    skew,
     sort_to_partition,
     standard_count,
     sub_partitions,
@@ -25,19 +24,25 @@ from rookq.shapes import (
 T = LaurentPoly.monomial("t", 1)
 
 
-def weight_of_decomposition(dec, var):
-    """Reference wt(theta): (t-1)^(m-1), scaled by the sign, shifted by the columns."""
-    comps = dec.components
+def skew_cells(lam, nu):
+    """Cells (row, col) of lam/nu, 0-indexed, rows top to bottom."""
+    nu = tuple(nu) + (0,) * (len(lam) - len(nu))
+    return [(i, j) for i, o in enumerate(lam) for j in range(nu[i], o)]
+
+
+def weight_of_strips(comps, var):
+    """Reference wt(theta) from the (size, rows, cols) of its components:
+    (t-1)^(m-1), scaled by the sign, shifted by the columns."""
     if not comps:
         return LaurentPoly.one(var)
-    sign = (-1) ** sum(c.rows - 1 for c in comps)
+    sign = (-1) ** sum(rows - 1 for _, rows, _ in comps)
     w = (LaurentPoly.monomial(var, 1) - 1) ** (len(comps) - 1)
-    return w.scale(sign).times_power(sum(c.cols - 1 for c in comps))
+    return w.scale(sign).times_power(sum(cols - 1 for _, _, cols in comps))
 
 
-def weight_k_of_decomposition(dec, size, k, var):
+def weight_k_of_strips(comps, size, k, var):
     """Reference wt(theta; k) for 0 <= size <= k, case by case from wt(theta)."""
-    w = weight_of_decomposition(dec, var)
+    w = weight_of_strips(comps, var)
     if size == 0:
         return w.times_power(k - 1)
     if size < k:
@@ -49,13 +54,13 @@ def fields(p):
     return p.var, p._terms, [type(c) for _, c in p.half_items()]
 
 
-def bfs_strips(s):
-    """Reference decomposition by search over the cell set.
+def bfs_strips(lam, nu):
+    """Reference decomposition of lam/nu by search over the cell set.
 
     None when the shape holds a 2x2 block, else the sorted (size, rows,
     cols) of each edge-connected component.
     """
-    cells = set(s.cells())
+    cells = set(skew_cells(lam, nu))
     for (i, j) in cells:
         if {(i, j + 1), (i + 1, j), (i + 1, j + 1)} <= cells:
             return None
@@ -181,58 +186,61 @@ class TestSkewAndStrips:
 
 class TestGbs:
     def test_three_components(self):
-        dec = gbs_decompose(skew((4, 3, 3, 1), (3, 2, 1)))
-        assert dec is not None
-        assert sorted(c.size for c in dec.components) == [1, 1, 3]
+        comps = gbs_decompose((4, 3, 3, 1), (3, 2, 1))
+        assert comps is not None
+        assert sorted(size for size, _, _ in comps) == [1, 1, 3]
 
     def test_empty(self):
-        dec = gbs_decompose(skew((2, 1), (2, 1)))
-        assert dec is not None and dec.components == ()
+        assert gbs_decompose((2, 1), (2, 1)) == ()
 
     def test_two_by_two_block(self):
-        assert gbs_decompose(skew((2, 2))) is None
+        assert gbs_decompose((2, 2)) is None
 
     def test_border_strip_single_component(self):
-        dec = gbs_decompose(skew((3, 2), (1, 1)))
-        assert dec is not None and len(dec.components) == 1
+        comps = gbs_decompose((3, 2), (1, 1))
+        assert comps is not None and len(comps) == 1
+
+    @pytest.mark.parametrize("lam,nu", [((2, 1), (3,)), ((2,), (1, 1)), ((1,), (1, 1))])
+    def test_inner_not_contained(self, lam, nu):
+        with pytest.raises(ValueError):
+            gbs_decompose(lam, nu)
+        with pytest.raises(ValueError):
+            gbs_weight_k(lam, nu, 3)
 
     def test_matches_cell_search_up_to_nine(self):
         pairs = 0
         for n in range(10):
             for lam in partitions_of(n):
                 for nu in sub_partitions(lam):
-                    sk = skew(lam, nu)
-                    dec = gbs_decompose(sk)
-                    got = None if dec is None else sorted(
-                        (c.size, c.rows, c.cols) for c in dec.components
-                    )
-                    assert got == bfs_strips(sk), (lam, nu)
+                    comps = gbs_decompose(lam, nu)
+                    got = None if comps is None else sorted(comps)
+                    assert got == bfs_strips(lam, nu), (lam, nu)
                     pairs += 1
         assert pairs == 1592
 
     def test_weight_figure_example(self):
-        w = gbs_weight(skew((4, 3, 3, 1), (3, 2, 1)))
+        w = gbs_weight((4, 3, 3, 1), (3, 2, 1))
         assert w == -T * (T - 1) ** 2
 
     def test_weight_empty(self):
-        assert gbs_weight(skew((3, 1), (3, 1))) == LaurentPoly.one("t")
+        assert gbs_weight((3, 1), (3, 1)) == LaurentPoly.one("t")
 
     def test_weight_single_row(self):
         for k in range(1, 6):
-            assert gbs_weight(skew((k,))) == LaurentPoly.monomial("t", k - 1)
+            assert gbs_weight((k,)) == LaurentPoly.monomial("t", k - 1)
 
     def test_weight_not_gbs(self):
         with pytest.raises(NotGbsError):
-            gbs_weight(skew((2, 2)))
+            gbs_weight((2, 2))
 
     def test_weight_k_cases(self):
         # strip smaller than k gains a (t-1) t^(k-size-1) prefactor
-        assert gbs_weight_k(skew((4,)), 5) == T**4 - T**3
+        assert gbs_weight_k((4,), (), 5) == T**4 - T**3
         # size == k reduces to the plain weight
-        s = skew((3, 2), (1, 1))
-        assert gbs_weight_k(s, s.size) == gbs_weight(s)
+        lam, nu = (3, 2), (1, 1)
+        assert gbs_weight_k(lam, nu, 3) == gbs_weight(lam, nu)
         # size > k vanishes
-        assert gbs_weight_k(s, s.size - 1) == LaurentPoly.zero("t")
+        assert gbs_weight_k(lam, nu, 2) == LaurentPoly.zero("t")
 
     def test_weight_k_memo_matches_decomposition(self):
         # every generalized border strip with |lambda| <= 9, the empty one included
@@ -240,16 +248,16 @@ class TestGbs:
         for n in range(10):
             for lam in partitions_of(n):
                 for nu in gbs_complements(lam, 0, n):
-                    sk = skew(lam, nu)
-                    dec = gbs_decompose(sk)
+                    size = n - sum(nu)
+                    comps = bfs_strips(lam, nu)
                     for var in ("q", "t"):
-                        wt = weight_of_decomposition(dec, var)
-                        assert fields(gbs_weight(sk, var)) == fields(wt), (lam, nu)
-                        for k in range(max(sk.size, 1), sk.size + 3):
-                            want = weight_k_of_decomposition(dec, sk.size, k, var)
-                            got = gbs_weight_k(sk, k, var)
+                        wt = weight_of_strips(comps, var)
+                        assert fields(gbs_weight(lam, nu, var)) == fields(wt), (lam, nu)
+                        for k in range(max(size, 1), size + 3):
+                            want = weight_k_of_strips(comps, size, k, var)
+                            got = gbs_weight_k(lam, nu, k, var)
                             assert fields(got) == fields(want), (lam, nu, k, var)
-                            assert gbs_weight_k(sk, k, var, dec=dec) is got
+                            assert gbs_weight_k(lam, nu, k, var) is got
                     strips += 1
         assert strips == 1419
 
@@ -264,7 +272,7 @@ class TestGbs:
                 strips = [
                     (n - sum(nu), nu)
                     for nu in sub_partitions(lam)
-                    if gbs_decompose(skew(lam, nu)) is not None
+                    if gbs_decompose(lam, nu) is not None
                 ]
                 for lo in range(n + 1):
                     for hi in range(lo, n + 1):
