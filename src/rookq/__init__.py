@@ -26,7 +26,6 @@ from .shapes import (
     conjugate,
     f_lambda,
     gbs_decompose,
-    gbs_weight,
     gbs_weight_k,
     hook_lengths,
     partitions_of,
@@ -50,7 +49,6 @@ from .symfunc import (
 )
 from .characters import (
     CharacterTable,
-    CharacterValue,
     a_poly,
     b_poly,
     chi_empty,
@@ -58,7 +56,6 @@ from .characters import (
     chi_iterative,
     chi_mn,
     chi_oracle,
-    chi_special,
     chi_two_row,
     compute_chi,
     identity_suite_ab,
@@ -75,10 +72,7 @@ from .bitrace import (
     regular_char,
 )
 from .seminormal import (
-    RepMatrix,
     enumerate_tableaux,
-    gen_matrix_P,
-    gen_matrix_T,
     quadratic_check,
     trace_standard_element,
 )

@@ -19,7 +19,6 @@ coefficients; all internal divisions by powers of (q-1) are exact and checked.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -29,9 +28,7 @@ from .exact import LaurentPoly, RationalFunction
 from .shapes import (
     Partition,
     comp_sub,
-    f_lambda,
     gbs_complements,
-    gbs_decompose,
     gbs_weight_k,
     nonzero_length,
     partitions_of,
@@ -39,9 +36,9 @@ from .shapes import (
     subcompositions,
     vertical_strip_complements,
 )
+# unused here, but perfbench/tests/test_tracer.py checks that this name is bound
+from .shapes import gbs_decompose  # noqa: F401
 from .symfunc import inner_product, qhat_mu, schur_in_p
-
-import math
 
 _Q = LaurentPoly.monomial("q", 1)
 _ONE = LaurentPoly.one("q")
@@ -265,52 +262,6 @@ def chi_two_row(k: int, m: int, mu: Partition) -> LaurentPoly:
     return diff.times_power(n).exact_div(_QM1 ** len(mu))
 
 
-def chi_special(variant: str, lam: Partition, mu: Partition) -> LaurentPoly:
-    """Special-case formulas.
-
-    ones:    mu = (1^n), any lambda  -> the constant C(n, |lambda|) f_lambda;
-    row:     lambda = (m)            -> composition sum over C(mu; m);
-    column:  lambda = (1^m)          -> signed composition sum over C(mu; n-m);
-    single:  mu = (n)                -> the border-strip weight of lambda.
-    """
-    lam, mu = tuple(lam), tuple(mu)
-    _check_weights(lam, mu)
-    n = sum(mu)
-    m = sum(lam)
-    if variant == "ones":
-        if mu != (1,) * n:
-            raise VariantMismatch(f"variant 'ones' needs mu=(1^n), got {list(mu)}")
-        return LaurentPoly.const(math.comb(n, m) * f_lambda(lam), "q")
-    if variant == "row":
-        if lam != (m,) and lam != ():
-            raise VariantMismatch(f"variant 'row' needs a one-row lambda, got {list(lam)}")
-        total = LaurentPoly.zero("q")
-        for tau in subcompositions(mu, m):
-            rest = comp_sub(mu, tau)
-            total = total + _ONE_MINUS_QINV ** (
-                nonzero_length(tau) + nonzero_length(rest)
-            )
-        return total.times_power(n).exact_div(_QM1 ** len(mu))
-    if variant == "column":
-        if lam != (1,) * m:
-            raise VariantMismatch(f"variant 'column' needs lambda=(1^m), got {list(lam)}")
-        total = LaurentPoly.zero("q")
-        for tau in subcompositions(mu, n - m):
-            rest = comp_sub(mu, tau)
-            lmt = nonzero_length(rest)
-            term = _ONE_MINUS_QINV ** (nonzero_length(tau) + lmt)
-            term = term * LaurentPoly.monomial("q", -(m - lmt), (-1) ** (m - lmt))
-            total = total + term
-        return total.times_power(n).exact_div(_QM1 ** len(mu))
-    if variant == "single":
-        if mu != (n,) or n == 0:
-            raise VariantMismatch(f"variant 'single' needs mu=(n), got {list(mu)}")
-        if gbs_decompose(lam) is None:
-            return LaurentPoly.zero("q")
-        return gbs_weight_k(lam, (), n, var="q")
-    raise VariantMismatch(f"unknown variant {variant!r}")
-
-
 # ----------------------------------------------------------------------
 # generating-function identities and permutation sums
 # ----------------------------------------------------------------------
@@ -420,14 +371,6 @@ def perm_sums_agree(mu: Partition) -> bool:
 # ----------------------------------------------------------------------
 # dispatch and table building
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CharacterValue:
-    lam: Partition
-    mu: Partition
-    chi: LaurentPoly
-    method: str
-
-
 def is_hook(lam: Partition) -> bool:
     return len(lam) >= 1 and all(p == 1 for p in lam[1:])
 
@@ -436,7 +379,7 @@ def is_two_row(lam: Partition) -> bool:
     return 1 <= len(lam) <= 2
 
 
-def compute_chi(lam: Sequence[int], mu: Sequence[int], method: str = "mn") -> CharacterValue:
+def compute_chi(lam: Sequence[int], mu: Sequence[int], method: str = "mn") -> LaurentPoly:
     """Compute one character value with the requested algorithm.
 
     ``auto`` is another spelling of ``mn``: the Murnaghan-Nakayama recursion
@@ -469,7 +412,20 @@ def compute_chi(lam: Sequence[int], mu: Sequence[int], method: str = "mn") -> Ch
         raise ValueError(f"unknown method {method!r}")
     if not (chi.is_ordinary() and chi.has_integer_coefficients()):
         raise InvariantViolation(f"character value must lie in Z[q]: {chi}")
-    return CharacterValue(lam=lam, mu=mu, chi=chi, method=method)
+    return chi
+
+
+def cross_checked(lam: Sequence[int], mu: Sequence[int], methods: Sequence[str]) -> LaurentPoly:
+    """chi^lambda_mu by each of ``methods``, which must all agree.
+
+    Raises MethodMismatch, naming every method's value, when two differ;
+    otherwise returns the value.  A method listed twice runs once.
+    """
+    values = {m: compute_chi(lam, mu, m) for m in dict.fromkeys(methods)}
+    first = values[methods[0]]
+    if any(chi != first for chi in values.values()):
+        raise MethodMismatch(tuple(lam), tuple(mu), {m: str(c) for m, c in values.items()})
+    return first
 
 
 def table_rows(n: int, *, restrict: bool = False, order: str = "paper") -> Tuple[Partition, ...]:
@@ -494,13 +450,14 @@ class CharacterTable:
     the results cross-checked; any disagreement raises MethodMismatch.
     """
 
-    def __init__(self, n, rows, cols, cells, restrict, order):
+    def __init__(self, n, rows, cols, cells, restrict, order, methods):
         self.n = n
         self.rows = rows
         self.cols = cols
-        self.cells = cells  # (lam, mu) -> CharacterValue
+        self.cells = cells  # (lam, mu) -> LaurentPoly
         self.restrict = restrict
         self.order = order
+        self.methods = methods
 
     @classmethod
     def build(
@@ -514,15 +471,8 @@ class CharacterTable:
         methods = tuple(methods)
         rows = table_rows(n, restrict=restrict_lambda_lt_n, order=order)
         cols = table_columns(n, order=order)
-        cells = {}
-        for lam in rows:
-            for mu in cols:
-                values = [(m, compute_chi(lam, mu, m).chi) for m in methods]
-                first = values[0][1]
-                if any(chi != first for _, chi in values[1:]):
-                    raise MethodMismatch(lam, mu, {m: str(c) for m, c in values})
-                cells[(lam, mu)] = CharacterValue(lam=lam, mu=mu, chi=first, method=methods[0])
-        return cls(n, rows, cols, cells, restrict_lambda_lt_n, order)
+        cells = {(lam, mu): cross_checked(lam, mu, methods) for lam in rows for mu in cols}
+        return cls(n, rows, cols, cells, restrict_lambda_lt_n, order, methods)
 
     def value(self, lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly:
-        return self.cells[(tuple(lam), tuple(mu))].chi
+        return self.cells[(tuple(lam), tuple(mu))]

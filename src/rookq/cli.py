@@ -33,7 +33,7 @@ from .errors import MethodMismatch, RookqError, VariantMismatch
 from .characters import (
     METHODS,
     CharacterTable,
-    compute_chi,
+    cross_checked,
     is_hook,
     is_two_row,
 )
@@ -117,14 +117,14 @@ def emit_table_json(table: CharacterTable, out) -> None:
     records = []
     for lam in table.rows:
         for mu in table.cols:
-            cv = table.cells[(lam, mu)]
+            chi = table.cells[(lam, mu)]
             records.append(
                 {
                     "lambda": partition_str(lam),
                     "mu": partition_str(mu),
-                    "value": str(cv.chi),
-                    "method": cv.method,
-                    "terms": cv.chi.terms_json(),
+                    "value": str(chi),
+                    "method": table.methods[0],
+                    "terms": chi.terms_json(),
                 }
             )
     doc = {
@@ -192,22 +192,20 @@ def cmd_char(args) -> int:
         raise CLIError(f"unknown method {method!r}")
     if method == "seminormal":
         _check_seminormal(sum(mu))
+    methods = [method]
+    if args.check:
+        methods += ["oracle", "iterative", "mn"]
+        if is_hook(lam):
+            methods.append("hook")
+        if is_two_row(lam):
+            methods.append("two_row")
+        if sum(mu) <= 5:
+            methods.append("seminormal")
     try:
-        cv = compute_chi(lam, mu, method)
+        chi = cross_checked(lam, mu, methods)
     except VariantMismatch as e:
         raise CLIError(str(e))
-    if args.check:
-        candidates = ["oracle", "iterative", "mn"]
-        if is_hook(lam):
-            candidates.append("hook")
-        if is_two_row(lam):
-            candidates.append("two_row")
-        if sum(mu) <= 5:
-            candidates.append("seminormal")
-        values = [(m, compute_chi(lam, mu, m).chi) for m in candidates]
-        if any(chi != cv.chi for _, chi in values):
-            raise MethodMismatch(lam, mu, {m: str(c) for m, c in values})
-    print(cv.chi)
+    print(chi)
     return EXIT_OK
 
 

@@ -164,9 +164,6 @@ class LaurentPoly:
     def half_items(self) -> List[Tuple[int, Scalar]]:
         return sorted(self._terms.items(), reverse=True)
 
-    def coefficient(self, exp: int) -> Scalar:
-        return self._terms.get(2 * exp, 0)
-
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self._terms.values())
 
@@ -335,10 +332,6 @@ class LaurentPoly:
         twice returns the original polynomial.
         """
         return LaurentPoly._make(_TAG_SWAP[self.var], {-h: c for h, c in self._terms.items()})
-
-    def reversed_exponents(self) -> "LaurentPoly":
-        """Substitute var -> 1/var keeping the same tag."""
-        return LaurentPoly._make(self.var, {-h: c for h, c in self._terms.items()})
 
     # ------------------------------------------------------------------
     # equality / hashing / pickling
@@ -664,20 +657,6 @@ class RationalFunction:
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise DivisionByZero("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, LaurentPoly)):

@@ -14,7 +14,6 @@ an ordinary polynomial in q; a leftover half power signals a bug.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
@@ -153,42 +152,6 @@ def _gen_action(i: int, lam: Partition, n: int):
             col.append((l, rf_q))
         cols.append(tuple(col))
     return tuple(cols)
-
-
-@dataclass(frozen=True)
-class RepMatrix:
-    """Generator matrix in the tableau basis, stored as sparse columns.
-
-    ``cols[c]`` lists (row, entry) pairs; ``entry(r, c)`` is the coefficient
-    of basis[r] in the image of basis[c].
-    """
-
-    dimension: int
-    cols: tuple
-
-    def entry(self, r: int, c: int) -> RationalFunction:
-        for row, val in self.cols[c]:
-            if row == r:
-                return val
-        return RationalFunction(0, 1, var="q")
-
-
-def gen_matrix_T(i: int, lam: Sequence[int], n: int) -> RepMatrix:
-    """Matrix of the generator T_i on the n-standard tableau basis of lambda."""
-    lam = tuple(lam)
-    cols = _gen_action(i, lam, n)
-    return RepMatrix(dimension=len(cols), cols=cols)
-
-
-def gen_matrix_P(i: int, lam: Sequence[int], n: int) -> RepMatrix:
-    """Matrix of the idempotent P_i: fixes v_L when i is absent from L, else 0."""
-    lam = tuple(lam)
-    basis = enumerate_tableaux(lam, n)
-    cols = []
-    for l, t in enumerate(basis):
-        pos = _positions(t)
-        cols.append(((l, _RF_ONE),) if i not in pos else ())
-    return RepMatrix(dimension=len(basis), cols=tuple(cols))
 
 
 Vector = Dict[int, RationalFunction]

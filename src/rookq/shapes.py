@@ -176,20 +176,14 @@ def gbs_decompose(
     return tuple(comps)
 
 
-def gbs_weight(lam: Partition, nu: Partition = (), var: str = "t") -> LaurentPoly:
-    """wt(lam/nu; t) = (t-1)^(m-1) * prod (-1)^(r_i - 1) t^(c_i - 1).
-
-    The empty shape has weight 1 by convention, its k-bounded weight at k = 1.
-    """
-    return gbs_weight_k(lam, nu, max(sum(lam) - sum(nu), 1), var)
-
-
 def gbs_weight_k(lam: Partition, nu: Partition, k: int, var: str = "t") -> LaurentPoly:
     """The k-bounded weight wt(lam/nu; k, t).
 
-    Cases on the strip size |theta|: t^(k-1)*wt for an empty shape,
-    (t-1)*t^(k-|theta|-1)*wt when 0 < |theta| < k, wt itself at |theta| = k,
-    and 0 beyond k.
+    The plain weight of theta = lam/nu is
+    wt = (t-1)^(m-1) * prod (-1)^(r_i - 1) t^(c_i - 1) over its m components
+    of r_i rows and c_i columns, and 1 for the empty shape.  Cases on the
+    strip size |theta|: t^(k-1)*wt for an empty shape, (t-1)*t^(k-|theta|-1)*wt
+    when 0 < |theta| < k, wt itself at |theta| = k, and 0 beyond k.
 
     Up to k cells the weight is +-t^a (t-1)^b, fixed by the component count,
     the parity of the row total, the column total, the size and k.

@@ -77,9 +77,6 @@ class PExpansion:
     def terms(self):
         return self._terms.items()
 
-    def coefficient(self, rho: Iterable[int]) -> LaurentPoly:
-        return self._terms.get(tuple(rho), LaurentPoly.zero("t"))
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -205,14 +202,11 @@ def qhat_expansion(n: int) -> PExpansion:
     """Modified one-row function built from p-hat_m = 1 + p_m.
 
     q-hat_n(t) = sum_{lambda |- n} (1 / z_lambda(t)) prod_i (1 + p_{lambda_i}),
-    expanded multilinearly into the plain p-basis.
+    expanded multilinearly into the plain p-basis; the coefficients
+    1 / z_lambda(t) are those of ``qn_expansion(n)``.
     """
     total = PExpansion.zero()
-    for lam in partitions_of(n):
-        c = LaurentPoly.one("t")
-        for part in lam:
-            c = c * (1 - LaurentPoly.monomial("t", part))
-        c = c.scale(Fraction(1, z_lambda(lam)))
+    for lam, c in qn_expansion(n).terms():
         phat = PExpansion.one()
         for part in lam:
             phat = phat * PExpansion({(): 1, (part,): 1})

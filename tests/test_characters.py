@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
 from rookq.errors import VariantMismatch, WeightMismatch
 from rookq.exact import LaurentPoly, RationalFunction
-from rookq.shapes import partitions_of, partitions_up_to
+from rookq.shapes import comp_sub, f_lambda, nonzero_length, partitions_of, subcompositions
 from rookq.symfunc import classical_char
 from rookq.characters import (
     CharacterTable,
@@ -15,7 +17,6 @@ from rookq.characters import (
     chi_iterative,
     chi_mn,
     chi_oracle,
-    chi_special,
     chi_two_row,
     compute_chi,
     identity_suite_ab,
@@ -29,6 +30,28 @@ QINV = LaurentPoly.monomial("q", -1)
 
 def qp(s):
     return LaurentPoly.parse(s, "q")
+
+
+# Reference sums for one-row and one-column lambda, as composition sums over
+# C(mu; k): the test's own route to values that chi_mn and the compact forms
+# must reproduce.
+def row_formula(m, mu):
+    """chi^{(m)}_mu = q^n / (q-1)^l(mu) * sum_{tau in C(mu;m)} (1-q^{-1})^{l(tau)+l(mu-tau)}."""
+    total = LaurentPoly.zero("q")
+    for tau in subcompositions(mu, m):
+        rest = comp_sub(mu, tau)
+        total = total + (1 - QINV) ** (nonzero_length(tau) + nonzero_length(rest))
+    return total.times_power(sum(mu)).exact_div((Q - 1) ** len(mu))
+
+
+def column_formula(m, mu):
+    """chi^{(1^m)}_mu: the same sum over C(mu; n-m), each term times (-q^{-1})^(m-l(mu-tau))."""
+    total = LaurentPoly.zero("q")
+    for tau in subcompositions(mu, sum(mu) - m):
+        lmt = nonzero_length(comp_sub(mu, tau))
+        term = (1 - QINV) ** (nonzero_length(tau) + lmt)
+        total = total + term * LaurentPoly.monomial("q", -(m - lmt), (-1) ** (m - lmt))
+    return total.times_power(sum(mu)).exact_div((Q - 1) ** len(mu))
 
 
 class TestChiEmpty:
@@ -101,7 +124,7 @@ class TestCompactFormulas:
         for n in range(1, 6):
             for mu in partitions_of(n):
                 for m in range(1, n + 1):
-                    assert chi_hook(m, m, mu) == chi_special("row", (m,), mu)
+                    assert chi_hook(m, m, mu) == row_formula(m, mu)
 
     def test_two_row_adjudicated_value(self):
         """For lambda=(3,2), mu=(2,2,2) a value 3q^2(q-1) circulates that drops
@@ -118,7 +141,7 @@ class TestCompactFormulas:
         for n in range(1, 6):
             for mu in partitions_of(n):
                 for m in range(1, n + 1):
-                    assert chi_two_row(m, m, mu) == chi_special("row", (m,), mu)
+                    assert chi_two_row(m, m, mu) == row_formula(m, mu)
 
     def test_shape_guards(self):
         with pytest.raises(VariantMismatch):
@@ -129,24 +152,21 @@ class TestCompactFormulas:
 
 class TestSpecialCases:
     def test_ones(self):
-        assert chi_special("ones", (2, 2), (1,) * 5) == LaurentPoly.const(10, "q")
+        # mu = (1^n): the constant C(n, |lambda|) f_lambda
+        assert math.comb(5, 4) * f_lambda((2, 2)) == 10
+        assert chi_mn((2, 2), (1,) * 5) == LaurentPoly.const(10, "q")
 
     def test_row(self):
-        assert chi_special("row", (3,), (3, 2)) == qp("3*q^3 - 3*q^2 + q")
+        assert row_formula(3, (3, 2)) == qp("3*q^3 - 3*q^2 + q")
+        assert chi_mn((3,), (3, 2)) == qp("3*q^3 - 3*q^2 + q")
 
     def test_column(self):
-        assert chi_special("column", (1, 1, 1), (4, 1)) == qp("-q^2 + 2*q - 1")
-
-    def test_single(self):
+        assert column_formula(3, (4, 1)) == qp("-q^2 + 2*q - 1")
+        assert chi_mn((1, 1, 1), (4, 1)) == qp("-q^2 + 2*q - 1")
         for n in range(1, 6):
-            for lam in partitions_up_to(n):
-                assert chi_special("single", lam, (n,)) == chi_mn(lam, (n,))
-
-    def test_variant_guard(self):
-        with pytest.raises(VariantMismatch):
-            chi_special("ones", (2,), (2, 1))
-        with pytest.raises(VariantMismatch):
-            chi_special("row", (2, 1), (3,))
+            for mu in partitions_of(n):
+                for m in range(1, n + 1):
+                    assert column_formula(m, mu) == chi_mn((1,) * m, mu), (m, mu)
 
 
 class TestABFamilies:
@@ -226,11 +246,11 @@ class TestDispatch:
     def test_auto_paths(self):
         # "auto" is another spelling of "mn"
         for lam in [(3, 1), (3, 2), (2, 2, 1)]:
-            assert compute_chi(lam, (4, 1), "auto").chi == chi_mn(lam, (4, 1))
+            assert compute_chi(lam, (4, 1), "auto") == chi_mn(lam, (4, 1))
 
     def test_all_methods_one_cell(self):
         lam, mu = (2, 1), (3, 2)
-        values = {m: compute_chi(lam, mu, m).chi for m in ("oracle", "iterative", "mn", "hook", "seminormal")}
+        values = {m: compute_chi(lam, mu, m) for m in ("oracle", "iterative", "mn", "hook", "seminormal")}
         assert len(set(map(str, values.values()))) == 1
 
     def test_table_builder_cross_checks(self):
@@ -239,18 +259,16 @@ class TestDispatch:
         assert len(table.cells) == len(table.rows) * len(table.cols)
 
     def test_table_builder_reports_mismatch(self, monkeypatch):
-        import dataclasses
-
         import rookq.characters as chmod
         from rookq.errors import MethodMismatch
 
         real = chmod.compute_chi
 
         def skewed(lam, mu, method="mn"):
-            cv = real(lam, mu, method)
+            chi = real(lam, mu, method)
             if method == "iterative" and lam == (1,) and mu == (2,):
-                return dataclasses.replace(cv, chi=cv.chi + 1)
-            return cv
+                return chi + 1
+            return chi
 
         monkeypatch.setattr(chmod, "compute_chi", skewed)
         with pytest.raises(MethodMismatch) as exc:

@@ -69,6 +69,22 @@ class TestCharCommand:
         assert code == 0
         assert out.strip() == "9*q^8 - 24*q^7 + 24*q^6 - 12*q^5 + 3*q^4"
 
+    def test_check_reports_a_disagreeing_route(self, capsys, monkeypatch):
+        import rookq.characters as chmod
+
+        real = chmod.compute_chi
+
+        def skewed(lam, mu, method="mn"):
+            chi = real(lam, mu, method)
+            return chi + 1 if method == "iterative" else chi
+
+        monkeypatch.setattr(chmod, "compute_chi", skewed)
+        code, out, err = run_cli(
+            capsys, "char", "--lambda", "[2,1]", "--mu", "[3,2]", "--check"
+        )
+        assert code == 2 and out == ""
+        assert "mismatch" in err and "mn: " in err and "iterative: " in err
+
     def test_explicit_methods(self, capsys):
         for method in ["oracle", "iterative", "mn", "seminormal"]:
             code, out, _ = run_cli(
@@ -177,6 +193,14 @@ class TestTableCommand:
             rebuilt = {e: n for e, n, d in record["terms"]}
             assert all(d == 1 for _, _, d in record["terms"])
             assert LaurentPoly.from_dict("q", rebuilt) == poly
+
+    def test_json_method_is_the_first_requested(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--n", "3", "--methods", "iterative,mn", "--format", "json"
+        )
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert records and all(r["method"] == "iterative" for r in records)
 
     def test_latex_contains_cells(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--n", "2", "--format", "latex")

@@ -9,7 +9,6 @@ from rookq.shapes import (
     f_lambda,
     gbs_complements,
     gbs_decompose,
-    gbs_weight,
     gbs_weight_k,
     hook_lengths,
     partitions_of,
@@ -219,26 +218,26 @@ class TestGbs:
         assert pairs == 1592
 
     def test_weight_figure_example(self):
-        w = gbs_weight((4, 3, 3, 1), (3, 2, 1))
+        w = gbs_weight_k((4, 3, 3, 1), (3, 2, 1), 5)
         assert w == -T * (T - 1) ** 2
 
     def test_weight_empty(self):
-        assert gbs_weight((3, 1), (3, 1)) == LaurentPoly.one("t")
+        assert gbs_weight_k((3, 1), (3, 1), 1) == LaurentPoly.one("t")
 
     def test_weight_single_row(self):
         for k in range(1, 6):
-            assert gbs_weight((k,)) == LaurentPoly.monomial("t", k - 1)
+            assert gbs_weight_k((k,), (), k) == LaurentPoly.monomial("t", k - 1)
 
     def test_weight_not_gbs(self):
         with pytest.raises(NotGbsError):
-            gbs_weight((2, 2))
+            gbs_weight_k((2, 2), (), 4)
 
     def test_weight_k_cases(self):
         # strip smaller than k gains a (t-1) t^(k-size-1) prefactor
         assert gbs_weight_k((4,), (), 5) == T**4 - T**3
-        # size == k reduces to the plain weight
+        # size == k is the plain weight: one component of 2 rows and 2 columns
         lam, nu = (3, 2), (1, 1)
-        assert gbs_weight_k(lam, nu, 3) == gbs_weight(lam, nu)
+        assert gbs_weight_k(lam, nu, 3) == -T
         # size > k vanishes
         assert gbs_weight_k(lam, nu, 2) == LaurentPoly.zero("t")
 
@@ -252,7 +251,8 @@ class TestGbs:
                     comps = bfs_strips(lam, nu)
                     for var in ("q", "t"):
                         wt = weight_of_strips(comps, var)
-                        assert fields(gbs_weight(lam, nu, var)) == fields(wt), (lam, nu)
+                        plain = gbs_weight_k(lam, nu, max(size, 1), var)
+                        assert fields(plain) == fields(wt), (lam, nu)
                         for k in range(max(size, 1), size + 3):
                             want = weight_k_of_strips(comps, size, k, var)
                             got = gbs_weight_k(lam, nu, k, var)

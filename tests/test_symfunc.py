@@ -106,9 +106,9 @@ class TestClassicalChars:
     def test_against_jacobi_trudi(self):
         for n in range(6):
             for lam in partitions_of(n):
-                jt = schur_jacobi_trudi(lam)
+                jt = dict(schur_jacobi_trudi(lam).terms())
                 for rho in partitions_of(n):
-                    expected = jt.coefficient(rho).scale(z_lambda(rho))
+                    expected = jt.get(rho, LaurentPoly.zero("t")).scale(z_lambda(rho))
                     assert expected == LaurentPoly.const(classical_char(lam, rho), "t")
 
     def test_first_orthogonality(self):
