@@ -11,7 +11,6 @@ All arithmetic is exact.
 from .errors import (
     DivisionByZero,
     DomainError,
-    HalfPowerResidue,
     InvariantViolation,
     MethodMismatch,
     NonExactDivision,

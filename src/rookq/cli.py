@@ -199,7 +199,7 @@ def cmd_char(args) -> int:
             methods.append("hook")
         if is_two_row(lam):
             methods.append("two_row")
-        if sum(mu) <= 5:
+        if sum(mu) <= MAX_TRACE_WEIGHT:
             methods.append("seminormal")
     try:
         chi = cross_checked(lam, mu, methods)

@@ -50,7 +50,3 @@ class NotGbsError(RookqError):
 
 class ShapeTooLarge(RookqError):
     """A tableau shape has more boxes than there are labels available."""
-
-
-class HalfPowerResidue(RookqError):
-    """A trace that must lie in Z[q] contains odd powers of q^(1/2)."""

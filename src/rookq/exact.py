@@ -11,13 +11,7 @@ A stored coefficient is a plain ``int`` whenever it is integral and a
 to ``int`` on construction, and a ``float`` is refused.  Character values and
 border-strip weights therefore run on ``int`` arithmetic, while the 1/z_lambda
 coefficients of the power-sum basis and the seminormal entries keep their
-fractions.
-
-Exponents of a ``LaurentPoly`` are stored in half-integer units: the internal
-key ``h`` stands for ``var**(h/2)``.  This makes ``q**(1/2)`` a first-class
-monomial (needed by the seminormal matrices) without a separate field
-extension type.  Operations that must land in ordinary polynomials check
-that all exponents are even in these units.
+fractions.  Exponents are plain integers: the key ``h`` stands for ``var**h``.
 
 ``LaurentPoly.sum_of_products`` sums a*b over many pairs into one dict and
 folds it once, where ``__mul__`` and ``__add__`` would build a dict for every
@@ -81,7 +75,7 @@ def _div(a: Scalar, b: Scalar) -> Scalar:
 class LaurentPoly:
     """Laurent polynomial in one formal variable with rational coefficients.
 
-    ``_terms`` maps half-unit exponents to nonzero coefficients, each an
+    ``_terms`` maps integer exponents to nonzero coefficients, each an
     ``int`` when integral and a ``Fraction`` otherwise, never a ``float``.
     Instances are immutable (by convention: internal dicts are never touched
     after construction) and hashable, so they can be shared freely across
@@ -90,17 +84,17 @@ class LaurentPoly:
 
     __slots__ = ("var", "_terms", "_hash")
 
-    def __init__(self, var: str, half_terms: Mapping[int, Scalar] | None = None):
+    def __init__(self, var: str, terms: Mapping[int, Scalar] | None = None):
         if var not in _VALID_VARS:
             raise ValueError(f"unknown variable tag {var!r}")
-        terms: Dict[int, Scalar] = {}
-        if half_terms:
-            for h, c in half_terms.items():
+        out: Dict[int, Scalar] = {}
+        if terms:
+            for h, c in terms.items():
                 c = _as_coeff(c)
                 if c:
-                    terms[int(h)] = c
+                    out[int(h)] = c
         self.var = var
-        self._terms = terms
+        self._terms = out
         self._hash = None
 
     @classmethod
@@ -130,17 +124,7 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, var: str, exp: int, coeff: Scalar = 1) -> "LaurentPoly":
         """``coeff * var**exp`` for an integer exponent."""
-        return cls(var, {2 * exp: coeff})
-
-    @classmethod
-    def half_monomial(cls, var: str, half_exp: int, coeff: Scalar = 1) -> "LaurentPoly":
-        """``coeff * var**(half_exp/2)``; ``half_monomial('q', 1)`` is q^(1/2)."""
-        return cls(var, {half_exp: coeff})
-
-    @classmethod
-    def from_dict(cls, var: str, terms: Mapping[int, Scalar]) -> "LaurentPoly":
-        """Build from a mapping of integer exponents to coefficients."""
-        return cls(var, {2 * e: c for e, c in terms.items()})
+        return cls(var, {exp: coeff})
 
     # ------------------------------------------------------------------
     # structure
@@ -150,18 +134,15 @@ class LaurentPoly:
         return not self._terms
 
     def is_ordinary(self) -> bool:
-        """True iff all exponents are nonnegative integers."""
-        return all(h >= 0 and h % 2 == 0 for h in self._terms)
+        """True iff no exponent is negative."""
+        return all(h >= 0 for h in self._terms)
 
-    def has_half_exponents(self) -> bool:
-        return any(h % 2 for h in self._terms)
-
-    def min_half_exp(self) -> int:
+    def min_exp(self) -> int:
         if not self._terms:
             return 0
         return min(self._terms)
 
-    def half_items(self) -> List[Tuple[int, Scalar]]:
+    def items(self) -> List[Tuple[int, Scalar]]:
         return sorted(self._terms.items(), reverse=True)
 
     def has_integer_coefficients(self) -> bool:
@@ -277,13 +258,9 @@ class LaurentPoly:
         c = _as_coeff(c)
         return LaurentPoly._make(self.var, _fold({h: cc * c for h, cc in self._terms.items()}))
 
-    def shifted(self, half_steps: int) -> "LaurentPoly":
-        """Multiply by ``var**(half_steps/2)``."""
-        return LaurentPoly._make(self.var, {h + half_steps: c for h, c in self._terms.items()})
-
     def times_power(self, exp: int) -> "LaurentPoly":
-        """Multiply by ``var**exp`` for an integer exponent."""
-        return self.shifted(2 * exp)
+        """Multiply by ``var**exp``."""
+        return LaurentPoly._make(self.var, {h + exp: c for h, c in self._terms.items()})
 
     # ------------------------------------------------------------------
     # the operations of the scalar layer
@@ -301,28 +278,22 @@ class LaurentPoly:
             raise DivisionByZero("division by the zero polynomial")
         if self.is_zero:
             return LaurentPoly(self.var, {})
-        ma, mb = self.min_half_exp(), other.min_half_exp()
+        ma, mb = self.min_exp(), other.min_exp()
         a = {h - ma: c for h, c in self._terms.items()}
         b = {h - mb: c for h, c in other._terms.items()}
-        quot, rem = _divmod_half(a, b)
+        quot, rem = _divmod(a, b)
         if rem:
             raise NonExactDivision(f"({self}) is not divisible by ({other})")
         return LaurentPoly._make(self.var, {h + ma - mb: c for h, c in quot.items()})
 
     def evaluate(self, x: Scalar) -> Fraction:
-        """Exact value at a rational point.
-
-        Polynomials with half-integer exponents are rejected (no square-root
-        semantics), and negative exponents require ``x != 0``.
-        """
-        if self.has_half_exponents():
-            raise DomainError("cannot evaluate a polynomial with half-integer exponents")
+        """Exact value at a rational point; negative exponents require ``x != 0``."""
         x = Fraction(_as_coeff(x))
-        if x == 0 and self.min_half_exp() < 0:
+        if x == 0 and self.min_exp() < 0:
             raise DomainError("evaluation at 0 with negative exponents present")
         total = Fraction(0)
         for h, c in self._terms.items():
-            total += c * x ** (h // 2)
+            total += c * x**h
         return total
 
     def substitute_inverse(self) -> "LaurentPoly":
@@ -366,7 +337,7 @@ class LaurentPoly:
         if not self._terms:
             return "0"
         chunks: List[str] = []
-        for h, c in self.half_items():
+        for h, c in self.items():
             body = self._term_body(h, abs(c))
             if not chunks:
                 chunks.append(body if c > 0 else "-" + body)
@@ -377,11 +348,7 @@ class LaurentPoly:
     def _term_body(self, h: int, mag: Scalar) -> str:
         if h == 0:
             return str(mag)
-        if h % 2 == 0:
-            e = h // 2
-            vpart = self.var if e == 1 else f"{self.var}^{e}"
-        else:
-            vpart = f"{self.var}^({h}/2)"
+        vpart = self.var if h == 1 else f"{self.var}^{h}"
         if mag == 1:
             return vpart
         return f"{mag}*{vpart}"
@@ -393,12 +360,11 @@ class LaurentPoly:
         if not self._terms:
             return "0"
         chunks: List[str] = []
-        for h, c in self.half_items():
+        for h, c in self.items():
             if h == 0:
                 body = _frac_latex(abs(c))
             else:
-                e = f"{h // 2}" if h % 2 == 0 else f"{h}/2"
-                vpart = self.var if e == "1" else f"{self.var}^{{{e}}}"
+                vpart = self.var if h == 1 else f"{self.var}^{{{h}}}"
                 body = vpart if abs(c) == 1 else _frac_latex(abs(c)) + vpart
             if not chunks:
                 chunks.append(body if c > 0 else "-" + body)
@@ -408,14 +374,12 @@ class LaurentPoly:
 
     def terms_json(self) -> List[List[int]]:
         """``[[exponent, numerator, denominator], ...]`` with exponents descending."""
-        if self.has_half_exponents():
-            raise DomainError("JSON form is defined for integer exponents only")
-        return [[h // 2, c.numerator, c.denominator] for h, c in self.half_items()]
+        return [[h, c.numerator, c.denominator] for h, c in self.items()]
 
     _TERM_RE = re.compile(
         r"^(?P<coeff>\d+(?:/\d+)?)?"
         r"(?:\*?(?P<var>[qt])"
-        r"(?:\^(?P<exp>-?\d+|\(-?\d+/2\)))?)?$"
+        r"(?:\^(?P<exp>-?\d+))?)?$"
     )
 
     @classmethod
@@ -441,12 +405,7 @@ class LaurentPoly:
                 elif v != seen_var:
                     raise ValueError(f"mixed variables {seen_var!r} and {v!r}")
                 exp = m.group("exp")
-                if exp is None:
-                    h = 2
-                elif exp.startswith("("):
-                    h = int(exp[1:].split("/")[0])
-                else:
-                    h = 2 * int(exp)
+                h = 1 if exp is None else int(exp)
             else:
                 h = 0
             terms[h] = terms.get(h, 0) + sign * coeff
@@ -454,15 +413,10 @@ class LaurentPoly:
 
 
 def _split_terms(s: str) -> Iterator[str]:
-    """Split on top-level +/- (respecting exponent minus signs and parens)."""
-    depth = 0
+    """Split on +/- signs, except the minus sign of an exponent."""
     start = 0
     for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > start and s[i - 1] != "^":
+        if ch in "+-" and i > start and s[i - 1] != "^":
             yield s[start:i] if s[start] != "+" else s[start + 1 : i]
             start = i
     last = s[start:]
@@ -476,9 +430,9 @@ def _frac_latex(c: Scalar) -> str:
 
 
 # ----------------------------------------------------------------------
-# dict-level helpers (keys are half-unit exponents >= 0)
+# dict-level helpers (keys are exponents >= 0)
 # ----------------------------------------------------------------------
-def _divmod_half(a: Dict[int, Scalar], b: Dict[int, Scalar]):
+def _divmod(a: Dict[int, Scalar], b: Dict[int, Scalar]):
     """Long division of ordinary term dicts; returns (quotient, remainder)."""
     a = dict(a)
     q: Dict[int, Scalar] = {}
@@ -500,11 +454,11 @@ def _divmod_half(a: Dict[int, Scalar], b: Dict[int, Scalar]):
     return q, a
 
 
-def _gcd_half(a: Dict[int, Scalar], b: Dict[int, Scalar]) -> Dict[int, Scalar]:
+def _gcd(a: Dict[int, Scalar], b: Dict[int, Scalar]) -> Dict[int, Scalar]:
     """Monic polynomial gcd of ordinary term dicts (Euclid over Q)."""
     a, b = dict(a), dict(b)
     while b:
-        _, r = _divmod_half(a, b)
+        _, r = _divmod(a, b)
         a, b = b, r
     if a:
         lc = a[max(a)]
@@ -527,7 +481,7 @@ class RationalFunction:
 
     - polynomial * polynomial and polynomial + polynomial give a Laurent
       polynomial over 1, which is canonical;
-    - c*q^(h/2) * (num/den) gives (c*q^(h/2)*num)/den: den(0) != 0, so the
+    - c*q^h * (num/den) gives (c*q^h*num)/den: den(0) != 0, so the
       monomial shares no factor with den, and num/den was reduced;
     - -(num/den) is (-num)/den.
 
@@ -560,16 +514,16 @@ class RationalFunction:
             self.den = LaurentPoly.one(v)
             return
         # make the denominator ordinary with a nonzero constant term
-        md = den.min_half_exp()
-        num = num.shifted(-md)
-        den = den.shifted(-md)
-        mn = num.min_half_exp()
+        md = den.min_exp()
+        num = num.times_power(-md)
+        den = den.times_power(-md)
+        mn = num.min_exp()
         n_ord = {h - mn: c for h, c in num._terms.items()}
         d_ord = dict(den._terms)
-        g = _gcd_half(n_ord, d_ord)
+        g = _gcd(n_ord, d_ord)
         if g and not (len(g) == 1 and 0 in g and g[0] == 1):
-            n_ord, r1 = _divmod_half(n_ord, g)
-            d_ord, r2 = _divmod_half(d_ord, g)
+            n_ord, r1 = _divmod(n_ord, g)
+            d_ord, r2 = _divmod(d_ord, g)
             if r1 or r2:
                 raise NonExactDivision(f"gcd ({LaurentPoly(v, g)}) failed to divide exactly")
         lc = d_ord[max(d_ord)]
@@ -647,8 +601,8 @@ class RationalFunction:
         if other is None:
             return NotImplemented
         if self.num.var == other.num.var:
-            # a polynomial times a polynomial, or a monomial c*q^(h/2) times
-            # anything: c*q^(h/2) shares no factor with a denominator whose
+            # a polynomial times a polynomial, or a monomial c*q^h times
+            # anything: c*q^h shares no factor with a denominator whose
             # constant term is nonzero
             if self.is_polynomial() and (other.is_polynomial() or len(self.num._terms) == 1):
                 return RationalFunction._make(self.num * other.num, other.den)

@@ -6,9 +6,14 @@ k distinct labels from {1..n}, rows and columns strictly increasing), and
 character values are recovered as exact traces of products of generator
 matrices.
 
-Matrix entries are rational functions in q, with q^(1/2) represented by the
-half-integer exponent support of LaurentPoly.  Every trace must simplify to
-an ordinary polynomial in q; a leftover half power signals a bug.
+The basis vector of each tableau L is the one of Halverson's model
+(Representations of the q-rook monoid, J. Algebra 2004) scaled by
+q^(s(L)/2), s(L) the sum of L's labels.  That model relabels i+1 -> i and
+i -> i+1 with the entry q^(1/2); the scaling conjugates every T_i by one
+diagonal matrix, so it keeps every relation and trace and turns those two
+entries into q and 1.  The other entries keep the label sum, so every entry
+lies in Q(q).  Every trace must be a polynomial in Z[q]; anything else
+signals a bug.
 """
 
 from __future__ import annotations
@@ -17,14 +22,13 @@ import itertools
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import HalfPowerResidue, InvariantViolation, ShapeTooLarge, WeightMismatch
+from .errors import InvariantViolation, ShapeTooLarge, WeightMismatch
 from .exact import LaurentPoly, RationalFunction
 from .shapes import Partition, standard_count
 
 Tableau = Tuple[Tuple[int, ...], ...]
 
 _Q = LaurentPoly.monomial("q", 1)
-_S = LaurentPoly.half_monomial("q", 1)  # q^(1/2)
 _RF_ONE = RationalFunction(1, 1, var="q")
 
 # The largest |mu| the command line runs this method on.  The slowest trace
@@ -119,15 +123,14 @@ def _gen_action(i: int, lam: Partition, n: int):
         both i, i+1 in L:   (q-1)/(1 - q^(c_i - c_{i+1})) on the diagonal,
                             companion 1 + that on the swapped tableau when
                             the swap stays standard;
-        only i+1 in L:      (q-1) diagonal plus q^(1/2) to the relabeling;
-        only i in L:        q^(1/2) to the relabeling;
+        only i+1 in L:      (q-1) diagonal plus q to the relabeling;
+        only i in L:        1 to the relabeling;
         neither:            q on the diagonal.
     """
     basis = enumerate_tableaux(lam, n)
     index = _index(lam, n)
     rf_q = RationalFunction(_Q)
     rf_qm1 = RationalFunction(_Q - 1)
-    rf_s = RationalFunction(_S)
     cols = []
     for l, t in enumerate(basis):
         pos = _positions(t)
@@ -145,9 +148,9 @@ def _gen_action(i: int, lam: Partition, n: int):
                 col.append((index[swapped], diag + 1))
         elif has_j:
             col.append((l, rf_qm1))
-            col.append((index[_replace_label(t, i + 1, i)], rf_s))
+            col.append((index[_replace_label(t, i + 1, i)], rf_q))
         elif has_i:
-            col.append((index[_replace_label(t, i, i + 1)], rf_s))
+            col.append((index[_replace_label(t, i, i + 1)], _RF_ONE))
         else:
             col.append((l, rf_q))
         cols.append(tuple(col))
@@ -227,8 +230,8 @@ def standard_word(mu: Sequence[int]) -> List[int]:
 def trace_standard_element(lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly:
     """Exact trace of T_mu on the module of shape lambda; equals chi^lambda_mu.
 
-    Raises HalfPowerResidue when the trace fails to land in Z[q] (which would
-    signal a bug, not a legitimate outcome).
+    Raises InvariantViolation when the trace fails to land in Z[q] (which
+    would signal a bug, not a legitimate outcome).
     """
     lam, mu = tuple(lam), tuple(mu)
     n = sum(mu)
@@ -248,5 +251,5 @@ def trace_standard_element(lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly
         if c is not None:
             total = total + c
     if not total.is_polynomial() or not total.num.is_ordinary():
-        raise HalfPowerResidue(f"trace of T_{list(mu)} on {list(lam)} is not in Z[q]: {total}")
+        raise InvariantViolation(f"trace of T_{list(mu)} on {list(lam)} is not in Z[q]: {total}")
     return total.num

@@ -224,7 +224,7 @@ def _strip_weight(comps: int, odd: int, cols: int, size: int, k: int, var: str) 
     sign = -1 if odd else 1
     # (t-1)^b = sum_j C(b, j) t^j (-1)^(b-j)
     return LaurentPoly._make(
-        var, {2 * (a + j): sign * (-1) ** (b - j) * math.comb(b, j) for j in range(b + 1)}
+        var, {a + j: sign * (-1) ** (b - j) * math.comb(b, j) for j in range(b + 1)}
     )
 
 

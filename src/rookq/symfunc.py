@@ -42,7 +42,7 @@ def _as_tcoeff(c: Coeff) -> LaurentPoly:
         if c.var != "t" and not c._is_const():
             raise ValueError(f"p-basis coefficients live in Q[t], got variable {c.var!r}")
         if c.var != "t":
-            return LaurentPoly("t", {h: v for h, v in c.half_items()})
+            return LaurentPoly("t", c._terms)
         return c
     return LaurentPoly.const(c, "t")
 

@@ -35,7 +35,7 @@ def _rand_poly(rng: random.Random, var: str = "q") -> LaurentPoly:
     terms = {}
     for _ in range(rng.randint(0, 4)):
         terms[rng.randint(-3, 5)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return LaurentPoly.from_dict(var, terms)
+    return LaurentPoly(var, terms)
 
 
 def check_ring_axioms(n: int) -> CheckResult:

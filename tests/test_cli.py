@@ -85,6 +85,36 @@ class TestCharCommand:
         assert code == 2 and out == ""
         assert "mismatch" in err and "mn: " in err and "iterative: " in err
 
+    def test_check_runs_seminormal_up_to_its_ceiling(self, capsys, monkeypatch):
+        import rookq.seminormal as snmod
+
+        real = snmod.trace_standard_element
+        calls = []
+
+        def counted(lam, mu):
+            calls.append((lam, mu))
+            return real(lam, mu)
+
+        monkeypatch.setattr(snmod, "trace_standard_element", counted)
+        # a weight-8 cell, the ceiling
+        assert MAX_TRACE_WEIGHT == 8
+        code, out, _ = run_cli(
+            capsys, "char", "--lambda", "[3,2,1,1]", "--mu", "[4,3,1]", "--check"
+        )
+        assert code == 0 and out.strip() == "-3*q^4 + 16*q^3 - 24*q^2 + 14*q - 2"
+        assert calls == [((3, 2, 1, 1), (4, 3, 1))]
+
+    def test_check_reports_a_disagreeing_seminormal_trace(self, capsys, monkeypatch):
+        import rookq.seminormal as snmod
+
+        real = snmod.trace_standard_element
+        monkeypatch.setattr(snmod, "trace_standard_element", lambda lam, mu: real(lam, mu) + 1)
+        code, out, err = run_cli(
+            capsys, "char", "--lambda", "[2,1]", "--mu", "[3,3]", "--check"
+        )
+        assert code == 2 and out == ""
+        assert "mismatch" in err and "seminormal: " in err
+
     def test_explicit_methods(self, capsys):
         for method in ["oracle", "iterative", "mn", "seminormal"]:
             code, out, _ = run_cli(
@@ -192,7 +222,7 @@ class TestTableCommand:
             assert exps == sorted(exps, reverse=True)
             rebuilt = {e: n for e, n, d in record["terms"]}
             assert all(d == 1 for _, _, d in record["terms"])
-            assert LaurentPoly.from_dict("q", rebuilt) == poly
+            assert LaurentPoly("q", rebuilt) == poly
 
     def test_json_method_is_the_first_requested(self, capsys):
         code, out, _ = run_cli(

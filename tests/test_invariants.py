@@ -9,13 +9,27 @@ from pathlib import Path
 import pytest
 
 import rookq
-from rookq import bitrace, characters, exact, seminormal, shapes, symfunc, verify
+from rookq import bitrace, characters, cli, exact, seminormal, shapes, symfunc, verify
 from rookq.errors import InvariantViolation, NonExactDivision
 from rookq.exact import LaurentPoly, RationalFunction
 from rookq.symfunc import PExpansion
 
 Q = LaurentPoly.monomial("q", 1)
 HALF = LaurentPoly.const(Fraction(1, 2), "q")
+
+
+def run_optimized(script):
+    """stdout of ``script`` run by ``python -O`` on this checkout."""
+    src = str(Path(rookq.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestInvariantChecks:
@@ -32,7 +46,7 @@ class TestInvariantChecks:
         assert not result.ok and "routes disagree" in result.detail
 
     def test_rational_function_gcd_not_a_divisor(self, monkeypatch):
-        monkeypatch.setattr(exact, "_gcd_half", lambda a, b: {2: 1, 0: 1})
+        monkeypatch.setattr(exact, "_gcd", lambda a, b: {1: 1, 0: 1})
         with pytest.raises(NonExactDivision, match="gcd"):
             RationalFunction(Q, Q + 2)
 
@@ -64,13 +78,30 @@ class TestInvariantChecks:
             "except InvariantViolation:\n"
             "    print('raised')\n"
         )
-        src = str(Path(rookq.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            timeout=60,
+        assert run_optimized(script) == "False\nraised\n"
+
+    def test_seminormal_trace_outside_zq(self, monkeypatch, capsys):
+        # every generator application divided by q + 1: chi^(1)_(2) = q - 1
+        # becomes (q - 1)/(q + 1)
+        apply = seminormal._apply
+        scale = RationalFunction(1, Q + 1)
+        monkeypatch.setattr(
+            seminormal, "_apply", lambda act, vec: {r: v * scale for r, v in apply(act, vec).items()}
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\nraised\n"
+        with pytest.raises(InvariantViolation, match=r"Z\[q\]"):
+            seminormal.trace_standard_element((1,), (2,))
+        assert cli.main(["char", "--lambda", "[1]", "--mu", "[2]", "--method", "seminormal"]) == 2
+        assert "not in Z[q]" in capsys.readouterr().err
+        script = (
+            "from rookq import seminormal\n"
+            "from rookq.errors import InvariantViolation\n"
+            "from rookq.exact import LaurentPoly, RationalFunction\n"
+            "print(__debug__)\n"
+            "apply, scale = seminormal._apply, RationalFunction(1, LaurentPoly('q', {1: 1, 0: 1}))\n"
+            "seminormal._apply = lambda act, vec: {r: v * scale for r, v in apply(act, vec).items()}\n"
+            "try:\n"
+            "    seminormal.trace_standard_element((1,), (2,))\n"
+            "except InvariantViolation:\n"
+            "    print('raised')\n"
+        )
+        assert run_optimized(script) == "False\nraised\n"

@@ -13,7 +13,6 @@ from rookq.seminormal import (
 )
 
 Q = LaurentPoly.monomial("q", 1)
-S = LaurentPoly.half_monomial("q", 1)
 
 
 def entry(cols, r, c):
@@ -43,13 +42,18 @@ class TestTableaux:
 
 class TestGeneratorMatrices:
     def test_two_dim_example(self):
-        # lambda=(1), n=2 in basis {1}, {2}: columns are images of the basis
+        # lambda=(1), n=2 in basis {1}, {2}: columns are images of the basis;
+        # the basis scaled by q^(s/2) turns both q^(1/2) relabellings into 1 and q
         m = _gen_action(1, (1,), 2)
         rf = lambda p: RationalFunction(p)
         assert entry(m, 0, 0) == rf(LaurentPoly.zero("q"))
-        assert entry(m, 1, 0) == rf(S)
-        assert entry(m, 0, 1) == rf(S)
+        assert entry(m, 1, 0) == rf(LaurentPoly.one("q"))
+        assert entry(m, 0, 1) == rf(Q)
         assert entry(m, 1, 1) == rf(Q - 1)
+        # the change of basis keeps the trace and the determinant
+        trace = entry(m, 0, 0) + entry(m, 1, 1)
+        det = entry(m, 0, 0) * entry(m, 1, 1) - entry(m, 0, 1) * entry(m, 1, 0)
+        assert (trace, det) == (rf(Q - 1), rf(-Q))
 
     def test_single_row_eigenvalue(self):
         for n in range(2, 5):

@@ -50,7 +50,7 @@ def weight_k_of_strips(comps, size, k, var):
 
 
 def fields(p):
-    return p.var, p._terms, [type(c) for _, c in p.half_items()]
+    return p.var, p._terms, [type(c) for _, c in p.items()]
 
 
 def bfs_strips(lam, nu):
