@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InvariantViolation, MethodMismatch, VariantMismatch, WeightMismatch
-from .exact import LaurentPoly, RationalFunction
+from .exact import LaurentPoly
 from .shapes import (
     Partition,
     comp_sub,
@@ -133,7 +133,7 @@ def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
     k = mu[0]
     rest = mu[1:]
     return LaurentPoly.sum_of_products(
-        (gbs_weight_k(lam, nu, k, var="q"), chi_mn(nu, rest))
+        (gbs_weight_k(lam, nu, k), chi_mn(nu, rest))
         for nu in gbs_complements(lam, sum(lam) - sum(rest), k)
     )
 
@@ -273,12 +273,14 @@ def _a_weighted_sum(mu: Partition, sign_i: bool, sign_j: bool) -> LaurentPoly:
     return total
 
 
-def hook_content_factor(m: int) -> RationalFunction:
-    """A(m; q) = ((-q)^{m-1}(q^2+6q+1) + 4)/(q+1)^2 + 2m(-q)^{m-1}(q-1)/(q+1)."""
+def hook_content_factor(m: int) -> LaurentPoly:
+    """A(m; q) = ((-q)^{m-1}(q^2+6q+1) + 4)/(q+1)^2 + 2m(-q)^{m-1}(q-1)/(q+1).
+
+    The sum is a polynomial: its numerator over (q+1)^2 divides exactly.
+    """
     neg_q = LaurentPoly.monomial("q", m - 1, (-1) ** (m - 1))
-    term1 = RationalFunction(neg_q * (_Q**2 + 6 * _Q + 1) + 4, (_Q + 1) ** 2)
-    term2 = RationalFunction(neg_q * _QM1 * (2 * m), _Q + 1)
-    return term1 + term2
+    num = neg_q * (_Q**2 + 6 * _Q + 1) + 4 + neg_q * _QM1 * (_Q + 1) * (2 * m)
+    return num.exact_div((_Q + 1) ** 2)
 
 
 def _two_row_factor(m: int) -> LaurentPoly:
@@ -309,10 +311,10 @@ def identity_suite_ab(mu: Partition) -> Dict[str, bool]:
         rhs2 = rhs2 * (1 - _Q) * LaurentPoly.monomial("q", part - 1, (-1) ** (part - 1))
     report["a-sum-alternate-one"] = lhs2 == rhs2
 
-    lhs3 = RationalFunction(_a_weighted_sum(mu, sign_i=True, sign_j=True))
-    rhs3 = RationalFunction(1, 1, var="q")
+    lhs3 = _a_weighted_sum(mu, sign_i=True, sign_j=True)
+    rhs3 = _ONE
     for part in mu:
-        rhs3 = rhs3 * RationalFunction(1 - _Q) * hook_content_factor(part)
+        rhs3 = rhs3 * (1 - _Q) * hook_content_factor(part)
     report["a-sum-alternate-both"] = lhs3 == rhs3
 
     lhs4 = LaurentPoly.zero("q")
@@ -346,16 +348,16 @@ def perm_sums(mu: Partition) -> Tuple[LaurentPoly, LaurentPoly]:
     return s1, s2
 
 
-def perm_sum_closed_forms(mu: Partition) -> Tuple[RationalFunction, LaurentPoly]:
+def perm_sum_closed_forms(mu: Partition) -> Tuple[LaurentPoly, LaurentPoly]:
     """The closed forms the two permutation sums must equal."""
     mu = tuple(mu)
     n = sum(mu)
     l = len(mu)
-    prod_a = RationalFunction(1, 1, var="q")
+    prod_a = _ONE
     for part in mu:
         prod_a = prod_a * hook_content_factor(part)
     sign = (-1) ** (n + l)
-    rhs1 = (prod_a - LaurentPoly.monomial("q", n - l, (-1) ** (n - l))) * Fraction(sign, 2)
+    rhs1 = (prod_a - LaurentPoly.monomial("q", n - l, (-1) ** (n - l))).scale(Fraction(sign, 2))
     rhs2 = LaurentPoly.monomial("q", n - l)
     for part in mu:
         rhs2 = rhs2 * _two_row_factor(part)
@@ -365,7 +367,7 @@ def perm_sum_closed_forms(mu: Partition) -> Tuple[RationalFunction, LaurentPoly]
 def perm_sums_agree(mu: Partition) -> bool:
     s1, s2 = perm_sums(mu)
     rhs1, rhs2 = perm_sum_closed_forms(mu)
-    return RationalFunction(s1) == rhs1 and s2 == rhs2
+    return s1 == rhs1 and s2 == rhs2
 
 
 # ----------------------------------------------------------------------

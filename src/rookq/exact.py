@@ -1,17 +1,17 @@
-"""Exact scalar arithmetic: rationals, Laurent polynomials, rational functions.
+"""Exact scalar arithmetic: rationals and Laurent polynomials.
 
 The scalar tower is
 
     coefficient   int, or fractions.Fraction when not integral
     LaurentPoly                            (one tagged variable, q or t)
-    RationalFunction                       (quotient of two LaurentPoly)
 
 A stored coefficient is a plain ``int`` whenever it is integral and a
 ``Fraction`` only otherwise; a ``Fraction`` with denominator 1 is folded back
-to ``int`` on construction, and a ``float`` is refused.  Character values and
-border-strip weights therefore run on ``int`` arithmetic, while the 1/z_lambda
-coefficients of the power-sum basis and the seminormal entries keep their
-fractions.  Exponents are plain integers: the key ``h`` stands for ``var**h``.
+to ``int`` on construction, and a ``float`` is refused.  Character values,
+border-strip weights and the seminormal entries therefore run on ``int``
+arithmetic, while the 1/z_lambda coefficients of the power-sum basis keep
+their fractions.  Exponents are plain integers: the key ``h`` stands for
+``var**h``.
 
 ``LaurentPoly.sum_of_products`` sums a*b over many pairs into one dict and
 folds it once, where ``__mul__`` and ``__add__`` would build a dict for every
@@ -19,12 +19,8 @@ product and every partial sum.  Only the Murnaghan-Nakayama route
 (``characters.chi_mn``) uses it; the routes it is cross-checked against stay
 on ``__mul__`` and ``__add__``, so no two compared routes share the kernel.
 
-A ``RationalFunction`` is kept in a canonical reduced form, normalised by a
-Euclidean gcd in its constructor.  Its arithmetic skips that gcd when the
-result is canonical by construction: polynomial with polynomial, a monomial
-times anything, a sum over one shared denominator that is 1, and negation
-(see ``RationalFunction``).  The seminormal traces are mostly such products
-and sums.
+``RationalFunction`` only puts a quotient of two Laurent polynomials into
+canonical reduced form, by a Euclidean gcd; it has no arithmetic.
 
 No floating point is used anywhere; all arithmetic is exact.
 """
@@ -78,8 +74,7 @@ class LaurentPoly:
     ``_terms`` maps integer exponents to nonzero coefficients, each an
     ``int`` when integral and a ``Fraction`` otherwise, never a ``float``.
     Instances are immutable (by convention: internal dicts are never touched
-    after construction) and hashable, so they can be shared freely across
-    threads and used as cache keys.
+    after construction) and hashable, so they can be used as cache keys.
     """
 
     __slots__ = ("var", "_terms", "_hash")
@@ -305,7 +300,7 @@ class LaurentPoly:
         return LaurentPoly._make(_TAG_SWAP[self.var], {-h: c for h, c in self._terms.items()})
 
     # ------------------------------------------------------------------
-    # equality / hashing / pickling
+    # equality / hashing
     # ------------------------------------------------------------------
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -323,9 +318,6 @@ class LaurentPoly:
         if self._hash is None:
             self._hash = hash((self.var, tuple(sorted(self._terms.items()))))
         return self._hash
-
-    def __reduce__(self):
-        return (LaurentPoly, (self.var, self._terms))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -473,23 +465,7 @@ class RationalFunction:
     Canonical form: the denominator is an ordinary polynomial (nonnegative
     exponents, nonzero constant term) made monic, and shares no polynomial
     factor with the ordinary part of the numerator.  Equality of canonical
-    forms is therefore plain syntactic equality.
-
-    The constructor is the one place that normalises.  Arithmetic wraps its
-    result with ``_make`` instead, skipping the gcd, only where the result is
-    canonical already, both operands sharing a variable tag:
-
-    - polynomial * polynomial and polynomial + polynomial give a Laurent
-      polynomial over 1, which is canonical;
-    - c*q^h * (num/den) gives (c*q^h*num)/den: den(0) != 0, so the
-      monomial shares no factor with den, and num/den was reduced;
-    - -(num/den) is (-num)/den.
-
-    A sum over one shared denominator other than 1 is normalised from
-    (num1 + num2)/den, which skips the product of the denominators and the
-    larger gcd.  A zero result always goes through the constructor, so zero
-    has the one form 0/1.  Since the canonical form of a value is unique,
-    every shortcut gives the same fields as the full normalisation.
+    forms is therefore plain syntactic equality.  Zero has the one form 0/1.
     """
 
     __slots__ = ("num", "den")
@@ -533,88 +509,12 @@ class RationalFunction:
         self.num = LaurentPoly(v, {h + mn: c for h, c in n_ord.items()})
         self.den = LaurentPoly(v, d_ord)
 
-    @classmethod
-    def _make(cls, num: LaurentPoly, den: LaurentPoly) -> "RationalFunction":
-        """Wrap a pair already in canonical form without normalising it.
-
-        A zero numerator still goes through ``__init__``, so zero keeps its
-        one form (0 over 1).
-        """
-        if not num._terms:
-            return cls(num, den)
-        self = object.__new__(cls)
-        self.num = num
-        self.den = den
-        return self
-
-    # ------------------------------------------------------------------
-    @property
-    def var(self) -> str:
-        return self.num.var if not self.num.is_zero else self.den.var
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def is_polynomial(self) -> bool:
         # the denominator is ordinary, monic and has a nonzero constant term,
         # so a one-term denominator is 1
         return len(self.den._terms) == 1
 
-    # ------------------------------------------------------------------
-    def _coerce(self, other) -> "RationalFunction | None":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            return RationalFunction(other, 1, var=self.var)
-        return None
-
-    def __add__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.num.var == other.num.var and self.den == other.den:
-            if self.is_polynomial():
-                return RationalFunction._make(self.num + other.num, self.den)
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction._make(-self.num, self.den)
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.num.var == other.num.var:
-            # a polynomial times a polynomial, or a monomial c*q^h times
-            # anything: c*q^h shares no factor with a denominator whose
-            # constant term is nonzero
-            if self.is_polynomial() and (other.is_polynomial() or len(self.num._terms) == 1):
-                return RationalFunction._make(self.num * other.num, other.den)
-            if other.is_polynomial() and len(other.num._terms) == 1:
-                return RationalFunction._make(self.num * other.num, self.den)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RationalFunction(other, 1, var=self.var)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -622,15 +522,7 @@ class RationalFunction:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __reduce__(self):
-        return (RationalFunction, (self.num, self.den))
-
     def __str__(self) -> str:
         if self.is_polynomial():
             return str(self.num)
         return f"({self.num})/({self.den})"
-
-    __repr__ = __str__

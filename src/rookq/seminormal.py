@@ -11,9 +11,14 @@ The basis vector of each tableau L is the one of Halverson's model
 q^(s(L)/2), s(L) the sum of L's labels.  That model relabels i+1 -> i and
 i -> i+1 with the entry q^(1/2); the scaling conjugates every T_i by one
 diagonal matrix, so it keeps every relation and trace and turns those two
-entries into q and 1.  The other entries keep the label sum, so every entry
-lies in Q(q).  Every trace must be a polynomial in Z[q]; anything else
-signals a bug.
+entries into q and 1.
+
+The other entries keep the label sum.  Their only denominators are
+q-integers [d]_q = 1 + q + ... + q^(d-1), so ``_gen_action`` stores
+S_i = D_i * T_i, D_i the lcm of the [d]_q that T_i can meet (``_scale``),
+and every entry is an integer Laurent polynomial.  A trace of S_mu is the
+trace of T_mu times the product of the D_i, which it divides exactly; the
+quotient must be a polynomial in Z[q], and anything else signals a bug.
 """
 
 from __future__ import annotations
@@ -22,19 +27,19 @@ import itertools
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import InvariantViolation, ShapeTooLarge, WeightMismatch
-from .exact import LaurentPoly, RationalFunction
+from .errors import InvariantViolation, NonExactDivision, ShapeTooLarge, WeightMismatch
+from .exact import LaurentPoly
 from .shapes import Partition, standard_count
 
 Tableau = Tuple[Tuple[int, ...], ...]
 
 _Q = LaurentPoly.monomial("q", 1)
-_RF_ONE = RationalFunction(1, 1, var="q")
+_ONE = LaurentPoly.one("q")
 
 # The largest |mu| the command line runs this method on.  The slowest trace
-# of each weight from cold caches, on a 2-core host: 0.16 s at weight 7
-# ((3,2,1) x (7)), 0.80 s at 8 ((3,2,1,1) x (8)), 5.2 s at 9 ((4,2,1,1) x
-# (9)); the whole table takes 4.7 s at weight 7 and 52 s at weight 8.
+# of each weight from cold caches, on a 2-core host: 0.07 s at weight 7
+# ((3,2,1) x (7)), 0.45 s at 8 ((3,2,1,1) x (8)), 3.2 s at 9 ((4,2,1) x
+# (9)); the whole table takes 2.1 s at weight 7 and 27 s at weight 8.
 MAX_TRACE_WEIGHT = 8
 
 
@@ -115,49 +120,81 @@ def _is_standard(t: Tableau) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _cyclotomic(e: int) -> LaurentPoly:
+    """The cyclotomic polynomial Phi_e(q): q^e - 1 divided by Phi_d for d | e, d < e."""
+    out = LaurentPoly("q", {e: 1, 0: -1})
+    for d in range(1, e):
+        if e % d == 0:
+            out = out.exact_div(_cyclotomic(d))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _scale(i: int, lam: Partition) -> LaurentPoly:
+    """D_i = lcm([1]_q, ..., [d]_q) = prod Phi_e(q) over 2 <= e <= d, d = min(i, h-1).
+
+    Labels 1..i+1 fill a subdiagram of at most i+1 cells, so the contents of
+    i and i+1 differ by at most i; inside lam they differ by at most h - 1,
+    h = lam_1 + l(lam) - 1 the largest hook length.  So D_i * T_i has
+    entries in Z[q^(+-1)].
+    """
+    d = min(i, lam[0] + len(lam) - 2) if lam else 0
+    out = _ONE
+    for e in range(2, d + 1):
+        out = out * _cyclotomic(e)
+    return out
+
+
+@lru_cache(maxsize=None)
 def _gen_action(i: int, lam: Partition, n: int):
-    """Sparse columns of T_i on the tableau basis.
+    """Sparse columns of S_i = D_i * T_i on the tableau basis (see ``_scale``).
 
-    Column l lists (row, coefficient) pairs of T_i v_L for L = basis[l]:
+    Column l lists (row, coefficient) pairs of S_i v_L for L = basis[l].
+    With delta = c_i - c_{i+1} the content difference of labels i and i+1,
+    T_i has:
 
-        both i, i+1 in L:   (q-1)/(1 - q^(c_i - c_{i+1})) on the diagonal,
-                            companion 1 + that on the swapped tableau when
-                            the swap stays standard;
+        both i, i+1 in L:   (q-1)/(1 - q^delta) on the diagonal, that is
+                            -1/[delta]_q for delta > 0 and q^|delta|/[|delta|]_q
+                            for delta < 0; companion 1 + that on the swapped
+                            tableau when the swap stays standard;
         only i+1 in L:      (q-1) diagonal plus q to the relabeling;
         only i in L:        1 to the relabeling;
         neither:            q on the diagonal.
     """
     basis = enumerate_tableaux(lam, n)
     index = _index(lam, n)
-    rf_q = RationalFunction(_Q)
-    rf_qm1 = RationalFunction(_Q - 1)
+    scale = _scale(i, lam)
+    scale_q = scale * _Q
+    scale_qm1 = scale * (_Q - 1)
     cols = []
     for l, t in enumerate(basis):
         pos = _positions(t)
         has_i = i in pos
         has_j = (i + 1) in pos
-        col: List[Tuple[int, RationalFunction]] = []
+        col: List[Tuple[int, LaurentPoly]] = []
         if has_i and has_j:
             ri, ci = pos[i]
             rj, cj = pos[i + 1]
             delta = (ci - ri) - (cj - rj)
-            diag = RationalFunction(_Q - 1, 1 - LaurentPoly.monomial("q", delta))
+            d = abs(delta)
+            diag = scale.exact_div(LaurentPoly("q", dict.fromkeys(range(d), 1)))
+            diag = -diag if delta > 0 else diag.times_power(d)
             col.append((l, diag))
             swapped = _swap_labels(t, i, i + 1)
             if _is_standard(swapped):
-                col.append((index[swapped], diag + 1))
+                col.append((index[swapped], scale + diag))
         elif has_j:
-            col.append((l, rf_qm1))
-            col.append((index[_replace_label(t, i + 1, i)], rf_q))
+            col.append((l, scale_qm1))
+            col.append((index[_replace_label(t, i + 1, i)], scale_q))
         elif has_i:
-            col.append((index[_replace_label(t, i, i + 1)], _RF_ONE))
+            col.append((index[_replace_label(t, i, i + 1)], scale))
         else:
-            col.append((l, rf_q))
+            col.append((l, scale_q))
         cols.append(tuple(col))
     return tuple(cols)
 
 
-Vector = Dict[int, RationalFunction]
+Vector = Dict[int, LaurentPoly]
 
 
 def _apply(action, vec: Vector) -> Vector:
@@ -171,32 +208,35 @@ def _apply(action, vec: Vector) -> Vector:
 
 
 def quadratic_check(i: int, lam: Sequence[int], n: int) -> bool:
-    """(T_i - q)(T_i + 1) = 0, and the braid relation with T_{i+1} when defined."""
+    """(T_i - q)(T_i + 1) = 0, and the braid relation with T_{i+1} when defined.
+
+    On S_i = D_i T_i these read (S_i - q D_i)(S_i + D_i) = 0 and
+    D_{i+1} S_i S_{i+1} S_i = D_i S_{i+1} S_i S_{i+1}.
+    """
     lam = tuple(lam)
     act = _gen_action(i, lam, n)
-    dim = len(act)
-    one_minus_q = RationalFunction(1 - _Q)
-    rf_q = RationalFunction(_Q)
-    for l in range(dim):
-        v: Vector = {l: _RF_ONE}
-        mv = _apply(act, v)
-        mmv = _apply(act, mv)
-        res = dict(mmv)
+    scale = _scale(i, lam)
+    lin = scale * (1 - _Q)
+    const = -(scale * scale * _Q)
+    for l in range(len(act)):
+        mv = _apply(act, {l: _ONE})
+        res = _apply(act, mv)
         for r, c in mv.items():
             cur = res.get(r)
-            add = c * one_minus_q
+            add = c * lin
             res[r] = add if cur is None else cur + add
         cur = res.get(l)
-        res[l] = -rf_q if cur is None else cur - rf_q
+        res[l] = const if cur is None else cur + const
         if any(not c.is_zero for c in res.values()):
             return False
     if i + 1 <= n - 1:
         act2 = _gen_action(i + 1, lam, n)
-        for l in range(dim):
-            v = {l: _RF_ONE}
+        scale2 = _scale(i + 1, lam)
+        for l in range(len(act)):
+            v = {l: _ONE}
             aba = _apply(act, _apply(act2, _apply(act, v)))
             bab = _apply(act2, _apply(act, _apply(act2, v)))
-            if aba != bab:
+            if {r: c * scale2 for r, c in aba.items()} != {r: c * scale for r, c in bab.items()}:
                 return False
     return True
 
@@ -207,7 +247,7 @@ def commute_check(i: int, j: int, lam: Sequence[int], n: int) -> bool:
     act_i = _gen_action(i, lam, n)
     act_j = _gen_action(j, lam, n)
     for l in range(len(act_i)):
-        v: Vector = {l: _RF_ONE}
+        v: Vector = {l: _ONE}
         if _apply(act_i, _apply(act_j, v)) != _apply(act_j, _apply(act_i, v)):
             return False
     return True
@@ -240,9 +280,9 @@ def trace_standard_element(lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly
     basis = enumerate_tableaux(lam, n)
     word = standard_word(mu)
     actions = {i: _gen_action(i, lam, n) for i in set(word)}
-    total = RationalFunction(0, 1, var="q")
+    total = LaurentPoly.zero("q")
     for idx in range(len(basis)):
-        vec: Vector = {idx: _RF_ONE}
+        vec: Vector = {idx: _ONE}
         for g in reversed(word):
             vec = _apply(actions[g], vec)
             if not vec:
@@ -250,6 +290,16 @@ def trace_standard_element(lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly
         c = vec.get(idx)
         if c is not None:
             total = total + c
-    if not total.is_polynomial() or not total.num.is_ordinary():
-        raise InvariantViolation(f"trace of T_{list(mu)} on {list(lam)} is not in Z[q]: {total}")
-    return total.num
+    # the trace of the product of the S_g is prod D_g times the trace of T_mu
+    scale = _ONE
+    for g in word:
+        scale = scale * _scale(g, lam)
+    try:
+        trace = total.exact_div(scale)
+    except NonExactDivision:
+        trace = None
+    if trace is None or not trace.is_ordinary():
+        raise InvariantViolation(
+            f"trace of T_{list(mu)} on {list(lam)} is not in Z[q]: ({total})/({scale})"
+        )
+    return trace

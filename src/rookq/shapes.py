@@ -176,20 +176,20 @@ def gbs_decompose(
     return tuple(comps)
 
 
-def gbs_weight_k(lam: Partition, nu: Partition, k: int, var: str = "t") -> LaurentPoly:
-    """The k-bounded weight wt(lam/nu; k, t).
+def gbs_weight_k(lam: Partition, nu: Partition, k: int) -> LaurentPoly:
+    """The k-bounded weight wt(lam/nu; k, q), a polynomial in q.
 
     The plain weight of theta = lam/nu is
-    wt = (t-1)^(m-1) * prod (-1)^(r_i - 1) t^(c_i - 1) over its m components
+    wt = (q-1)^(m-1) * prod (-1)^(r_i - 1) q^(c_i - 1) over its m components
     of r_i rows and c_i columns, and 1 for the empty shape.  Cases on the
-    strip size |theta|: t^(k-1)*wt for an empty shape, (t-1)*t^(k-|theta|-1)*wt
+    strip size |theta|: q^(k-1)*wt for an empty shape, (q-1)*q^(k-|theta|-1)*wt
     when 0 < |theta| < k, wt itself at |theta| = k, and 0 beyond k.
 
-    Up to k cells the weight is +-t^a (t-1)^b, fixed by the component count,
+    Up to k cells the weight is +-q^a (q-1)^b, fixed by the component count,
     the parity of the row total, the column total, the size and k.
     ``_strip_weight`` builds it by one closed form, memoised on those five
-    values and the variable, so the 14 662 strips of the weight-9 table share
-    278 polynomials.
+    values, so the 14 662 strips of the weight-9 table share 278
+    polynomials.
     """
     if k <= 0:
         raise ValueError("k must be a positive integer")
@@ -202,18 +202,18 @@ def gbs_weight_k(lam: Partition, nu: Partition, k: int, var: str = "t") -> Laure
         rows += r - 1
         cols += c - 1
     if size > k:
-        return LaurentPoly.zero(var)
-    return _strip_weight(len(comps), rows % 2, cols, size, k, var)
+        return LaurentPoly.zero("q")
+    return _strip_weight(len(comps), rows % 2, cols, size, k)
 
 
 @lru_cache(maxsize=None)
-def _strip_weight(comps: int, odd: int, cols: int, size: int, k: int, var: str) -> LaurentPoly:
-    """(-1)^odd * t^a * (t-1)^b, the weight wt(theta; k, t) of a strip of
+def _strip_weight(comps: int, odd: int, cols: int, size: int, k: int) -> LaurentPoly:
+    """(-1)^odd * q^a * (q-1)^b, the weight wt(theta; k, q) of a strip of
     ``comps`` components with column total ``cols`` and 0 <= size <= k cells.
 
-    At size = k it is wt(theta; t): b = comps - 1 and a = cols, or 1 for the
-    empty shape.  An empty shape below k gives t^(k-1); otherwise 0 < size <
-    k adds one factor (t-1) and shifts by t^(k-size-1).
+    At size = k it is wt(theta; q): b = comps - 1 and a = cols, or 1 for the
+    empty shape.  An empty shape below k gives q^(k-1); otherwise 0 < size <
+    k adds one factor (q-1) and shifts by q^(k-size-1).
     """
     if size == k:
         b, a = max(comps - 1, 0), cols
@@ -222,9 +222,9 @@ def _strip_weight(comps: int, odd: int, cols: int, size: int, k: int, var: str) 
     else:
         b, a = comps, cols + k - size - 1
     sign = -1 if odd else 1
-    # (t-1)^b = sum_j C(b, j) t^j (-1)^(b-j)
+    # (q-1)^b = sum_j C(b, j) q^j (-1)^(b-j)
     return LaurentPoly._make(
-        var, {a + j: sign * (-1) ** (b - j) * math.comb(b, j) for j in range(b + 1)}
+        "q", {a + j: sign * (-1) ** (b - j) * math.comb(b, j) for j in range(b + 1)}
     )
 
 

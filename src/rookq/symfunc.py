@@ -88,9 +88,6 @@ class PExpansion:
             out[rho] = c if cur is None else cur + c
         return PExpansion(out)
 
-    def __sub__(self, other: "PExpansion") -> "PExpansion":
-        return self + other.scale(-1)
-
     def scale(self, c: Coeff) -> "PExpansion":
         c = _as_tcoeff(c)
         return PExpansion({rho: cc * c for rho, cc in self._terms.items()})

@@ -197,7 +197,7 @@ def check_mn_adjoint_identity(n: int) -> CheckResult:
                         continue
                     try:
                         # wt(lam/nu; t^(-1)), built in q and swapped back to t
-                        w_rev = sh.gbs_weight_k(lam, nu, k, "q").substitute_inverse()
+                        w_rev = sh.gbs_weight_k(lam, nu, k).substitute_inverse()
                     except NotGbsError:
                         continue
                     coeff = LaurentPoly.monomial("t", k - 1) * (1 - t) * w_rev

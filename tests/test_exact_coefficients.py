@@ -2,15 +2,13 @@
 
 Every operation is checked against a plain dict-of-Fraction reference, keyed
 by exponent, and every result must store ``int`` for an integral
-coefficient, ``Fraction`` otherwise, and never a ``float``.  The
-``RationalFunction`` operations that skip normalisation are checked against
-the full normalisation of the unreduced result.
+coefficient, ``Fraction`` otherwise, and never a ``float``.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from rookq.errors import NonExactDivision
@@ -130,89 +128,6 @@ def test_float_rejected():
         LaurentPoly("q", {0: 0.5})
     with pytest.raises(TypeError):
         LaurentPoly.monomial("q", 1).scale(2.0)
-
-
-# ----------------------------------------------------------------------
-# RationalFunction arithmetic: every shortcut against full normalisation
-# ----------------------------------------------------------------------
-def rf_fields(rf):
-    return (rf.num._terms, rf.den._terms, rf.num.var, rf.den.var)
-
-
-def rf(n, d=None):
-    return RationalFunction(poly(n), poly({0: 1} if d is None else d))
-
-
-# one term: negative exponents included, int and Fraction coefficients
-monomials = st.builds(lambda h, c: {h: c}, st.integers(-3, 5), coeffs.filter(bool))
-# c0 + c*q^h: a denominator that survives reduction more often than not
-binomials = st.builds(
-    lambda c0, h, c: {0: c0, h: c}, coeffs.filter(bool), st.integers(1, 3), coeffs.filter(bool)
-)
-proper_fractions = st.builds(rf, st.one_of(nonzero_term_dicts, monomials), binomials)
-rational_functions = st.one_of(
-    st.builds(rf, term_dicts),  # polynomials, zero included
-    st.builds(rf, monomials),
-    st.builds(rf, term_dicts, nonzero_term_dicts),
-    proper_fractions,
-    st.builds(lambda c: RationalFunction(LaurentPoly.const(c, "t")), coeffs),
-)
-
-
-@st.composite
-def operand_pairs(draw):
-    a = draw(rational_functions)
-    kind = draw(st.sampled_from(["any", "monomial", "cancel", "same-den", "negation", "self"]))
-    if kind == "monomial":
-        b = rf(draw(monomials))
-    elif kind == "cancel":
-        a = draw(proper_fractions)
-        b = RationalFunction(a.den * poly(draw(monomials)))  # a * b cancels a.den
-    elif kind == "same-den":
-        b = rf(draw(term_dicts)) - a  # a + b is a polynomial
-        assert b.is_zero or b.den == a.den
-    elif kind == "negation":
-        b = -a  # the sum cancels to zero
-    elif kind == "self":
-        b = a
-    else:
-        b = draw(rational_functions)
-    return (a, b) if draw(st.booleans()) else (b, a)
-
-
-@settings(max_examples=300)
-@given(operand_pairs())
-def test_rational_function_shortcuts_match_full_normalisation(pair):
-    a, b = pair
-    expected = {
-        "+": RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den),
-        "-": RationalFunction(a.num * b.den - b.num * a.den, a.den * b.den),
-        "*": RationalFunction(a.num * b.num, a.den * b.den),
-        "neg": RationalFunction(-a.num, a.den),
-    }
-    got = {"+": a + b, "-": a - b, "*": a * b, "neg": -a}
-    for op, want in expected.items():
-        assert rf_fields(got[op]) == rf_fields(want), (op, a, b)
-        for p in (got[op].num, got[op].den):
-            assert_coefficient_rule(p)
-
-
-def test_seminormal_trace_skips_most_normalisations(monkeypatch):
-    from rookq.seminormal import trace_standard_element
-
-    lam, mu = (2, 1), (3, 2)
-    expected = trace_standard_element(lam, mu)  # fills the generator caches
-    calls = []
-    init = RationalFunction.__init__
-
-    def counting_init(self, *args, **kwargs):
-        calls.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(RationalFunction, "__init__", counting_init)
-    assert trace_standard_element(lam, mu) == expected
-    # normalising every product and sum, this trace ran __init__ 137 times
-    assert len(calls) <= 13
 
 
 # ----------------------------------------------------------------------

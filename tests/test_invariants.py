@@ -81,27 +81,32 @@ class TestInvariantChecks:
         assert run_optimized(script) == "False\nraised\n"
 
     def test_seminormal_trace_outside_zq(self, monkeypatch, capsys):
-        # every generator application divided by q + 1: chi^(1)_(2) = q - 1
-        # becomes (q - 1)/(q + 1)
+        # each generator application skewed, one case per failure mode:
+        # divided by q, chi^(1)_(2) = q - 1 becomes 1 - q^-1, which is not
+        # ordinary; with 1 added to every entry, the scaled trace on
+        # (2,1) x (3) becomes -q^2, which its scale q + 1 does not divide
+        skews = [
+            ("{r: v.times_power(-1) for r, v in apply(act, vec).items()}", (1,), (2,)),
+            ("{r: v + 1 for r, v in apply(act, vec).items()}", (2, 1), (3,)),
+        ]
         apply = seminormal._apply
-        scale = RationalFunction(1, Q + 1)
-        monkeypatch.setattr(
-            seminormal, "_apply", lambda act, vec: {r: v * scale for r, v in apply(act, vec).items()}
-        )
-        with pytest.raises(InvariantViolation, match=r"Z\[q\]"):
-            seminormal.trace_standard_element((1,), (2,))
-        assert cli.main(["char", "--lambda", "[1]", "--mu", "[2]", "--method", "seminormal"]) == 2
-        assert "not in Z[q]" in capsys.readouterr().err
-        script = (
-            "from rookq import seminormal\n"
-            "from rookq.errors import InvariantViolation\n"
-            "from rookq.exact import LaurentPoly, RationalFunction\n"
-            "print(__debug__)\n"
-            "apply, scale = seminormal._apply, RationalFunction(1, LaurentPoly('q', {1: 1, 0: 1}))\n"
-            "seminormal._apply = lambda act, vec: {r: v * scale for r, v in apply(act, vec).items()}\n"
-            "try:\n"
-            "    seminormal.trace_standard_element((1,), (2,))\n"
-            "except InvariantViolation:\n"
-            "    print('raised')\n"
-        )
-        assert run_optimized(script) == "False\nraised\n"
+        for body, lam, mu in skews:
+            with monkeypatch.context() as patch:
+                patch.setattr(seminormal, "_apply", eval("lambda act, vec: " + body, {"apply": apply}))
+                with pytest.raises(InvariantViolation, match=r"Z\[q\]"):
+                    seminormal.trace_standard_element(lam, mu)
+                argv = ["char", "--lambda", str(list(lam)), "--mu", str(list(mu))]
+                assert cli.main(argv + ["--method", "seminormal"]) == 2
+                assert "not in Z[q]" in capsys.readouterr().err
+            script = (
+                "from rookq import seminormal\n"
+                "from rookq.errors import InvariantViolation\n"
+                "print(__debug__)\n"
+                "apply = seminormal._apply\n"
+                f"seminormal._apply = lambda act, vec: {body}\n"
+                "try:\n"
+                f"    seminormal.trace_standard_element({lam}, {mu})\n"
+                "except InvariantViolation:\n"
+                "    print('raised')\n"
+            )
+            assert run_optimized(script) == "False\nraised\n"

@@ -1,7 +1,7 @@
 import pytest
 
 from rookq.errors import ShapeTooLarge, WeightMismatch
-from rookq.exact import LaurentPoly, RationalFunction
+from rookq.exact import LaurentPoly
 from rookq.shapes import partitions_of, partitions_up_to, standard_count
 from rookq.characters import chi_oracle
 from rookq.seminormal import (
@@ -17,7 +17,7 @@ Q = LaurentPoly.monomial("q", 1)
 
 def entry(cols, r, c):
     """The coefficient of basis[r] in the image of basis[c], from sparse columns."""
-    return dict(cols[c]).get(r, RationalFunction(0, 1, var="q"))
+    return dict(cols[c]).get(r, LaurentPoly.zero("q"))
 
 
 class TestTableaux:
@@ -43,28 +43,39 @@ class TestTableaux:
 class TestGeneratorMatrices:
     def test_two_dim_example(self):
         # lambda=(1), n=2 in basis {1}, {2}: columns are images of the basis;
-        # the basis scaled by q^(s/2) turns both q^(1/2) relabellings into 1 and q
+        # the basis scaled by q^(s/2) turns both q^(1/2) relabellings into 1 and q,
+        # and the scale D_1 is 1
         m = _gen_action(1, (1,), 2)
-        rf = lambda p: RationalFunction(p)
-        assert entry(m, 0, 0) == rf(LaurentPoly.zero("q"))
-        assert entry(m, 1, 0) == rf(LaurentPoly.one("q"))
-        assert entry(m, 0, 1) == rf(Q)
-        assert entry(m, 1, 1) == rf(Q - 1)
+        assert entry(m, 0, 0) == LaurentPoly.zero("q")
+        assert entry(m, 1, 0) == LaurentPoly.one("q")
+        assert entry(m, 0, 1) == Q
+        assert entry(m, 1, 1) == Q - 1
         # the change of basis keeps the trace and the determinant
         trace = entry(m, 0, 0) + entry(m, 1, 1)
         det = entry(m, 0, 0) * entry(m, 1, 1) - entry(m, 0, 1) * entry(m, 1, 0)
-        assert (trace, det) == (rf(Q - 1), rf(-Q))
+        assert (trace, det) == (Q - 1, -Q)
 
     def test_single_row_eigenvalue(self):
         for n in range(2, 5):
             m = _gen_action(1, (n,), n)
             assert len(m) == 1
-            assert entry(m, 0, 0) == RationalFunction(Q)
+            assert entry(m, 0, 0) == Q
 
     def test_sign_module(self):
         m = _gen_action(1, (1, 1), 2)
         assert len(m) == 1
-        assert entry(m, 0, 0) == RationalFunction(-1, 1, var="q")
+        assert entry(m, 0, 0) == LaurentPoly.const(-1, "q")
+
+    def test_scaled_entries_are_integer_laurent_polynomials(self):
+        # D_i = prod Phi_e(q), 2 <= e <= min(i, h-1), clears every q-integer
+        # denominator of T_i: a smaller bound fails an exact division here
+        for n in range(2, 8):
+            for lam in partitions_up_to(n):
+                for i in range(1, n):
+                    for col in _gen_action(i, lam, n):
+                        for _, c in col:
+                            assert isinstance(c, LaurentPoly) and c.var == "q", (lam, n, i)
+                            assert c.has_integer_coefficients(), (lam, n, i)
 
 
 class TestRelations:

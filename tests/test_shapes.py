@@ -20,7 +20,7 @@ from rookq.shapes import (
     z_lambda,
 )
 
-T = LaurentPoly.monomial("t", 1)
+Q = LaurentPoly.monomial("q", 1)
 
 
 def skew_cells(lam, nu):
@@ -29,23 +29,23 @@ def skew_cells(lam, nu):
     return [(i, j) for i, o in enumerate(lam) for j in range(nu[i], o)]
 
 
-def weight_of_strips(comps, var):
+def weight_of_strips(comps):
     """Reference wt(theta) from the (size, rows, cols) of its components:
-    (t-1)^(m-1), scaled by the sign, shifted by the columns."""
+    (q-1)^(m-1), scaled by the sign, shifted by the columns."""
     if not comps:
-        return LaurentPoly.one(var)
+        return LaurentPoly.one("q")
     sign = (-1) ** sum(rows - 1 for _, rows, _ in comps)
-    w = (LaurentPoly.monomial(var, 1) - 1) ** (len(comps) - 1)
+    w = (Q - 1) ** (len(comps) - 1)
     return w.scale(sign).times_power(sum(cols - 1 for _, _, cols in comps))
 
 
-def weight_k_of_strips(comps, size, k, var):
+def weight_k_of_strips(comps, size, k):
     """Reference wt(theta; k) for 0 <= size <= k, case by case from wt(theta)."""
-    w = weight_of_strips(comps, var)
+    w = weight_of_strips(comps)
     if size == 0:
         return w.times_power(k - 1)
     if size < k:
-        return ((LaurentPoly.monomial(var, 1) - 1) * w).times_power(k - size - 1)
+        return ((Q - 1) * w).times_power(k - size - 1)
     return w
 
 
@@ -219,27 +219,27 @@ class TestGbs:
 
     def test_weight_figure_example(self):
         w = gbs_weight_k((4, 3, 3, 1), (3, 2, 1), 5)
-        assert w == -T * (T - 1) ** 2
+        assert w == -Q * (Q - 1) ** 2
 
     def test_weight_empty(self):
-        assert gbs_weight_k((3, 1), (3, 1), 1) == LaurentPoly.one("t")
+        assert gbs_weight_k((3, 1), (3, 1), 1) == LaurentPoly.one("q")
 
     def test_weight_single_row(self):
         for k in range(1, 6):
-            assert gbs_weight_k((k,), (), k) == LaurentPoly.monomial("t", k - 1)
+            assert gbs_weight_k((k,), (), k) == LaurentPoly.monomial("q", k - 1)
 
     def test_weight_not_gbs(self):
         with pytest.raises(NotGbsError):
             gbs_weight_k((2, 2), (), 4)
 
     def test_weight_k_cases(self):
-        # strip smaller than k gains a (t-1) t^(k-size-1) prefactor
-        assert gbs_weight_k((4,), (), 5) == T**4 - T**3
+        # strip smaller than k gains a (q-1) q^(k-size-1) prefactor
+        assert gbs_weight_k((4,), (), 5) == Q**4 - Q**3
         # size == k is the plain weight: one component of 2 rows and 2 columns
         lam, nu = (3, 2), (1, 1)
-        assert gbs_weight_k(lam, nu, 3) == -T
+        assert gbs_weight_k(lam, nu, 3) == -Q
         # size > k vanishes
-        assert gbs_weight_k(lam, nu, 2) == LaurentPoly.zero("t")
+        assert gbs_weight_k(lam, nu, 2) == LaurentPoly.zero("q")
 
     def test_weight_k_memo_matches_decomposition(self):
         # every generalized border strip with |lambda| <= 9, the empty one included
@@ -249,15 +249,14 @@ class TestGbs:
                 for nu in gbs_complements(lam, 0, n):
                     size = n - sum(nu)
                     comps = bfs_strips(lam, nu)
-                    for var in ("q", "t"):
-                        wt = weight_of_strips(comps, var)
-                        plain = gbs_weight_k(lam, nu, max(size, 1), var)
-                        assert fields(plain) == fields(wt), (lam, nu)
-                        for k in range(max(size, 1), size + 3):
-                            want = weight_k_of_strips(comps, size, k, var)
-                            got = gbs_weight_k(lam, nu, k, var)
-                            assert fields(got) == fields(want), (lam, nu, k, var)
-                            assert gbs_weight_k(lam, nu, k, var) is got
+                    wt = weight_of_strips(comps)
+                    plain = gbs_weight_k(lam, nu, max(size, 1))
+                    assert fields(plain) == fields(wt), (lam, nu)
+                    for k in range(max(size, 1), size + 3):
+                        want = weight_k_of_strips(comps, size, k)
+                        got = gbs_weight_k(lam, nu, k)
+                        assert fields(got) == fields(want), (lam, nu, k)
+                        assert gbs_weight_k(lam, nu, k) is got
                     strips += 1
         assert strips == 1419
 
