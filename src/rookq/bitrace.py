@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, Sequence, Tuple
 
 from .errors import InvariantViolation, WeightMismatch
 from .exact import LaurentPoly
 from .shapes import (
+    border_counts,
     comp_sub,
     nonzero_length,
     partitions_of,
@@ -187,11 +187,8 @@ def inner_sum(alpha: Tuple[int, ...], beta: Tuple[int, ...]) -> LaurentPoly:
 def _border_groups(mu: Tuple[int, ...], k: int) -> Dict[Tuple[int, ...], LaurentPoly]:
     """Border entries a in C(mu; k), grouped by the inner margin sort(mu - a):
     each group sums (1 - q^{-1})^{l(a)} over its members."""
-    counts: Counter = Counter()
-    for a in subcompositions(mu, k):
-        counts[sort_to_partition(comp_sub(mu, a)), nonzero_length(a)] += 1
     out: Dict[Tuple[int, ...], LaurentPoly] = {}
-    for (rest, length), count in counts.items():
+    for (rest, length), count in border_counts(mu, k).items():
         term = (_ONE_MINUS_QINV**length).scale(count)
         out[rest] = out[rest] + term if rest in out else term
     return out
@@ -280,7 +277,7 @@ def regular_char(mu: Sequence[int]) -> LaurentPoly:
             denom = 1
             for t in tau:
                 denom *= math.factorial(t)
-            coeff = Fraction(binom * math.factorial(i), denom)
+            coeff = binom * math.factorial(i) // denom
             rest = comp_sub(mu, tau)
             acc = acc + (_ONE_MINUS_QINV ** (nonzero_length(rest) + i)).scale(coeff)
     return acc.times_power(n).exact_div(_QM1 ** len(mu))

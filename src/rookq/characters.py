@@ -27,13 +27,11 @@ from .errors import InvariantViolation, MethodMismatch, VariantMismatch, WeightM
 from .exact import LaurentPoly
 from .shapes import (
     Partition,
-    comp_sub,
+    border_counts,
     gbs_complements,
     gbs_weight_k,
     nonzero_length,
     partitions_of,
-    sort_to_partition,
-    subcompositions,
     vertical_strip_complements,
 )
 # unused here, but perfbench/tests/test_tracer.py checks that this name is bound
@@ -84,9 +82,10 @@ def chi_iterative(lam: Partition, mu: Partition) -> LaurentPoly:
         (-1)^(|lambda|-|nu|-lambda_1) * q^(|lambda|-|nu|-l(tau))
           / (q-1)^(l(mu)-l(tau)-l(mu-tau)) * chi^nu_{sort(mu-tau)}.
 
-    Individual summands may carry (q-1) denominators; only the combined sum
-    is guaranteed polynomial, so terms are accumulated over a common
-    denominator and divided out exactly at the end.
+    A summand depends on tau only through its class in ``border_counts``,
+    so each class is summed once, times its count.  The summands are added
+    up per (q-1) exponent e; the groups are put over (q-1)^top, top the
+    largest e (or 0), and the sum is divided by it exactly.
     """
     lam, mu = tuple(lam), tuple(mu)
     _check_weights(lam, mu)
@@ -95,22 +94,20 @@ def chi_iterative(lam: Partition, mu: Partition) -> LaurentPoly:
     m = sum(lam)
     head = lam[0]
     lmu = len(mu)
-    entries: List[Tuple[int, LaurentPoly]] = []
+    by_exponent: Dict[int, LaurentPoly] = {}
     for nu in vertical_strip_complements(lam[1:]):
         k = m - sum(nu)
-        negative = (k - head) % 2 == 1
-        for tau in subcompositions(mu, k):
-            lt = nonzero_length(tau)
-            rho = sort_to_partition(comp_sub(mu, tau))
+        sign = -1 if (k - head) % 2 else 1
+        for (rho, lt), count in border_counts(mu, k).items():
             e = lmu - lt - len(rho)
-            poly = chi_iterative(nu, rho).times_power(k - lt)
-            entries.append((e, -poly if negative else poly))
-    if not entries:
+            term = chi_iterative(nu, rho).times_power(k - lt).scale(sign * count)
+            by_exponent[e] = by_exponent[e] + term if e in by_exponent else term
+    if not by_exponent:
         return LaurentPoly.zero("q")
-    top = max(0, max(e for e, _ in entries))
-    numer = LaurentPoly.zero("q")
-    for e, poly in entries:
-        numer = numer + poly * _QM1 ** (top - e)
+    top = max(0, max(by_exponent))
+    numer = LaurentPoly.sum_of_products(
+        (poly, _QM1 ** (top - e)) for e, poly in by_exponent.items()
+    )
     return numer.exact_div(_QM1**top) if top else numer
 
 
@@ -201,18 +198,16 @@ def b_poly(mu: Partition, i: int, j: int) -> LaurentPoly:
 
 
 def _ab_direct(mu: Partition, i: int, j: int, b_family: bool) -> LaurentPoly:
-    """Double enumeration over tau in C(mu;i), theta in C(mu-tau;j)."""
+    """Double sum over the classes of tau in C(mu;i) and theta in C(mu-tau;j)."""
     mu = tuple(mu)
     if i < 0 or j < 0 or i + j > sum(mu):
         return LaurentPoly.zero("q")
-    # every (tau, theta) contributes by its two lengths alone, so count the
-    # pairs before building any polynomial
+    # every (tau, theta) contributes by l(tau) + l(theta) and l(mu-tau-theta)
+    # alone, so count the pairs class by class before building any polynomial
     counts: Counter = Counter()
-    for tau in subcompositions(mu, i):
-        rem = comp_sub(mu, tau)
-        lt = nonzero_length(tau)
-        for theta in subcompositions(rem, j):
-            counts[lt + nonzero_length(theta), nonzero_length(comp_sub(rem, theta))] += 1
+    for (rem, lt), n_tau in border_counts(mu, i).items():
+        for (rest, lth), n_theta in border_counts(rem, j).items():
+            counts[lt + lth, len(rest)] += n_tau * n_theta
     tail = _ONE_MINUS_QINV if b_family else _ONE - _Q
     total = LaurentPoly.zero("q")
     for (border, rest), count in counts.items():

@@ -158,6 +158,8 @@ def emit_table_latex(table: CharacterTable, out) -> None:
 def cmd_table(args) -> int:
     n = _check_n(args.n)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    if not methods:
+        raise CLIError("--methods must name at least one method")
     for m in methods:
         if m not in METHODS:
             raise CLIError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
@@ -201,11 +203,7 @@ def cmd_char(args) -> int:
             methods.append("two_row")
         if sum(mu) <= MAX_TRACE_WEIGHT:
             methods.append("seminormal")
-    try:
-        chi = cross_checked(lam, mu, methods)
-    except VariantMismatch as e:
-        raise CLIError(str(e))
-    print(chi)
+    print(cross_checked(lam, mu, methods))
     return EXIT_OK
 
 
@@ -285,7 +283,8 @@ def main(argv: List[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CLIError as e:
+    except (CLIError, VariantMismatch) as e:
+        # a shape that a requested closed form does not cover is bad input
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except MethodMismatch as e:

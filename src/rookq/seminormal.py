@@ -108,17 +108,6 @@ def _swap_labels(t: Tableau, a: int, b: int) -> Tableau:
     return tuple(tuple(b if v == a else a if v == b else v for v in row) for row in t)
 
 
-def _is_standard(t: Tableau) -> bool:
-    for row in t:
-        if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
-            return False
-    for r in range(len(t) - 1):
-        for c in range(len(t[r + 1])):
-            if t[r][c] >= t[r + 1][c]:
-                return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic(e: int) -> LaurentPoly:
     """The cyclotomic polynomial Phi_e(q): q^e - 1 divided by Phi_d for d | e, d < e."""
@@ -156,7 +145,8 @@ def _gen_action(i: int, lam: Partition, n: int):
         both i, i+1 in L:   (q-1)/(1 - q^delta) on the diagonal, that is
                             -1/[delta]_q for delta > 0 and q^|delta|/[|delta|]_q
                             for delta < 0; companion 1 + that on the swapped
-                            tableau when the swap stays standard;
+                            tableau when the swap stays standard: i and i+1
+                            share a row or column exactly when |delta| = 1;
         only i+1 in L:      (q-1) diagonal plus q to the relabeling;
         only i in L:        1 to the relabeling;
         neither:            q on the diagonal.
@@ -180,9 +170,8 @@ def _gen_action(i: int, lam: Partition, n: int):
             diag = scale.exact_div(LaurentPoly("q", dict.fromkeys(range(d), 1)))
             diag = -diag if delta > 0 else diag.times_power(d)
             col.append((l, diag))
-            swapped = _swap_labels(t, i, i + 1)
-            if _is_standard(swapped):
-                col.append((index[swapped], scale + diag))
+            if d > 1:
+                col.append((index[_swap_labels(t, i, i + 1)], scale + diag))
         elif has_j:
             col.append((l, scale_qm1))
             col.append((index[_replace_label(t, i + 1, i)], scale_q))

@@ -12,6 +12,7 @@ golden files are stable across runs.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
@@ -112,6 +113,19 @@ def comp_sub(mu: Sequence[int], tau: Sequence[int]) -> Composition:
     if any(d < 0 for d in diff):
         raise ValueError(f"{tau} is not contained in {tuple(mu)}")
     return diff
+
+
+@lru_cache(maxsize=None)
+def border_counts(mu: Composition, k: int) -> Counter:
+    """The number of tau in C(mu; k) in each class (sort(mu - tau), l(tau)).
+
+    The sums over C(mu; k) depend on tau only through its class, so they run
+    over these counts.  The Counter is shared by every caller: never modify it.
+    """
+    counts: Counter = Counter()
+    for tau in subcompositions(mu, k):
+        counts[sort_to_partition(comp_sub(mu, tau)), nonzero_length(tau)] += 1
+    return counts
 
 
 def hook_lengths(lam: Partition) -> Tuple[Tuple[int, ...], ...]:

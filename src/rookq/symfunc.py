@@ -23,14 +23,11 @@ from .errors import InvariantViolation, WeightMismatch
 from .exact import LaurentPoly
 from .shapes import (
     Partition,
-    comp_sub,
+    border_counts,
     gbs_complements,
     gbs_decompose,
     multiplicities,
-    nonzero_length,
     partitions_of,
-    sort_to_partition,
-    subcompositions,
     z_lambda,
 )
 
@@ -277,9 +274,8 @@ def qhat_lemma_rhs(lam: Partition) -> PExpansion:
     one_minus_t = 1 - LaurentPoly.monomial("t", 1)
     total = PExpansion.zero()
     for k in range(sum(lam) + 1):
-        for tau in subcompositions(lam, k):
-            rest = sort_to_partition(comp_sub(lam, tau))
-            total = total + q_mu(rest).scale(one_minus_t ** nonzero_length(tau))
+        for (rest, length), count in border_counts(tuple(lam), k).items():
+            total = total + q_mu(rest).scale(one_minus_t**length * count)
     return total
 
 
@@ -290,7 +286,6 @@ def h_adjoint_combinatorial(k: int, mu: Partition) -> PExpansion:
     """
     one_minus_t = 1 - LaurentPoly.monomial("t", 1)
     total = PExpansion.zero()
-    for tau in subcompositions(mu, k):
-        rest = sort_to_partition(comp_sub(mu, tau))
-        total = total + qhat_mu(rest).scale(one_minus_t ** nonzero_length(tau))
+    for (rest, length), count in border_counts(tuple(mu), k).items():
+        total = total + qhat_mu(rest).scale(one_minus_t**length * count)
     return total

@@ -208,7 +208,7 @@ def check_mn_adjoint_identity(n: int) -> CheckResult:
 
 
 def check_cross_methods(n: int) -> CheckResult:
-    cap = min(n, 6)
+    cap = min(n, 7)
     sn_cap = min(n, 5)
     for w in range(cap + 1):
         for mu in sh.partitions_of(w):

@@ -1,10 +1,20 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rookq import characters, shapes
 from rookq.errors import VariantMismatch, WeightMismatch
 from rookq.exact import LaurentPoly
-from rookq.shapes import comp_sub, f_lambda, nonzero_length, partitions_of, subcompositions
+from rookq.shapes import (
+    comp_sub,
+    f_lambda,
+    nonzero_length,
+    partitions_of,
+    partitions_up_to,
+    subcompositions,
+)
 from rookq.symfunc import classical_char
 from rookq.characters import (
     CharacterTable,
@@ -102,6 +112,33 @@ class TestIterative:
     def test_empty_base(self):
         for mu in partitions_of(4):
             assert chi_iterative((), mu) == chi_empty(mu)
+
+    def test_independent_of_border_strips(self, monkeypatch):
+        cells = [
+            (lam, mu) for w in range(7) for mu in partitions_of(w) for lam in partitions_up_to(w)
+        ]
+        expected = {cell: chi_mn(*cell) for cell in cells}
+
+        def refuse(*args):
+            raise AssertionError("chi_iterative reached the border-strip code")
+
+        for name in ("gbs_complements", "gbs_decompose", "gbs_weight_k"):
+            monkeypatch.setattr(shapes, name, refuse)
+            monkeypatch.setattr(characters, name, refuse)
+        chi_iterative.cache_clear()
+        chi_mn.cache_clear()
+        assert {cell: chi_iterative(*cell) for cell in cells} == expected
+
+    @settings(max_examples=20)
+    @given(
+        st.integers(9, 12).flatmap(
+            lambda w: st.tuples(
+                st.sampled_from(partitions_up_to(w)), st.sampled_from(partitions_of(w))
+            )
+        )
+    )
+    def test_matches_mn_at_high_weight(self, cell):
+        assert chi_iterative(*cell) == chi_mn(*cell)
 
 
 class TestMurnaghanNakayama:

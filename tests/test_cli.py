@@ -265,6 +265,18 @@ class TestTableCommand:
                 poly = LaurentPoly.parse(cell, "q")
                 assert str(poly) == cell
 
+    @pytest.mark.parametrize("argv", [("--methods", ","), ("--methods=",)])
+    def test_empty_method_list_is_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, "table", "--n", "2", *argv)
+        assert code == 3 and out == ""
+        assert "at least one method" in err
+
+    @pytest.mark.parametrize("method, shape", [("hook", "a hook"), ("two_row", "a two-row shape")])
+    def test_shape_restricted_method_is_refused(self, capsys, method, shape):
+        code, out, err = run_cli(capsys, "table", "--n", "3", "--methods", method)
+        assert code == 3 and out == ""
+        assert f"is not {shape}" in err
+
     def test_n_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("ROOKQ_MAX_WEIGHT", "3")
         code, _, err = run_cli(capsys, "table", "--n", "4")

@@ -1,10 +1,12 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from rookq.errors import NotGbsError
 from rookq.exact import LaurentPoly
 from rookq.shapes import (
+    border_counts,
     conjugate,
     f_lambda,
     gbs_complements,
@@ -148,6 +150,19 @@ class TestCompositions:
         assert sort_to_partition((0, 2, 1)) == (2, 1)
         assert sort_to_partition((0, 0, 0)) == ()
         assert sort_to_partition((1, 3, 1)) == (3, 1, 1)
+
+    @pytest.mark.parametrize(
+        "mu",
+        [mu for w in range(8) for mu in partitions_of(w)] + [(1, 3, 2), (2, 0, 3), (1, 1, 2, 1)],
+    )
+    def test_border_counts_against_brute_force(self, mu):
+        for k in range(sum(mu) + 2):
+            brute = Counter()
+            for tau in itertools.product(*(range(p + 1) for p in mu)):
+                if sum(tau) == k:
+                    rest = sorted((m - t for m, t in zip(mu, tau) if m > t), reverse=True)
+                    brute[tuple(rest), sum(1 for t in tau if t)] += 1
+            assert border_counts(mu, k) == brute, (mu, k)
 
 
 class TestSkewAndStrips:
