@@ -84,8 +84,9 @@ def chi_iterative(lam: Partition, mu: Partition) -> LaurentPoly:
 
     A summand depends on tau only through its class in ``border_counts``,
     so each class is summed once, times its count.  The summands are added
-    up per (q-1) exponent e; the groups are put over (q-1)^top, top the
-    largest e (or 0), and the sum is divided by it exactly.
+    up per (q-1) exponent e, and each group is multiplied by (q-1)^(-e):
+    every part of mu is in tau or in mu-tau, so l(tau) + l(mu-tau) >= l(mu)
+    and e is never positive.
     """
     lam, mu = tuple(lam), tuple(mu)
     _check_weights(lam, mu)
@@ -102,13 +103,9 @@ def chi_iterative(lam: Partition, mu: Partition) -> LaurentPoly:
             e = lmu - lt - len(rho)
             term = chi_iterative(nu, rho).times_power(k - lt).scale(sign * count)
             by_exponent[e] = by_exponent[e] + term if e in by_exponent else term
-    if not by_exponent:
-        return LaurentPoly.zero("q")
-    top = max(0, max(by_exponent))
-    numer = LaurentPoly.sum_of_products(
-        (poly, _QM1 ** (top - e)) for e, poly in by_exponent.items()
+    return sum(
+        (poly * _QM1 ** (-e) for e, poly in by_exponent.items()), LaurentPoly.zero("q")
     )
-    return numer.exact_div(_QM1**top) if top else numer
 
 
 @lru_cache(maxsize=None)
@@ -408,7 +405,7 @@ def compute_chi(lam: Sequence[int], mu: Sequence[int], method: str = "mn") -> La
     else:
         raise ValueError(f"unknown method {method!r}")
     if not (chi.is_ordinary() and chi.has_integer_coefficients()):
-        raise InvariantViolation(f"character value must lie in Z[q]: {chi}")
+        raise InvariantViolation(f"chi^{list(lam)}_{list(mu)} by {method} is not in Z[q]: {chi}")
     return chi
 
 

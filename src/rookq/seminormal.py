@@ -100,10 +100,6 @@ def _positions(t: Tableau) -> Dict[int, Tuple[int, int]]:
     return {label: (r, c) for r, row in enumerate(t) for c, label in enumerate(row)}
 
 
-def _replace_label(t: Tableau, old: int, new: int) -> Tableau:
-    return tuple(tuple(new if v == old else v for v in row) for row in t)
-
-
 def _swap_labels(t: Tableau, a: int, b: int) -> Tableau:
     return tuple(tuple(b if v == a else a if v == b else v for v in row) for row in t)
 
@@ -174,9 +170,9 @@ def _gen_action(i: int, lam: Partition, n: int):
                 col.append((index[_swap_labels(t, i, i + 1)], scale + diag))
         elif has_j:
             col.append((l, scale_qm1))
-            col.append((index[_replace_label(t, i + 1, i)], scale_q))
+            col.append((index[_swap_labels(t, i, i + 1)], scale_q))
         elif has_i:
-            col.append((index[_replace_label(t, i, i + 1)], scale))
+            col.append((index[_swap_labels(t, i, i + 1)], scale))
         else:
             col.append((l, scale_q))
         cols.append(tuple(col))

@@ -24,12 +24,12 @@ from .exact import LaurentPoly
 from .shapes import (
     Partition,
     border_counts,
-    gbs_complements,
-    gbs_decompose,
     multiplicities,
     partitions_of,
     z_lambda,
 )
+# unused here, but perfbench/tests/test_tracer.py checks that this name is bound
+from .shapes import gbs_decompose  # noqa: F401
 
 Coeff = Union[int, Fraction, LaurentPoly]
 
@@ -232,18 +232,23 @@ def _classical_rec(lam: Partition, rho: Partition) -> int:
         return 1 if not lam else 0
     if sum(lam) > sum(rho):
         return 0
-    rest = rho[1:]
+    k, rest = rho[0], rho[1:]
     # the "remove nothing" branch dies on weight grounds when |lam| = |rho|
     total = _classical_rec(lam, rest)
-    for nu in gbs_complements(lam, rho[0], rho[0]):
-        comps = gbs_decompose(lam, nu)
-        if len(comps) == 1:
-            total += (-1) ** (comps[0][1] - 1) * _classical_rec(nu, rest)
+    # a rim hook of k cells moves one beta-number b = lam_i + l(lam) - i to a
+    # free b - k; its height is the number of beta-numbers the move passes
+    top = len(lam) - 1
+    beads = [part + top - i for i, part in enumerate(lam)]
+    for b in beads:
+        if b >= k and b - k not in beads:
+            moved = sorted((b - k if c == b else c for c in beads), reverse=True)
+            nu = tuple(p for p in (c - top + i for i, c in enumerate(moved)) if p)
+            total += (-1) ** sum(b - k < c < b for c in beads) * _classical_rec(nu, rest)
     return total
 
 
 def classical_char(lam: Partition, rho: Partition) -> int:
-    """Classical character value by border-strip recursion.
+    """Classical character value by rim-hook recursion on beta-numbers.
 
     For |lam| = |rho| this is the symmetric group character chi^lambda_rho
     (Murnaghan-Nakayama).  For |lam| < |rho| it is the q -> 1 limit of the

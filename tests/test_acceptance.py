@@ -2,8 +2,8 @@
 ``verify`` check, every comparison exact.
 
 Each invariant lives in ``rookq.verify`` and nowhere else: this module runs
-every check of ``verify.ALL_CHECKS`` as its own case, at weight 8, the highest
-cap any check has, so each check runs at exactly its own cap.  The two
+every check of ``verify.ALL_CHECKS`` as its own case, at the weight cap the
+check declares, so the CLI and the tests run the same weights.  The two
 criteria that are not invariants stand alone: criterion 1 reproduces the
 frozen weight-5 table (tests/table1_golden.py) and criterion 4 adjudicates
 the disputed cell.  Each test prints a single PASS line (visible with
@@ -72,11 +72,33 @@ def test_c4_discrepancy_adjudication():
 
 @pytest.mark.parametrize("check", verify.ALL_CHECKS, ids=lambda f: f.__name__)
 def test_verify_check(check):
-    """Every invariant of the ``verify`` suite holds at its full weight cap.
-
-    No check caps its weight above 8, so at weight 8 min(8, cap) is each
-    check's own cap.
-    """
-    result = check(8)
+    """Every invariant of the ``verify`` suite holds at its declared weight cap."""
+    result = check(check.cap)
     assert result.ok, result.detail
-    print(f"ACCEPTANCE {result.name}: PASS (weight 8)")
+    print(f"ACCEPTANCE {result.name}: PASS (weight {check.cap})")
+
+
+@pytest.mark.parametrize(
+    "skew, detail",
+    [
+        ("q", "oracle: q - 1; iterative: q"),
+        ("1/2*q", "chi^[1]_[2] by iterative is not in Z[q]: 1/2*q"),
+    ],
+    ids=["disagreement", "outside-zq"],
+)
+def test_route_failure_names_the_values(monkeypatch, skew, detail):
+    """A failing route comparison reports the routes' values, not just the cell."""
+    good = ch.chi_iterative
+
+    def skewed(lam, mu):
+        if (lam, mu) == ((1,), (2,)):
+            return LaurentPoly.parse(skew, "q")
+        return good(lam, mu)
+
+    monkeypatch.setattr(ch, "chi_iterative", skewed)
+    try:
+        result = verify.check_cross_methods(3)
+    finally:
+        good.cache_clear()
+    assert not result.ok
+    assert detail in result.detail

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rookq import characters, shapes
+from rookq import characters, shapes, symfunc
 from rookq.errors import VariantMismatch, WeightMismatch
 from rookq.exact import LaurentPoly
 from rookq.shapes import (
@@ -71,9 +71,33 @@ class TestChiEmpty:
         assert chi_empty(()) == LaurentPoly.one("q")
 
 
+def cells_up_to(weight):
+    return [
+        (lam, mu)
+        for w in range(weight + 1)
+        for mu in partitions_of(w)
+        for lam in partitions_up_to(w)
+    ]
+
+
+def refuse(*args):
+    raise AssertionError("reached code that this route must not share")
+
+
 class TestOracle:
     def test_column_value(self):
         assert chi_oracle((1, 1, 1, 1), (2, 1, 1, 1)) == qp("q - 4")
+
+    def test_independent_of_border_strips(self, monkeypatch):
+        cells = cells_up_to(6)
+        expected = {cell: chi_mn(*cell) for cell in cells}
+        for module in (shapes, characters, symfunc):
+            for name in ("gbs_complements", "gbs_decompose", "gbs_weight_k"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        for memo in (chi_oracle, chi_mn, symfunc.schur_in_p, symfunc._classical_rec):
+            memo.cache_clear()
+        assert {cell: chi_oracle(*cell) for cell in cells} == expected
 
     def test_empty_value(self):
         assert chi_oracle((), (2, 1, 1, 1)) == qp("q")
@@ -125,6 +149,14 @@ class TestIterative:
         for name in ("gbs_complements", "gbs_decompose", "gbs_weight_k"):
             monkeypatch.setattr(shapes, name, refuse)
             monkeypatch.setattr(characters, name, refuse)
+        chi_iterative.cache_clear()
+        chi_mn.cache_clear()
+        assert {cell: chi_iterative(*cell) for cell in cells} == expected
+
+    def test_independent_of_the_fused_kernel(self, monkeypatch):
+        cells = cells_up_to(6)
+        expected = {cell: chi_mn(*cell) for cell in cells}
+        monkeypatch.setattr(LaurentPoly, "sum_of_products", refuse)
         chi_iterative.cache_clear()
         chi_mn.cache_clear()
         assert {cell: chi_iterative(*cell) for cell in cells} == expected

@@ -196,6 +196,13 @@ class TestVerifyCommand:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert lines and all(l.startswith("PASS") for l in lines)
 
+    def test_weight_six_is_byte_identical(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--n", "6")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2962e0b10cb5cc9c9f93f1124e94bf4d21b6cfb863ba26e6250ae1d54277bd91"
+        )
+
 
 class TestTableCommand:
     def test_csv_matches_reference(self, capsys):
@@ -281,3 +288,17 @@ class TestTableCommand:
         monkeypatch.setenv("ROOKQ_MAX_WEIGHT", "3")
         code, _, err = run_cli(capsys, "table", "--n", "4")
         assert code == 3 and "ROOKQ_MAX_WEIGHT" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--n", "3", "--order", "bogus"),
+        ("table", "--n", "3", "--format", "xml"),
+        ("bitrace", "--mu", "[1]", "--nu", "[1]", "--method", "foo"),
+    ],
+)
+def test_choice_outside_the_list_is_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "invalid choice" in err

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -6,7 +7,13 @@ import pytest
 
 from rookq.errors import WeightMismatch
 from rookq.exact import LaurentPoly
-from rookq.shapes import partitions_of, z_lambda
+from rookq.shapes import (
+    gbs_complements,
+    gbs_decompose,
+    partitions_of,
+    partitions_up_to,
+    z_lambda,
+)
 from rookq.symfunc import (
     PExpansion,
     adjoint_apply,
@@ -87,7 +94,34 @@ class TestHallLittlewood:
             assert qhat_expansion(n) == rhs
 
 
+@functools.lru_cache(maxsize=None)
+def strip_walk_char(lam, rho):
+    """Reference classical character: walk the border strips of lam itself.
+
+    Removes each single border strip of rho_1 cells, found among the
+    generalized border strips, with sign (-1)^(rows - 1), plus the skip
+    branch that the q -> 1 limit adds when |lam| < |rho|.
+    """
+    if not rho:
+        return 1 if not lam else 0
+    if sum(lam) > sum(rho):
+        return 0
+    rest = rho[1:]
+    total = strip_walk_char(lam, rest)
+    for nu in gbs_complements(lam, rho[0], rho[0]):
+        comps = gbs_decompose(lam, nu)
+        if len(comps) == 1:
+            total += (-1) ** (comps[0][1] - 1) * strip_walk_char(nu, rest)
+    return total
+
+
 class TestClassicalChars:
+    def test_beta_numbers_match_the_strip_walk(self):
+        for w in range(9):
+            for rho in partitions_of(w):
+                for lam in partitions_up_to(w):
+                    assert classical_char(lam, rho) == strip_walk_char(lam, rho), (lam, rho)
+
     def test_trivial_character(self):
         for n in range(1, 7):
             for rho in partitions_of(n):
