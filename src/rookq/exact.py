@@ -85,6 +85,8 @@ class LaurentPoly:
         out: Dict[int, Scalar] = {}
         if terms:
             for h, c in terms.items():
+                if not isinstance(h, int):
+                    raise TypeError(f"expected an integer exponent, got {type(h).__name__}")
                 c = _as_coeff(c)
                 if c:
                     out[int(h)] = c
@@ -315,8 +317,12 @@ class LaurentPoly:
         return True
 
     def __hash__(self):
+        # a constant equals itself under either tag and as a plain number
         if self._hash is None:
-            self._hash = hash((self.var, tuple(sorted(self._terms.items()))))
+            if self._is_const():
+                self._hash = hash(self._terms.get(0, 0))
+            else:
+                self._hash = hash((self.var, tuple(sorted(self._terms.items()))))
         return self._hash
 
     def __bool__(self) -> bool:

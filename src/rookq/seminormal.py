@@ -19,19 +19,29 @@ S_i = D_i * T_i, D_i the lcm of the [d]_q that T_i can meet (``_scale``),
 and every entry is an integer Laurent polynomial.  A trace of S_mu is the
 trace of T_mu times the product of the D_i, which it divides exactly; the
 quotient must be a polynomial in Z[q], and anything else signals a bug.
+
+A tableau is stored as its content vector (``Tableau``): S_i reads the
+content difference of labels i and i+1 off two entries, and relabels them by
+swapping the two.  ``_image`` applies a product of generators to one basis
+vector; the trace and every relation check are built on it.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, NonExactDivision, ShapeTooLarge, WeightMismatch
 from .exact import LaurentPoly
 from .shapes import Partition, standard_count
 
-Tableau = Tuple[Tuple[int, ...], ...]
+# An n-standard tableau as its content vector: entry l-1 is the content
+# (column - row) of label l, or None when l is absent.  The addable cells of
+# a partition have distinct contents, so the contents of the labels present,
+# in order, fix the filling.
+Tableau = Tuple[Optional[int], ...]
+Vector = Dict[int, LaurentPoly]
 
 _Q = LaurentPoly.monomial("q", 1)
 _ONE = LaurentPoly.one("q")
@@ -44,45 +54,39 @@ MAX_TRACE_WEIGHT = 8
 
 
 @lru_cache(maxsize=None)
-def _syt(lam: Partition) -> Tuple[Tableau, ...]:
-    """Standard Young tableaux of shape lam filled with 1..|lam|."""
-    k = sum(lam)
-    out: List[Tableau] = []
-    filled = [0] * len(lam)
-    rows: List[List[int]] = [[] for _ in lam]
-
-    def rec(num: int):
-        if num > k:
-            out.append(tuple(tuple(r) for r in rows))
-            return
-        for r in range(len(lam)):
-            if filled[r] < lam[r] and (r == 0 or filled[r - 1] > filled[r]):
-                filled[r] += 1
-                rows[r].append(num)
-                rec(num + 1)
-                filled[r] -= 1
-                rows[r].pop()
-
-    rec(1)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def enumerate_tableaux(lam: Partition, n: int) -> Tuple[Tableau, ...]:
-    """All n-standard tableaux of shape lam, in a fixed deterministic order.
+    """All n-standard tableaux of shape lam, as content vectors, in a fixed order.
 
-    Label sets run in lexicographic order; within a label set the standard
-    fillings follow the row-insertion order of ``_syt``.
+    Labels 1..n are placed in turn: each fills an addable cell of the shape
+    built so far, rows top to bottom, or else is left out while enough labels
+    remain for the cells still empty.
     """
     lam = tuple(lam)
     k = sum(lam)
     if k > n:
         raise ShapeTooLarge(f"shape {list(lam)} has {k} boxes but only {n} labels exist")
-    base = _syt(lam)
     out: List[Tableau] = []
-    for subset in itertools.combinations(range(1, n + 1), k):
-        for t in base:
-            out.append(tuple(tuple(subset[v - 1] for v in row) for row in t))
+    rows = [0] * len(lam)
+    contents: List[Optional[int]] = []
+
+    def rec():
+        label = len(contents) + 1
+        if label > n:
+            out.append(tuple(contents))
+            return
+        for r, length in enumerate(rows):
+            if length < lam[r] and (r == 0 or rows[r - 1] > length):
+                rows[r] += 1
+                contents.append(length - r)
+                rec()
+                contents.pop()
+                rows[r] -= 1
+        if n - label >= k - sum(rows):
+            contents.append(None)
+            rec()
+            contents.pop()
+
+    rec()
     if len(out) != standard_count(lam, n):
         raise InvariantViolation(
             f"{len(out)} tableaux of shape {list(lam)} on {n} labels, "
@@ -94,14 +98,6 @@ def enumerate_tableaux(lam: Partition, n: int) -> Tuple[Tableau, ...]:
 @lru_cache(maxsize=None)
 def _index(lam: Partition, n: int) -> Dict[Tableau, int]:
     return {t: i for i, t in enumerate(enumerate_tableaux(lam, n))}
-
-
-def _positions(t: Tableau) -> Dict[int, Tuple[int, int]]:
-    return {label: (r, c) for r, row in enumerate(t) for c, label in enumerate(row)}
-
-
-def _swap_labels(t: Tableau, a: int, b: int) -> Tableau:
-    return tuple(tuple(b if v == a else a if v == b else v for v in row) for row in t)
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +131,7 @@ def _gen_action(i: int, lam: Partition, n: int):
     """Sparse columns of S_i = D_i * T_i on the tableau basis (see ``_scale``).
 
     Column l lists (row, coefficient) pairs of S_i v_L for L = basis[l].
-    With delta = c_i - c_{i+1} the content difference of labels i and i+1,
+    With delta = L[i-1] - L[i] the content difference of labels i and i+1,
     T_i has:
 
         both i, i+1 in L:   (q-1)/(1 - q^delta) on the diagonal, that is
@@ -147,39 +143,29 @@ def _gen_action(i: int, lam: Partition, n: int):
         only i in L:        1 to the relabeling;
         neither:            q on the diagonal.
     """
-    basis = enumerate_tableaux(lam, n)
     index = _index(lam, n)
     scale = _scale(i, lam)
     scale_q = scale * _Q
     scale_qm1 = scale * (_Q - 1)
     cols = []
-    for l, t in enumerate(basis):
-        pos = _positions(t)
-        has_i = i in pos
-        has_j = (i + 1) in pos
-        col: List[Tuple[int, LaurentPoly]] = []
-        if has_i and has_j:
-            ri, ci = pos[i]
-            rj, cj = pos[i + 1]
-            delta = (ci - ri) - (cj - rj)
-            d = abs(delta)
+    for l, t in enumerate(enumerate_tableaux(lam, n)):
+        a, b = t[i - 1], t[i]
+        swapped = t[: i - 1] + (b, a) + t[i + 1 :]  # labels i and i+1 exchanged
+        if a is not None and b is not None:
+            d = abs(a - b)
             diag = scale.exact_div(LaurentPoly("q", dict.fromkeys(range(d), 1)))
-            diag = -diag if delta > 0 else diag.times_power(d)
-            col.append((l, diag))
+            diag = -diag if a > b else diag.times_power(d)
+            col = [(l, diag)]
             if d > 1:
-                col.append((index[_swap_labels(t, i, i + 1)], scale + diag))
-        elif has_j:
-            col.append((l, scale_qm1))
-            col.append((index[_swap_labels(t, i, i + 1)], scale_q))
-        elif has_i:
-            col.append((index[_swap_labels(t, i, i + 1)], scale))
+                col.append((index[swapped], scale + diag))
+        elif b is not None:
+            col = [(l, scale_qm1), (index[swapped], scale_q)]
+        elif a is not None:
+            col = [(index[swapped], scale)]
         else:
-            col.append((l, scale_q))
+            col = [(l, scale_q)]
         cols.append(tuple(col))
     return tuple(cols)
-
-
-Vector = Dict[int, LaurentPoly]
 
 
 def _apply(action, vec: Vector) -> Vector:
@@ -192,36 +178,35 @@ def _apply(action, vec: Vector) -> Vector:
     return {r: v for r, v in out.items() if not v.is_zero}
 
 
+def _image(actions, l: int) -> Vector:
+    """(A_1 A_2 ... A_m) v_l for actions = [A_1, ..., A_m], A_m applied first."""
+    vec: Vector = {l: _ONE}
+    for action in reversed(actions):
+        vec = _apply(action, vec)
+    return vec
+
+
 def quadratic_check(i: int, lam: Sequence[int], n: int) -> bool:
     """(T_i - q)(T_i + 1) = 0, and the braid relation with T_{i+1} when defined.
 
-    On S_i = D_i T_i these read (S_i - q D_i)(S_i + D_i) = 0 and
+    On S_i = D_i T_i these read S_i^2 = (q-1) D_i S_i + q D_i^2 and
     D_{i+1} S_i S_{i+1} S_i = D_i S_{i+1} S_i S_{i+1}.
     """
     lam = tuple(lam)
-    act = _gen_action(i, lam, n)
+    a = _gen_action(i, lam, n)
     scale = _scale(i, lam)
-    lin = scale * (1 - _Q)
-    const = -(scale * scale * _Q)
-    for l in range(len(act)):
-        mv = _apply(act, {l: _ONE})
-        res = _apply(act, mv)
-        for r, c in mv.items():
-            cur = res.get(r)
-            add = c * lin
-            res[r] = add if cur is None else cur + add
-        cur = res.get(l)
-        res[l] = const if cur is None else cur + const
-        if any(not c.is_zero for c in res.values()):
+    lin, const = scale * (_Q - 1), scale * scale * _Q
+    for l in range(len(a)):
+        rhs = {r: v * lin for r, v in _image([a], l).items()}
+        rhs[l] = rhs.get(l, 0) + const
+        if _image([a, a], l) != {r: v for r, v in rhs.items() if v}:
             return False
     if i + 1 <= n - 1:
-        act2 = _gen_action(i + 1, lam, n)
-        scale2 = _scale(i + 1, lam)
-        for l in range(len(act)):
-            v = {l: _ONE}
-            aba = _apply(act, _apply(act2, _apply(act, v)))
-            bab = _apply(act2, _apply(act, _apply(act2, v)))
-            if {r: c * scale2 for r, c in aba.items()} != {r: c * scale for r, c in bab.items()}:
+        b = _gen_action(i + 1, lam, n)
+        scale_b = _scale(i + 1, lam)
+        for l in range(len(a)):
+            aba, bab = _image([a, b, a], l), _image([b, a, b], l)
+            if {r: v * scale_b for r, v in aba.items()} != {r: v * scale for r, v in bab.items()}:
                 return False
     return True
 
@@ -229,13 +214,8 @@ def quadratic_check(i: int, lam: Sequence[int], n: int) -> bool:
 def commute_check(i: int, j: int, lam: Sequence[int], n: int) -> bool:
     """T_i T_j = T_j T_i for |i - j| > 1."""
     lam = tuple(lam)
-    act_i = _gen_action(i, lam, n)
-    act_j = _gen_action(j, lam, n)
-    for l in range(len(act_i)):
-        v: Vector = {l: _ONE}
-        if _apply(act_i, _apply(act_j, v)) != _apply(act_j, _apply(act_i, v)):
-            return False
-    return True
+    a, b = _gen_action(i, lam, n), _gen_action(j, lam, n)
+    return all(_image([a, b], l) == _image([b, a], l) for l in range(len(a)))
 
 
 def standard_word(mu: Sequence[int]) -> List[int]:
@@ -262,23 +242,13 @@ def trace_standard_element(lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly
     n = sum(mu)
     if sum(lam) > n:
         raise WeightMismatch(f"|lambda|={sum(lam)} exceeds |mu|={n}")
-    basis = enumerate_tableaux(lam, n)
     word = standard_word(mu)
-    actions = {i: _gen_action(i, lam, n) for i in set(word)}
+    actions = [_gen_action(g, lam, n) for g in word]
     total = LaurentPoly.zero("q")
-    for idx in range(len(basis)):
-        vec: Vector = {idx: _ONE}
-        for g in reversed(word):
-            vec = _apply(actions[g], vec)
-            if not vec:
-                break
-        c = vec.get(idx)
-        if c is not None:
-            total = total + c
+    for l in range(len(enumerate_tableaux(lam, n))):
+        total = total + _image(actions, l).get(l, 0)
     # the trace of the product of the S_g is prod D_g times the trace of T_mu
-    scale = _ONE
-    for g in word:
-        scale = scale * _scale(g, lam)
+    scale = math.prod((_scale(g, lam) for g in word), start=_ONE)
     try:
         trace = total.exact_div(scale)
     except NonExactDivision:

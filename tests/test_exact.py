@@ -123,6 +123,22 @@ class TestRingAxioms:
                 assert (a * b).exact_div(b) == a
 
 
+class TestEqualityAndHash:
+    def test_equal_constants_hash_equal(self):
+        # a constant equals the same constant under the other tag and as a number
+        pairs = [
+            (LaurentPoly.one("q"), LaurentPoly.one("t")),
+            (LaurentPoly.zero("q"), LaurentPoly.zero("t")),
+            (LaurentPoly.one("q"), 1),
+            (LaurentPoly.const(Fraction(1, 2), "t"), Fraction(1, 2)),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b), (a, b)
+            assert len({a, b}) == 1, (a, b)
+        # a nonconstant polynomial keeps its tag
+        assert Q != T and len({Q, T, Q + 0}) == 2
+
+
 class TestTextForms:
     def test_canonical_string(self):
         assert str(qpoly({3: 2, 2: -10, 1: 10, 0: -2})) == "2*q^3 - 10*q^2 + 10*q - 2"

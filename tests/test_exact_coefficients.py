@@ -128,6 +128,9 @@ def test_float_rejected():
         LaurentPoly("q", {0: 0.5})
     with pytest.raises(TypeError):
         LaurentPoly.monomial("q", 1).scale(2.0)
+    # a non-integral exponent is refused, not truncated
+    with pytest.raises(TypeError):
+        LaurentPoly("q", {1.5: 1})
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,15 @@
+import itertools
+
 import pytest
 
 from rookq.errors import ShapeTooLarge, WeightMismatch
 from rookq.exact import LaurentPoly
 from rookq.shapes import partitions_of, partitions_up_to, standard_count
 from rookq.characters import chi_oracle
+import rookq.seminormal as sn
 from rookq.seminormal import (
     _gen_action,
+    commute_check,
     enumerate_tableaux,
     quadratic_check,
     standard_word,
@@ -13,6 +17,24 @@ from rookq.seminormal import (
 )
 
 Q = LaurentPoly.monomial("q", 1)
+
+
+def brute_force_tableaux(lam, n):
+    """Content vectors of every injective filling of lam's cells by labels from
+    {1..n} whose rows and columns increase."""
+    cells = [(r, c) for r, length in enumerate(lam) for c in range(length)]
+    out = []
+    for labels in itertools.permutations(range(1, n + 1), len(cells)):
+        at = dict(zip(cells, labels))
+        if all(
+            at[r, c] < at.get((r, c + 1), n + 1) and at[r, c] < at.get((r + 1, c), n + 1)
+            for r, c in cells
+        ):
+            contents = [None] * n
+            for (r, c), label in at.items():
+                contents[label - 1] = c - r
+            out.append(tuple(contents))
+    return out
 
 
 def entry(cols, r, c):
@@ -35,9 +57,16 @@ class TestTableaux:
         with pytest.raises(ShapeTooLarge):
             enumerate_tableaux((3, 1), 3)
 
+    def test_matches_brute_force_fillings(self):
+        for n in range(7):
+            for lam in partitions_up_to(n):
+                basis = enumerate_tableaux(lam, n)
+                assert len(set(basis)) == len(basis), (lam, n)
+                assert set(basis) == set(brute_force_tableaux(lam, n)), (lam, n)
+
     def test_deterministic_order(self):
         basis = enumerate_tableaux((1,), 2)
-        assert basis == (((1,),), ((2,),))
+        assert basis == ((0, None), (None, 0))
 
 
 class TestGeneratorMatrices:
@@ -83,6 +112,30 @@ class TestRelations:
         assert quadratic_check(1, (1,), 2)
         assert quadratic_check(1, (2, 1), 3)
         assert quadratic_check(1, (), 3)
+
+    @pytest.mark.parametrize(
+        "gen, skew, check",
+        [
+            # S_2 doubled: S_1's quadratic relation holds, the braid with S_2 fails
+            (2, lambda l, r, c: 2 * c, lambda: quadratic_check(1, (2, 1), 4)),
+            # S_1's diagonal negated: the quadratic relation fails
+            (1, lambda l, r, c: -c if r == l else c, lambda: quadratic_check(1, (2, 1), 4)),
+            # S_1's column 0 doubled: S_1 and S_3 no longer commute
+            (1, lambda l, r, c: 2 * c if l == 0 else c, lambda: commute_check(1, 3, (2, 1), 4)),
+        ],
+    )
+    def test_each_check_detects_a_skewed_generator(self, monkeypatch, gen, skew, check):
+        assert check()
+        action = sn._gen_action
+
+        def skewed(i, lam, n):
+            cols = action(i, lam, n)
+            if i != gen:
+                return cols
+            return tuple(tuple((r, skew(l, r, c)) for r, c in col) for l, col in enumerate(cols))
+
+        monkeypatch.setattr(sn, "_gen_action", skewed)
+        assert not check()
 
 
 class TestTraces:
