@@ -15,22 +15,32 @@ entries into q and 1.
 
 The other entries keep the label sum.  Their only denominators are
 q-integers [d]_q = 1 + q + ... + q^(d-1), so ``_gen_action`` stores
-S_i = D_i * T_i, D_i the lcm of the [d]_q that T_i can meet (``_scale``),
-and every entry is an integer Laurent polynomial.  A trace of S_mu is the
-trace of T_mu times the product of the D_i, which it divides exactly; the
-quotient must be a polynomial in Z[q], and anything else signals a bug.
+S_i = D_i * T_i, D_i the lcm of the [d]_q that T_i can meet (``_scale``):
+these polynomial columns, all in Z[q], are the one definition of S_i, and
+the relation checks compare products of them directly.
+
+A trace T(q) of S_mu, which is chi(q) times the product of the D_g, is taken
+in plain ints by Kronecker substitution (von zur Gathen and Gerhard, Modern
+Computer Algebra, 8.4).  With each entry replaced by the sum of its absolute
+coefficients (``_abs_action``) the trace is an int M >= ||T||_1.  With each
+entry evaluated at B = 2^k > 2M (``_action_at``, one shift per term) it is
+T(B); every coefficient of T lies in [-M, M], so T is T(B)'s balanced
+base-B digits (``_balanced_digits``), and it divides exactly by each D_g.
+An entry with a negative exponent, a failed division or a quotient outside
+Z[q] raises InvariantViolation: each signals a bug.
 
 A tableau is stored as its content vector (``Tableau``): S_i reads the
 content difference of labels i and i+1 off two entries, and relabels them by
 swapping the two.  ``_image`` applies a product of generators to one basis
-vector; the trace and every relation check are built on it.
+vector, with int or polynomial entries alike; the trace and every relation
+check are built on it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InvariantViolation, NonExactDivision, ShapeTooLarge, WeightMismatch
 from .exact import LaurentPoly
@@ -41,16 +51,16 @@ from .shapes import Partition, standard_count
 # a partition have distinct contents, so the contents of the labels present,
 # in order, fix the filling.
 Tableau = Tuple[Optional[int], ...]
-Vector = Dict[int, LaurentPoly]
+Vector = Dict[int, Union[int, LaurentPoly]]
 
 _Q = LaurentPoly.monomial("q", 1)
 _ONE = LaurentPoly.one("q")
 
 # The largest |mu| the command line runs this method on.  The slowest trace
-# of each weight from cold caches, on a 2-core host: 0.07 s at weight 7
-# ((3,2,1) x (7)), 0.45 s at 8 ((3,2,1,1) x (8)), 3.2 s at 9 ((4,2,1) x
-# (9)); the whole table takes 2.1 s at weight 7 and 27 s at weight 8.
-MAX_TRACE_WEIGHT = 8
+# of each weight from cold caches, on a 2-core host: 0.03 s at weight 8
+# ((3,2,1) x (8)), 0.13 s at 9 ((4,2,1) x (9)), 0.65 s at 10 ((4,2,1,1) x
+# (10)); the whole table takes 3.6 s at weight 8 and 24 s at weight 9.
+MAX_TRACE_WEIGHT = 9
 
 
 @lru_cache(maxsize=None)
@@ -110,6 +120,11 @@ def _cyclotomic(e: int) -> LaurentPoly:
     return out
 
 
+def _max_gap(i: int, lam: Partition) -> int:
+    """min(i, h - 1), h = lam_1 + l(lam) - 1: the contents of i and i+1 differ by at most this."""
+    return min(i, lam[0] + len(lam) - 2) if lam else 0
+
+
 @lru_cache(maxsize=None)
 def _scale(i: int, lam: Partition) -> LaurentPoly:
     """D_i = lcm([1]_q, ..., [d]_q) = prod Phi_e(q) over 2 <= e <= d, d = min(i, h-1).
@@ -117,11 +132,10 @@ def _scale(i: int, lam: Partition) -> LaurentPoly:
     Labels 1..i+1 fill a subdiagram of at most i+1 cells, so the contents of
     i and i+1 differ by at most i; inside lam they differ by at most h - 1,
     h = lam_1 + l(lam) - 1 the largest hook length.  So D_i * T_i has
-    entries in Z[q^(+-1)].
+    entries in Z[q].
     """
-    d = min(i, lam[0] + len(lam) - 2) if lam else 0
     out = _ONE
-    for e in range(2, d + 1):
+    for e in range(2, _max_gap(i, lam) + 1):
         out = out * _cyclotomic(e)
     return out
 
@@ -147,17 +161,21 @@ def _gen_action(i: int, lam: Partition, n: int):
     scale = _scale(i, lam)
     scale_q = scale * _Q
     scale_qm1 = scale * (_Q - 1)
+    # delta -> (diagonal entry, companion), one division D_i / [d]_q per d
+    entries: Dict[int, Tuple[LaurentPoly, LaurentPoly]] = {}
+    for d in range(1, _max_gap(i, lam) + 1):
+        quot = scale.exact_div(LaurentPoly("q", dict.fromkeys(range(d), 1)))
+        for delta, diag in ((d, -quot), (-d, quot.times_power(d))):
+            entries[delta] = (diag, scale + diag)
     cols = []
     for l, t in enumerate(enumerate_tableaux(lam, n)):
         a, b = t[i - 1], t[i]
         swapped = t[: i - 1] + (b, a) + t[i + 1 :]  # labels i and i+1 exchanged
         if a is not None and b is not None:
-            d = abs(a - b)
-            diag = scale.exact_div(LaurentPoly("q", dict.fromkeys(range(d), 1)))
-            diag = -diag if a > b else diag.times_power(d)
+            diag, companion = entries[a - b]
             col = [(l, diag)]
-            if d > 1:
-                col.append((index[swapped], scale + diag))
+            if abs(a - b) > 1:
+                col.append((index[swapped], companion))
         elif b is not None:
             col = [(l, scale_qm1), (index[swapped], scale_q)]
         elif a is not None:
@@ -168,6 +186,32 @@ def _gen_action(i: int, lam: Partition, n: int):
     return tuple(cols)
 
 
+def _int_view(i: int, lam: Partition, n: int, value):
+    """S_i's columns with each entry p replaced by the int value(p)."""
+    values: Dict[LaurentPoly, int] = {}  # the columns share a few entry objects
+    cols = []
+    for col in _gen_action(i, lam, n):
+        for _, p in col:
+            if p not in values:
+                if not p.is_ordinary():
+                    raise InvariantViolation(f"S_{i} on {list(lam)}, n={n}, has an entry not in Z[q]: {p}")
+                values[p] = value(p)
+        cols.append(tuple((r, values[p]) for r, p in col))
+    return tuple(cols)
+
+
+@lru_cache(maxsize=None)
+def _abs_action(i: int, lam: Partition, n: int):
+    """S_i with each entry replaced by the sum of its absolute coefficients."""
+    return _int_view(i, lam, n, lambda p: sum(abs(c) for _, c in p.items()))
+
+
+@lru_cache(maxsize=None)
+def _action_at(i: int, lam: Partition, n: int, k: int):
+    """S_i with each entry evaluated at q = 2^k."""
+    return _int_view(i, lam, n, lambda p: sum(c << (h * k) for h, c in p.items()))
+
+
 def _apply(action, vec: Vector) -> Vector:
     out: Vector = {}
     for l, c in vec.items():
@@ -175,12 +219,12 @@ def _apply(action, vec: Vector) -> Vector:
             v = a * c
             cur = out.get(r)
             out[r] = v if cur is None else cur + v
-    return {r: v for r, v in out.items() if not v.is_zero}
+    return {r: v for r, v in out.items() if v}
 
 
 def _image(actions, l: int) -> Vector:
     """(A_1 A_2 ... A_m) v_l for actions = [A_1, ..., A_m], A_m applied first."""
-    vec: Vector = {l: _ONE}
+    vec: Vector = {l: 1}
     for action in reversed(actions):
         vec = _apply(action, vec)
     return vec
@@ -232,6 +276,30 @@ def standard_word(mu: Sequence[int]) -> List[int]:
     return word
 
 
+def _trace(actions, dim: int) -> int:
+    """Trace of the product of int-valued actions on a basis of size dim."""
+    return sum(_image(actions, l).get(l, 0) for l in range(dim))
+
+
+def _balanced_digits(value: int, k: int) -> LaurentPoly:
+    """The polynomial T with T(2^k) = value and every coefficient in [-2^(k-1), 2^(k-1)).
+
+    Such a T is unique: its coefficients are value's balanced base-2^k
+    digits.  Each step shrinks |value| when k >= 2.
+    """
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    terms: Dict[int, int] = {}
+    h = 0
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= mask + 1
+        terms[h] = digit
+        value = (value - digit) >> k
+        h += 1
+    return LaurentPoly("q", terms)
+
+
 def trace_standard_element(lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly:
     """Exact trace of T_mu on the module of shape lambda; equals chi^lambda_mu.
 
@@ -243,17 +311,22 @@ def trace_standard_element(lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly
     if sum(lam) > n:
         raise WeightMismatch(f"|lambda|={sum(lam)} exceeds |mu|={n}")
     word = standard_word(mu)
-    actions = [_gen_action(g, lam, n) for g in word]
-    total = LaurentPoly.zero("q")
-    for l in range(len(enumerate_tableaux(lam, n))):
-        total = total + _image(actions, l).get(l, 0)
+    dim = len(enumerate_tableaux(lam, n))
+    # M >= ||T||_1, so B = 2^k > 2M leaves every coefficient of T one digit;
+    # k is rounded up to a multiple of 16, so that traces whose bounds are
+    # close share their evaluated generators
+    bound = _trace([_abs_action(g, lam, n) for g in word], dim)
+    k = (max(1, (2 * bound).bit_length()) + 15) // 16 * 16
+    total = _balanced_digits(_trace([_action_at(g, lam, n, k) for g in word], dim), k)
     # the trace of the product of the S_g is prod D_g times the trace of T_mu
-    scale = math.prod((_scale(g, lam) for g in word), start=_ONE)
+    trace: Optional[LaurentPoly] = total
     try:
-        trace = total.exact_div(scale)
+        for g in word:
+            trace = trace.exact_div(_scale(g, lam))
     except NonExactDivision:
         trace = None
     if trace is None or not trace.is_ordinary():
+        scale = math.prod((_scale(g, lam) for g in word), start=_ONE)
         raise InvariantViolation(
             f"trace of T_{list(mu)} on {list(lam)} is not in Z[q]: ({total})/({scale})"
         )

@@ -15,6 +15,7 @@ from rookq.shapes import (
     partitions_up_to,
     subcompositions,
 )
+from rookq.seminormal import MAX_TRACE_WEIGHT, trace_standard_element
 from rookq.symfunc import classical_char
 from rookq.characters import (
     CharacterTable,
@@ -171,6 +172,19 @@ class TestIterative:
     )
     def test_matches_mn_at_high_weight(self, cell):
         assert chi_iterative(*cell) == chi_mn(*cell)
+
+
+class TestSeminormal:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(8, MAX_TRACE_WEIGHT).flatmap(
+            lambda w: st.tuples(
+                st.sampled_from(partitions_up_to(w)), st.sampled_from(partitions_of(w))
+            )
+        )
+    )
+    def test_matches_mn_up_to_the_ceiling(self, cell):
+        assert trace_standard_element(*cell) == chi_mn(*cell)
 
 
 class TestMurnaghanNakayama:

@@ -96,13 +96,13 @@ class TestCharCommand:
             return real(lam, mu)
 
         monkeypatch.setattr(snmod, "trace_standard_element", counted)
-        # a weight-8 cell, the ceiling
-        assert MAX_TRACE_WEIGHT == 8
+        # a weight-9 cell, the ceiling
+        assert MAX_TRACE_WEIGHT == 9
         code, out, _ = run_cli(
-            capsys, "char", "--lambda", "[3,2,1,1]", "--mu", "[4,3,1]", "--check"
+            capsys, "char", "--lambda", "[3,2,1,1]", "--mu", "[4,3,2]", "--check"
         )
-        assert code == 0 and out.strip() == "-3*q^4 + 16*q^3 - 24*q^2 + 14*q - 2"
-        assert calls == [((3, 2, 1, 1), (4, 3, 1))]
+        assert code == 0 and out.strip() == "-12*q^5 + 55*q^4 - 94*q^3 + 77*q^2 - 29*q + 4"
+        assert calls == [((3, 2, 1, 1), (4, 3, 2))]
 
     def test_check_reports_a_disagreeing_seminormal_trace(self, capsys, monkeypatch):
         import rookq.seminormal as snmod

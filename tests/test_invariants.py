@@ -81,29 +81,34 @@ class TestInvariantChecks:
         assert run_optimized(script) == "False\nraised\n"
 
     def test_seminormal_trace_outside_zq(self, monkeypatch, capsys):
-        # each generator application skewed, one case per failure mode:
-        # divided by q, chi^(1)_(2) = q - 1 becomes 1 - q^-1, which is not
-        # ordinary; with 1 added to every entry, the scaled trace on
-        # (2,1) x (3) becomes -q^2, which its scale q + 1 does not divide
-        skews = [
-            ("{r: v.times_power(-1) for r, v in apply(act, vec).items()}", (1,), (2,)),
-            ("{r: v + 1 for r, v in apply(act, vec).items()}", (2, 1), (3,)),
-        ]
-        apply = seminormal._apply
-        for body, lam, mu in skews:
+        # every entry of every S_g skewed, one case per failure mode: divided
+        # by q, the entry 1 of S_1 on (1) becomes q^-1, which is not in Z[q];
+        # with 1 added, the trace on (2,1) x (4) becomes -q^4 - q^2, which
+        # its scale (q + 1)^2 does not divide
+        skews = [("c.times_power(-1)", (1,), (2,)), ("c + 1", (2, 1), (4,))]
+        action = seminormal._gen_action
+        views = [seminormal._abs_action, seminormal._action_at]
+        for skew, lam, mu in skews:
+            body = f"tuple(tuple((r, {skew}) for r, c in col) for col in action(i, lam, n))"
             with monkeypatch.context() as patch:
-                patch.setattr(seminormal, "_apply", eval("lambda act, vec: " + body, {"apply": apply}))
-                with pytest.raises(InvariantViolation, match=r"Z\[q\]"):
-                    seminormal.trace_standard_element(lam, mu)
-                argv = ["char", "--lambda", str(list(lam)), "--mu", str(list(mu))]
-                assert cli.main(argv + ["--method", "seminormal"]) == 2
-                assert "not in Z[q]" in capsys.readouterr().err
+                patch.setattr(seminormal, "_gen_action", eval("lambda i, lam, n: " + body, {"action": action}))
+                try:
+                    for view in views:
+                        view.cache_clear()
+                    with pytest.raises(InvariantViolation, match=r"not in Z\[q\]"):
+                        seminormal.trace_standard_element(lam, mu)
+                    argv = ["char", "--lambda", str(list(lam)), "--mu", str(list(mu))]
+                    assert cli.main(argv + ["--method", "seminormal"]) == 2
+                    assert "not in Z[q]" in capsys.readouterr().err
+                finally:
+                    for view in views:
+                        view.cache_clear()
             script = (
                 "from rookq import seminormal\n"
                 "from rookq.errors import InvariantViolation\n"
                 "print(__debug__)\n"
-                "apply = seminormal._apply\n"
-                f"seminormal._apply = lambda act, vec: {body}\n"
+                "action = seminormal._gen_action\n"
+                f"seminormal._gen_action = lambda i, lam, n: {body}\n"
                 "try:\n"
                 f"    seminormal.trace_standard_element({lam}, {mu})\n"
                 "except InvariantViolation:\n"

@@ -5,7 +5,7 @@ import pytest
 from rookq.errors import ShapeTooLarge, WeightMismatch
 from rookq.exact import LaurentPoly
 from rookq.shapes import partitions_of, partitions_up_to, standard_count
-from rookq.characters import chi_oracle
+from rookq.characters import chi_mn, chi_oracle
 import rookq.seminormal as sn
 from rookq.seminormal import (
     _gen_action,
@@ -97,7 +97,8 @@ class TestGeneratorMatrices:
 
     def test_scaled_entries_are_integer_laurent_polynomials(self):
         # D_i = prod Phi_e(q), 2 <= e <= min(i, h-1), clears every q-integer
-        # denominator of T_i: a smaller bound fails an exact division here
+        # denominator of T_i: a smaller bound fails an exact division here;
+        # the traces evaluate every entry at q = 2^k, so none has q^-1
         for n in range(2, 8):
             for lam in partitions_up_to(n):
                 for i in range(1, n):
@@ -105,6 +106,7 @@ class TestGeneratorMatrices:
                         for _, c in col:
                             assert isinstance(c, LaurentPoly) and c.var == "q", (lam, n, i)
                             assert c.has_integer_coefficients(), (lam, n, i)
+                            assert c.is_ordinary(), (lam, n, i)
 
 
 class TestRelations:
@@ -173,3 +175,43 @@ class TestTraces:
             for mu in partitions_of(n):
                 for lam in partitions_up_to(n):
                     assert trace_standard_element(lam, mu) == chi_oracle(lam, mu), (lam, mu)
+        # and every one of the 675 cells of weight 7 against mn
+        for mu in partitions_of(7):
+            for lam in partitions_up_to(7):
+                assert trace_standard_element(lam, mu) == chi_mn(lam, mu), (lam, mu)
+
+    def test_makes_no_polynomial_product(self, monkeypatch):
+        lam, mu = (3, 2, 1), (4, 3)
+        expected = chi_mn(lam, mu)
+        for g in standard_word(mu):
+            _gen_action(g, lam, sum(mu))
+
+        def refuse(*args):
+            raise AssertionError("polynomial product in the trace")
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+        monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
+        assert trace_standard_element(lam, mu) == expected
+
+
+class TestBalancedDigits:
+    @staticmethod
+    def at(poly, k):
+        return int(poly.evaluate(2**k))
+
+    def test_negative_coefficients(self):
+        poly = LaurentPoly.parse("-3*q^5 + 2*q^3 - q^2 - 7")
+        for k in range(4, 9):
+            assert sn._balanced_digits(self.at(poly, k), k) == poly
+
+    def test_coefficients_at_the_bound(self):
+        # coefficients of exactly +-M at the least 2^k >= 2M + 1
+        for m in (1, 3, 4, 100):
+            k = (2 * m).bit_length()
+            assert 2**k >= 2 * m + 1 > 2 ** (k - 1)
+            for poly in [m * Q**4 - m * Q + m, -m * Q**3 - m, m - m * Q**2]:
+                assert sn._balanced_digits(self.at(poly, k), k) == poly
+                assert sn._balanced_digits(-self.at(poly, k), k) == -poly
+
+    def test_zero(self):
+        assert sn._balanced_digits(0, 16).is_zero
