@@ -1,6 +1,7 @@
 """Irreducible characters chi^lambda_mu(q) of the q-rook monoid algebra.
 
-Four independent algorithms compute the same values:
+Five algorithms compute the same values; ``compute_chi`` runs any of them
+by name:
 
 * ``chi_oracle``     -- inner product of q-hat_mu(t) with the Schur expansion
                         in the power-sum basis, then the Frobenius conversion
@@ -10,10 +11,13 @@ Four independent algorithms compute the same values:
 * ``chi_mn``         -- Murnaghan-Nakayama recursion that shortens the lower
                         partition mu using weighted generalized border strips;
 * ``chi_hook`` / ``chi_two_row`` -- compact closed forms through the a/b
-                        polynomial families attached to mu.
+                        polynomial families attached to mu;
+* ``seminormal.trace_standard_element`` -- exact trace of the standard
+                        element T_mu on Halverson's seminormal module of
+                        shape lambda, by explicit generator matrices.
 
 Every algorithm must return an ordinary polynomial in q with integer
-coefficients; all internal divisions by powers of (q-1) are exact and checked.
+coefficients; all internal divisions are exact and checked.
 """
 
 from __future__ import annotations

@@ -21,10 +21,12 @@ the relation checks compare products of them directly.
 
 A trace T(q) of S_mu, which is chi(q) times the product of the D_g, is taken
 in plain ints by Kronecker substitution (von zur Gathen and Gerhard, Modern
-Computer Algebra, 8.4).  With each entry replaced by the sum of its absolute
-coefficients (``_abs_action``) the trace is an int M >= ||T||_1.  With each
-entry evaluated at B = 2^k > 2M (``_action_at``, one shift per term) it is
-T(B); every coefficient of T lies in [-M, M], so T is T(B)'s balanced
+Computer Algebra, 8.4): every entry is evaluated at B = 2^k (``_action_at``,
+one shift per term), one k per shape and n (``_base_bits``).  Let ||S_g|| be
+the largest column sum of the absolute coefficients of S_g's entries; no
+column is zero, so ||S_g|| >= 1.  A standard word uses each generator at
+most once, so dim times the product of ||S_g|| over g < n bounds ||T||_1
+for every mu |- n, and B exceeds twice that.  So T is T(B)'s balanced
 base-B digits (``_balanced_digits``), and it divides exactly by each D_g.
 An entry with a negative exponent, a failed division or a quotient outside
 Z[q] raises InvariantViolation: each signals a bug.
@@ -57,9 +59,10 @@ _Q = LaurentPoly.monomial("q", 1)
 _ONE = LaurentPoly.one("q")
 
 # The largest |mu| the command line runs this method on.  The slowest trace
-# of each weight from cold caches, on a 2-core host: 0.03 s at weight 8
-# ((3,2,1) x (8)), 0.13 s at 9 ((4,2,1) x (9)), 0.65 s at 10 ((4,2,1,1) x
-# (10)); the whole table takes 3.6 s at weight 8 and 24 s at weight 9.
+# of each weight from cold caches, on a 2-core host: 0.04 s at weight 8
+# ((3,2,1) x (8)), 0.14-0.19 s at 9 ((4,2,1) x (9)), 0.9-1.3 s at 10
+# ((4,2,1,1) x (10)); the whole table takes 2.8 s at weight 8 and 18-19 s
+# at weight 9.
 MAX_TRACE_WEIGHT = 9
 
 
@@ -186,8 +189,19 @@ def _gen_action(i: int, lam: Partition, n: int):
     return tuple(cols)
 
 
-def _int_view(i: int, lam: Partition, n: int, value):
-    """S_i's columns with each entry p replaced by the int value(p)."""
+@lru_cache(maxsize=None)
+def _base_bits(lam: Partition, n: int) -> int:
+    """The least k with 2^k > 2 * dim * prod_{g<n} ||S_g|| (see the module docstring)."""
+    bound = len(enumerate_tableaux(lam, n))
+    for g in range(1, n):
+        bound *= max(sum(abs(c) for _, p in col for _, c in p.items()) for col in _gen_action(g, lam, n))
+    return (2 * bound).bit_length()
+
+
+@lru_cache(maxsize=None)
+def _action_at(i: int, lam: Partition, n: int):
+    """S_i with each entry evaluated at q = 2^k, k = ``_base_bits(lam, n)``."""
+    k = _base_bits(lam, n)
     values: Dict[LaurentPoly, int] = {}  # the columns share a few entry objects
     cols = []
     for col in _gen_action(i, lam, n):
@@ -195,21 +209,9 @@ def _int_view(i: int, lam: Partition, n: int, value):
             if p not in values:
                 if not p.is_ordinary():
                     raise InvariantViolation(f"S_{i} on {list(lam)}, n={n}, has an entry not in Z[q]: {p}")
-                values[p] = value(p)
+                values[p] = sum(c << (h * k) for h, c in p.items())
         cols.append(tuple((r, values[p]) for r, p in col))
     return tuple(cols)
-
-
-@lru_cache(maxsize=None)
-def _abs_action(i: int, lam: Partition, n: int):
-    """S_i with each entry replaced by the sum of its absolute coefficients."""
-    return _int_view(i, lam, n, lambda p: sum(abs(c) for _, c in p.items()))
-
-
-@lru_cache(maxsize=None)
-def _action_at(i: int, lam: Partition, n: int, k: int):
-    """S_i with each entry evaluated at q = 2^k."""
-    return _int_view(i, lam, n, lambda p: sum(c << (h * k) for h, c in p.items()))
 
 
 def _apply(action, vec: Vector) -> Vector:
@@ -276,11 +278,6 @@ def standard_word(mu: Sequence[int]) -> List[int]:
     return word
 
 
-def _trace(actions, dim: int) -> int:
-    """Trace of the product of int-valued actions on a basis of size dim."""
-    return sum(_image(actions, l).get(l, 0) for l in range(dim))
-
-
 def _balanced_digits(value: int, k: int) -> LaurentPoly:
     """The polynomial T with T(2^k) = value and every coefficient in [-2^(k-1), 2^(k-1)).
 
@@ -311,13 +308,9 @@ def trace_standard_element(lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly
     if sum(lam) > n:
         raise WeightMismatch(f"|lambda|={sum(lam)} exceeds |mu|={n}")
     word = standard_word(mu)
-    dim = len(enumerate_tableaux(lam, n))
-    # M >= ||T||_1, so B = 2^k > 2M leaves every coefficient of T one digit;
-    # k is rounded up to a multiple of 16, so that traces whose bounds are
-    # close share their evaluated generators
-    bound = _trace([_abs_action(g, lam, n) for g in word], dim)
-    k = (max(1, (2 * bound).bit_length()) + 15) // 16 * 16
-    total = _balanced_digits(_trace([_action_at(g, lam, n, k) for g in word], dim), k)
+    actions = [_action_at(g, lam, n) for g in word]
+    value = sum(_image(actions, l).get(l, 0) for l in range(len(enumerate_tableaux(lam, n))))
+    total = _balanced_digits(value, _base_bits(lam, n))
     # the trace of the product of the S_g is prod D_g times the trace of T_mu
     trace: Optional[LaurentPoly] = total
     try:

@@ -7,6 +7,7 @@ from rookq.exact import LaurentPoly
 from rookq.shapes import partitions_of, partitions_up_to, standard_count
 from rookq.characters import chi_mn, chi_oracle
 import rookq.seminormal as sn
+from rookq.cli import main
 from rookq.seminormal import (
     _gen_action,
     commute_check,
@@ -183,7 +184,8 @@ class TestTraces:
     def test_makes_no_polynomial_product(self, monkeypatch):
         lam, mu = (3, 2, 1), (4, 3)
         expected = chi_mn(lam, mu)
-        for g in standard_word(mu):
+        # the base is read off every generator, not only those in the word
+        for g in range(1, sum(mu)):
             _gen_action(g, lam, sum(mu))
 
         def refuse(*args):
@@ -192,6 +194,50 @@ class TestTraces:
         monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
         monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
         assert trace_standard_element(lam, mu) == expected
+
+    def test_base_bounds_every_trace(self):
+        # 555 traces; at n <= 1 the bound is tight, so the base needs its factor 2
+        for n in range(7):
+            for lam in partitions_up_to(n):
+                k = sn._base_bits(lam, n)
+                dim = len(enumerate_tableaux(lam, n))
+                for mu in partitions_of(n):
+                    actions = [_gen_action(g, lam, n) for g in standard_word(mu)]
+                    diagonal = (sn._image(actions, l).get(l, 0) for l in range(dim))
+                    trace = sum(diagonal, LaurentPoly.zero("q"))
+                    norm = sum(abs(c) for _, c in trace.items())
+                    assert 2 * norm < 2**k, (lam, mu)
+
+    def test_base_covers_the_dimension(self, monkeypatch):
+        # no true trace comes near dim * prod ||S_g||, but with every S_g the
+        # identity the trace is dim, and the base must still hold it
+        lam, n = (2, 1), 4
+        dim = len(enumerate_tableaux(lam, n))
+        identity = tuple(((l, LaurentPoly.one("q")),) for l in range(dim))
+        monkeypatch.setattr(sn, "_gen_action", lambda i, lam, n: identity)
+        sn._base_bits.cache_clear()
+        try:
+            assert 2 * dim < 2 ** sn._base_bits(lam, n)
+        finally:
+            sn._base_bits.cache_clear()
+
+    def test_one_pass_over_one_view_per_generator(self, monkeypatch, capsys):
+        lam, mu = (3, 2, 1), (4, 2, 1)
+        image, calls = sn._image, []
+
+        def counted(actions, l):
+            calls.append(l)
+            return image(actions, l)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sn, "_image", counted)
+            trace_standard_element(lam, mu)
+        assert len(calls) == len(enumerate_tableaux(lam, sum(mu)))
+        for cache in (_gen_action, sn._base_bits, sn._action_at):
+            cache.cache_clear()
+        assert main(["table", "--n", "6", "--methods", "seminormal"]) == 0
+        capsys.readouterr()
+        assert sn._action_at.cache_info().currsize == _gen_action.cache_info().currsize > 0
 
 
 class TestBalancedDigits:
