@@ -1,10 +1,11 @@
 """Exact irreducible characters and bitrace for the q-rook monoid algebra R_n(q).
 
 The package computes the character values chi^lambda_mu(q) by several
-independent algorithms (power-sum inner products, a row-peeling recursion,
-the Murnaghan-Nakayama rule, compact hook/two-row closed forms, and
-seminormal matrix traces), cross-validates them, and evaluates the bitrace
-both as a character sum and as a weighted contingency-matrix sum.
+independent algorithms (a power-sum pairing with the classical characters, a
+row-peeling recursion, the Murnaghan-Nakayama rule, compact hook/two-row
+closed forms, and seminormal matrix traces), cross-validates them, and
+evaluates the bitrace both as a character sum and as a weighted
+contingency-matrix sum.
 All arithmetic is exact.
 """
 

@@ -3,9 +3,10 @@
 Five algorithms compute the same values; ``compute_chi`` runs any of them
 by name:
 
-* ``chi_oracle``     -- inner product of q-hat_mu(t) with the Schur expansion
-                        in the power-sum basis, then the Frobenius conversion
-                        chi = q^|mu| / (q-1)^l(mu) * X(q^{-1});
+* ``chi_oracle``     -- pairing of the integral product D_mu * q-hat_mu(t),
+                        D_mu = prod_i mu_i!, with the classical characters
+                        chi^lambda_rho, one exact division by D_mu, then the
+                        Frobenius conversion chi = q^|mu| / (q-1)^l(mu) * X(q^{-1});
 * ``chi_iterative``  -- recursion that shortens the upper partition lambda by
                         peeling its first row (vertical-strip complements);
 * ``chi_mn``         -- Murnaghan-Nakayama recursion that shortens the lower
@@ -22,6 +23,7 @@ coefficients; all internal divisions are exact and checked.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +42,7 @@ from .shapes import (
 )
 # unused here, but perfbench/tests/test_tracer.py checks that this name is bound
 from .shapes import gbs_decompose  # noqa: F401
-from .symfunc import inner_product, qhat_mu, schur_in_p
+from .symfunc import classical_char, qhat_mu_scaled
 
 _Q = LaurentPoly.monomial("q", 1)
 _ONE = LaurentPoly.one("q")
@@ -64,11 +66,33 @@ def frobenius_chi(x_t: LaurentPoly, mu: Partition) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def chi_oracle(lam: Partition, mu: Partition) -> LaurentPoly:
-    """X^lambda_mu(t) = <q-hat_mu(t), s_lambda> converted to chi(q)."""
+    """X^lambda_mu(t) = <q-hat_mu(t), s_lambda> converted to chi(q).
+
+    s_lambda = sum_rho chi^lambda_rho p_rho / z_rho and <p_rho, p_rho> = z_rho,
+    so the pairing is sum_{rho |- |lambda|} [p_rho]q-hat_mu * chi^lambda_rho
+    (Macdonald I.7).  It is summed in integers over ``qhat_mu_scaled(mu)`` =
+    D_mu * q-hat_mu, D_mu = prod_i mu_i!, and each coefficient is divided
+    exactly by D_mu.
+    """
     lam, mu = tuple(lam), tuple(mu)
     _check_weights(lam, mu)
-    x = inner_product(qhat_mu(mu), schur_in_p(lam))
-    return frobenius_chi(x, mu)
+    scaled = qhat_mu_scaled(mu)
+    total: Dict[int, int] = {}
+    for rho in partitions_of(sum(lam)):
+        coeff = scaled.coefficient(rho)
+        chi = classical_char(lam, rho) if coeff else 0
+        if chi:
+            for h, c in coeff.items():
+                total[h] = total.get(h, 0) + c * chi
+    d_mu = math.prod(math.factorial(part) for part in mu)
+    x: Dict[int, int] = {}
+    for h, c in total.items():
+        x[h], rem = divmod(c, d_mu)
+        if rem:
+            raise InvariantViolation(
+                f"X^{list(lam)}_{list(mu)}: {c}*t^{h} is not divisible by D_mu = {d_mu}"
+            )
+    return frobenius_chi(LaurentPoly("t", x), mu)
 
 
 def chi_empty(mu: Sequence[int]) -> LaurentPoly:

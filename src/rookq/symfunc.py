@@ -6,15 +6,18 @@ the modified one-row Hall-Littlewood functions q-hat mix weights because
 p-hat_n = 1 + p_n.
 
 The classical symmetric-group characters live here too (Murnaghan-Nakayama
-recursion with memoization); they back the Schur expansion
+recursion with memoization); they give the Schur expansion
 
-    s_lambda = sum_rho chi^lambda_rho / z_rho * p_rho
+    s_lambda = sum_rho chi^lambda_rho / z_rho * p_rho,
 
-which in turn backs the inner-product oracle for the deformed characters.
+and ``characters.chi_oracle`` pairs them directly with the integral product
+``qhat_mu_scaled``: since <p_rho, p_rho> = z_rho, the z_rho cancels and
+<f, s_lambda> = sum_rho [p_rho]f * chi^lambda_rho.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Union
@@ -32,6 +35,7 @@ from .shapes import (
 from .shapes import gbs_decompose  # noqa: F401
 
 Coeff = Union[int, Fraction, LaurentPoly]
+_ZERO_T = LaurentPoly.zero("t")
 
 
 def _as_tcoeff(c: Coeff) -> LaurentPoly:
@@ -73,6 +77,10 @@ class PExpansion:
 
     def terms(self):
         return self._terms.items()
+
+    def coefficient(self, rho: Partition) -> LaurentPoly:
+        """The coefficient of p_rho, zero when p_rho does not occur."""
+        return self._terms.get(tuple(rho), _ZERO_T)
 
     @property
     def is_zero(self) -> bool:
@@ -214,6 +222,26 @@ def qhat_mu(mu: Partition) -> PExpansion:
     out = PExpansion.one()
     for part in mu:
         out = out * qhat_expansion(part)
+    return out
+
+
+@lru_cache(maxsize=None)
+def qhat_mu_scaled(mu: Partition) -> PExpansion:
+    """D_mu * q-hat_mu with D_mu = prod_i mu_i!, every coefficient in Z[t].
+
+    The factor mu_i! * q-hat_{mu_i} is integral because z_lambda divides
+    mu_i! for every lambda |- mu_i; that is checked before the factor enters
+    the product, so the product runs on integer polynomials only.
+    """
+    out = PExpansion.one()
+    for part in mu:
+        factor = qhat_expansion(part).scale(math.factorial(part))
+        for rho, c in factor.terms():
+            if not c.has_integer_coefficients():
+                raise InvariantViolation(
+                    f"{part}! * q-hat_{part}: coefficient {c} of p_{list(rho)} is not in Z[t]"
+                )
+        out = out * factor
     return out
 
 

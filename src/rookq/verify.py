@@ -242,7 +242,7 @@ def check_cross_methods(cap: int) -> Optional[str]:
                     return detail
 
 
-@check("compact-formulas", cap=6)
+@check("compact-formulas", cap=8)
 def check_compact_formulas(cap: int) -> Optional[str]:
     for w in range(cap + 1):
         for mu in sh.partitions_of(w):

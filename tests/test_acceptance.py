@@ -25,6 +25,7 @@ from table1_golden import MUS, ROWS, TABLE1
 
 def _clear_character_caches():
     ch.chi_oracle.cache_clear()
+    ch.qhat_mu_scaled.cache_clear()
     ch.chi_iterative.cache_clear()
     ch.chi_mn.cache_clear()
     ch._ab_tables.cache_clear()

@@ -92,11 +92,20 @@ class TestOracle:
     def test_independent_of_border_strips(self, monkeypatch):
         cells = cells_up_to(6)
         expected = {cell: chi_mn(*cell) for cell in cells}
+        shared = (
+            "gbs_complements",
+            "gbs_decompose",
+            "gbs_weight_k",
+            "border_counts",
+            "vertical_strip_complements",
+            "inner_product",
+        )
         for module in (shapes, characters, symfunc):
-            for name in ("gbs_complements", "gbs_decompose", "gbs_weight_k"):
+            for name in shared:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
-        for memo in (chi_oracle, chi_mn, symfunc.schur_in_p, symfunc._classical_rec):
+        monkeypatch.setattr(LaurentPoly, "sum_of_products", refuse)
+        for memo in (chi_oracle, chi_mn, symfunc.qhat_mu_scaled, symfunc._classical_rec):
             memo.cache_clear()
         assert {cell: chi_oracle(*cell) for cell in cells} == expected
 
@@ -106,6 +115,18 @@ class TestOracle:
     def test_weight_guard(self):
         with pytest.raises(WeightMismatch):
             chi_oracle((3, 1), (2,))
+
+    @settings(max_examples=20)
+    @given(
+        st.integers(9, 12).flatmap(
+            lambda w: st.tuples(
+                st.sampled_from(partitions_up_to(w)), st.sampled_from(partitions_of(w))
+            )
+        )
+    )
+    def test_matches_mn_at_high_weight(self, cell):
+        assert chi_oracle(*cell) == chi_mn(*cell)
+
 
 class TestDisputedValue:
     """chi for lambda=(3,1,1), mu=(3,2,1) has two circulating candidate values

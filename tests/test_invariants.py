@@ -115,3 +115,61 @@ class TestInvariantChecks:
                 "    print('raised')\n"
             )
             assert run_optimized(script) == "False\nraised\n"
+
+    def test_oracle_pairing_not_divisible_by_d_mu(self, monkeypatch, capsys):
+        # one more p_(3) in 3! * q-hat_3 moves the pairing for (2,1) x (3) by
+        # chi^(2,1)_(3) = -1, which D_(3) = 3! = 6 does not divide
+        scaled = symfunc.qhat_mu_scaled
+        monkeypatch.setattr(characters, "qhat_mu_scaled", lambda mu: scaled(mu) + PExpansion.p((3,)))
+        characters.chi_oracle.cache_clear()
+        try:
+            with pytest.raises(InvariantViolation, match="not divisible by D_mu = 6"):
+                characters.chi_oracle((2, 1), (3,))
+            assert cli.main(["char", "--lambda", "[2,1]", "--mu", "[3]", "--method", "oracle"]) == 2
+            assert "not divisible by D_mu" in capsys.readouterr().err
+        finally:
+            characters.chi_oracle.cache_clear()
+        script = (
+            "from rookq import characters, symfunc\n"
+            "from rookq.errors import InvariantViolation\n"
+            "print(__debug__)\n"
+            "scaled = symfunc.qhat_mu_scaled\n"
+            "characters.qhat_mu_scaled = lambda mu: scaled(mu) + symfunc.PExpansion.p((3,))\n"
+            "try:\n"
+            "    characters.chi_oracle((2, 1), (3,))\n"
+            "except InvariantViolation:\n"
+            "    print('raised')\n"
+        )
+        assert run_optimized(script) == "False\nraised\n"
+
+    def test_qhat_factor_outside_zt(self, monkeypatch, capsys):
+        # 1/12 more p_(3) in q-hat_3 adds 3!/12 = 1/2 to the coefficient of
+        # p_(3) in the factor 3! * q-hat_3
+        expansion = symfunc.qhat_expansion
+        monkeypatch.setattr(
+            symfunc, "qhat_expansion", lambda n: expansion(n) + PExpansion({(n,): Fraction(1, 12)})
+        )
+        memos = (characters.chi_oracle, symfunc.qhat_mu_scaled)
+        for memo in memos:
+            memo.cache_clear()
+        try:
+            with pytest.raises(InvariantViolation, match=r"3! \* q-hat_3: .* not in Z\[t\]"):
+                characters.chi_oracle((2, 1), (3,))
+            assert cli.main(["char", "--lambda", "[2,1]", "--mu", "[3]", "--method", "oracle"]) == 2
+            assert "not in Z[t]" in capsys.readouterr().err
+        finally:
+            for memo in memos:
+                memo.cache_clear()
+        script = (
+            "from fractions import Fraction\n"
+            "from rookq import characters, symfunc\n"
+            "from rookq.errors import InvariantViolation\n"
+            "print(__debug__)\n"
+            "expansion = symfunc.qhat_expansion\n"
+            "symfunc.qhat_expansion = lambda n: expansion(n) + symfunc.PExpansion({(n,): Fraction(1, 12)})\n"
+            "try:\n"
+            "    characters.chi_oracle((2, 1), (3,))\n"
+            "except InvariantViolation:\n"
+            "    print('raised')\n"
+        )
+        assert run_optimized(script) == "False\nraised\n"

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from rookq.symfunc import (
     inner_product,
     qhat_expansion,
     qhat_mu,
+    qhat_mu_scaled,
     qn_expansion,
     schur_in_p,
 )
@@ -84,6 +86,13 @@ class TestHallLittlewood:
 
     def test_qhat_empty(self):
         assert qhat_mu(()) == PExpansion.one()
+
+    def test_scaled_product_is_the_product_times_d_mu(self):
+        # the oracle pairs qhat_mu_scaled; qhat_mu is the product the checks vouch for
+        for w in range(8):
+            for mu in partitions_of(w):
+                d_mu = math.prod(math.factorial(part) for part in mu)
+                assert qhat_mu_scaled(mu) == qhat_mu(mu).scale(d_mu)
 
     def test_lemma_single_row(self):
         # q-hat_n = q_n + (1-t) sum_{i=1}^{n} q_{n-i}
