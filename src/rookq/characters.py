@@ -309,7 +309,7 @@ def _two_row_factor(m: int) -> LaurentPoly:
     return (
         LaurentPoly.const(3 * m, "q")
         - qinv.scale(3 * (m - 1))
-        + ((_ONE - qinv) ** 2).scale(Fraction((m - 1) * (m - 2), 2))
+        + ((_ONE - qinv) ** 2).scale((m - 1) * (m - 2) // 2)
     )
 
 

@@ -8,10 +8,13 @@ The scalar tower is
 A stored coefficient is a plain ``int`` whenever it is integral and a
 ``Fraction`` only otherwise; a ``Fraction`` with denominator 1 is folded back
 to ``int`` on construction, and a ``float`` is refused.  Character values,
-border-strip weights and the seminormal entries therefore run on ``int``
-arithmetic, while the 1/z_lambda coefficients of the power-sum basis keep
-their fractions.  Exponents are plain integers: the key ``h`` stands for
-``var**h``.
+border-strip weights, the seminormal entries and the power-sum expansions of
+``symfunc`` (integer polynomials over one common denominator) therefore run
+on ``int`` arithmetic.  A ``Fraction`` is stored where a rational value is
+read out of such an expansion, and otherwise only by the coefficient parser,
+``characters.perm_sum_closed_forms``, the random data of ``verify`` and the
+gcd of ``RationalFunction``.  Exponents are plain integers: the key ``h``
+stands for ``var**h``.
 
 ``LaurentPoly.sum_of_products`` sums a*b over many pairs into one dict and
 folds it once, where ``__mul__`` and ``__add__`` would build a dict for every
@@ -497,8 +500,9 @@ class RationalFunction:
             return
         # make the denominator ordinary with a nonzero constant term
         md = den.min_exp()
-        num = num.times_power(-md)
-        den = den.times_power(-md)
+        if md:
+            num = num.times_power(-md)
+            den = den.times_power(-md)
         mn = num.min_exp()
         n_ord = {h - mn: c for h, c in num._terms.items()}
         d_ord = dict(den._terms)

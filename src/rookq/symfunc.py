@@ -1,9 +1,13 @@
-"""Symmetric functions in the power-sum basis over Q[t].
+"""Symmetric functions in the power-sum basis, with coefficients in Q[t].
 
 A ``PExpansion`` is a finite linear combination of power sums p_rho with
-coefficients that are polynomials in t.  Inhomogeneous elements are allowed:
-the modified one-row Hall-Littlewood functions q-hat mix weights because
-p-hat_n = 1 + p_n.
+coefficients that are polynomials in t.  They are stored as polynomials with
+``int`` coefficients over one common positive denominator, in lowest terms:
+the 1/z_rho of the power-sum basis go into that denominator, so products,
+sums and the adjoint run on integer arithmetic, and a rational value is formed
+only where one is read out (``terms``, ``coefficient``, ``inner_product``).
+Inhomogeneous elements are allowed: the modified one-row Hall-Littlewood
+functions q-hat mix weights because p-hat_n = 1 + p_n.
 
 The classical symmetric-group characters live here too (Murnaghan-Nakayama
 recursion with memoization); they give the Schur expansion
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Union
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .errors import InvariantViolation, WeightMismatch
 from .exact import LaurentPoly
@@ -38,29 +42,54 @@ Coeff = Union[int, Fraction, LaurentPoly]
 _ZERO_T = LaurentPoly.zero("t")
 
 
-def _as_tcoeff(c: Coeff) -> LaurentPoly:
+def _cleared(c: Coeff) -> Tuple[LaurentPoly, int]:
+    """(integer t-polynomial, positive int) whose quotient is the coefficient c."""
     if isinstance(c, LaurentPoly):
         if c.var != "t" and not c._is_const():
             raise ValueError(f"p-basis coefficients live in Q[t], got variable {c.var!r}")
         if c.var != "t":
-            return LaurentPoly("t", c._terms)
-        return c
-    return LaurentPoly.const(c, "t")
+            c = LaurentPoly("t", c._terms)
+    else:
+        c = LaurentPoly.const(c, "t")
+    den = math.lcm(*(v.denominator for v in c._terms.values()))
+    return (c if den == 1 else c.scale(den)), den
+
+
+def _reduced(terms: Dict[Partition, LaurentPoly], den: int) -> "PExpansion":
+    """The expansion sum_rho terms[rho] / den, put into lowest terms."""
+    terms = {rho: c for rho, c in terms.items() if c._terms}
+    g = den
+    for c in terms.values():
+        if g == 1:
+            break
+        g = math.gcd(g, *c._terms.values())
+    if g != 1:
+        terms = {
+            rho: LaurentPoly._make("t", {h: v // g for h, v in c._terms.items()})
+            for rho, c in terms.items()
+        }
+    out = object.__new__(PExpansion)
+    out._terms = terms
+    out._den = den // g
+    return out
 
 
 class PExpansion:
-    """Symmetric function written in the power-sum basis."""
+    """Symmetric function written in the power-sum basis.
 
-    __slots__ = ("_terms",)
+    The coefficients are stored as ``_terms[rho] / _den``: every ``_terms``
+    value is a t-polynomial with ``int`` coefficients, ``_den`` is a positive
+    ``int``, and the pair is in lowest terms (zero is ``{}`` over 1), so equal
+    expansions have equal fields.  ``terms`` and ``coefficient`` give the
+    rational coefficients back.
+    """
 
-    def __init__(self, terms: Mapping[Partition, Coeff] | None = None):
-        out: Dict[Partition, LaurentPoly] = {}
-        if terms:
-            for rho, c in terms.items():
-                c = _as_tcoeff(c)
-                if not c.is_zero:
-                    out[tuple(rho)] = c
-        self._terms = out
+    __slots__ = ("_terms", "_den")
+
+    def __new__(cls, terms: Mapping[Partition, Coeff] | None = None) -> "PExpansion":
+        cleared = {tuple(rho): _cleared(c) for rho, c in (terms or {}).items()}
+        den = math.lcm(*(d for _, d in cleared.values()))
+        return _reduced({rho: c.scale(den // d) for rho, (c, d) in cleared.items()}, den)
 
     @classmethod
     def zero(cls) -> "PExpansion":
@@ -75,27 +104,38 @@ class PExpansion:
         """The power sum p_rho."""
         return cls({tuple(rho): 1})
 
+    def _value(self, c: LaurentPoly) -> LaurentPoly:
+        return c if self._den == 1 else c.scale(Fraction(1, self._den))
+
     def terms(self):
-        return self._terms.items()
+        """The (rho, rational coefficient) pairs."""
+        return {rho: self._value(c) for rho, c in self._terms.items()}.items()
 
     def coefficient(self, rho: Partition) -> LaurentPoly:
         """The coefficient of p_rho, zero when p_rho does not occur."""
-        return self._terms.get(tuple(rho), _ZERO_T)
+        return self._value(self._terms.get(tuple(rho), _ZERO_T))
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     def __add__(self, other: "PExpansion") -> "PExpansion":
-        out = dict(self._terms)
-        for rho, c in other._terms.items():
+        den = math.lcm(self._den, other._den)
+        out = self._scaled(den // self._den)
+        for rho, c in other._scaled(den // other._den).items():
             cur = out.get(rho)
             out[rho] = c if cur is None else cur + c
-        return PExpansion(out)
+        return _reduced(out, den)
+
+    def _scaled(self, k: int) -> Dict[Partition, LaurentPoly]:
+        """A fresh dict of the integer coefficients times k."""
+        if k == 1:
+            return dict(self._terms)
+        return {rho: c.scale(k) for rho, c in self._terms.items()}
 
     def scale(self, c: Coeff) -> "PExpansion":
-        c = _as_tcoeff(c)
-        return PExpansion({rho: cc * c for rho, cc in self._terms.items()})
+        c, den = _cleared(c)
+        return _reduced({rho: cc * c for rho, cc in self._terms.items()}, self._den * den)
 
     def __mul__(self, other: "PExpansion") -> "PExpansion":
         """Bilinear product; p_lambda * p_mu = p_{sort(lambda + mu)}."""
@@ -106,22 +146,23 @@ class PExpansion:
                 c = c1 * c2
                 cur = out.get(key)
                 out[key] = c if cur is None else cur + c
-        return PExpansion(out)
+        return _reduced(out, self._den * other._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PExpansion):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple(sorted((r, p) for r, p in self._terms.items())))
+        return hash((self._den, tuple(sorted(self._terms.items()))))
 
     def __str__(self) -> str:
-        if not self._terms:
+        terms = dict(self.terms())
+        if not terms:
             return "0"
-        keys = sorted(self._terms, key=lambda r: (sum(r), r))
+        keys = sorted(terms, key=lambda r: (sum(r), r))
         return " + ".join(
-            f"({self._terms[k]})*p{list(k)}" if k else f"({self._terms[k]})"
+            f"({terms[k]})*p{list(k)}" if k else f"({terms[k]})"
             for k in keys
         )
 
@@ -129,14 +170,17 @@ class PExpansion:
 
 
 def inner_product(f: PExpansion, g: PExpansion) -> LaurentPoly:
-    """<p_lambda, p_mu> = delta_{lambda,mu} z_lambda, extended bilinearly."""
+    """<p_lambda, p_mu> = delta_{lambda,mu} z_lambda, extended bilinearly.
+
+    The integer sum is divided by the two denominators once, at the end.
+    """
     total = LaurentPoly.zero("t")
     small, large = (f, g) if len(f._terms) <= len(g._terms) else (g, f)
     for rho, c1 in small._terms.items():
         c2 = large._terms.get(rho)
         if c2 is not None:
             total = total + c1 * c2 * z_lambda(rho)
-    return total
+    return total.scale(Fraction(1, f._den * g._den))
 
 
 def adjoint_apply(g: PExpansion, f: PExpansion) -> PExpansion:
@@ -169,7 +213,7 @@ def adjoint_apply(g: PExpansion, f: PExpansion) -> PExpansion:
             c = cg * cf * factor
             cur = out.get(key)
             out[key] = c if cur is None else cur + c
-    return PExpansion(out)
+    return _reduced(out, g._den * f._den)
 
 
 @lru_cache(maxsize=None)
@@ -205,15 +249,17 @@ def qhat_expansion(n: int) -> PExpansion:
 
     q-hat_n(t) = sum_{lambda |- n} (1 / z_lambda(t)) prod_i (1 + p_{lambda_i}),
     expanded multilinearly into the plain p-basis; the coefficients
-    1 / z_lambda(t) are those of ``qn_expansion(n)``.
+    1 / z_lambda(t) are those of ``qn_expansion(n)``, summed here over their
+    common denominator.
     """
+    qn = qn_expansion(n)
     total = PExpansion.zero()
-    for lam, c in qn_expansion(n).terms():
+    for lam, c in qn._terms.items():
         phat = PExpansion.one()
         for part in lam:
             phat = phat * PExpansion({(): 1, (part,): 1})
         total = total + phat.scale(c)
-    return total
+    return total.scale(Fraction(1, qn._den))
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +277,7 @@ def qhat_mu_scaled(mu: Partition) -> PExpansion:
 
     The factor mu_i! * q-hat_{mu_i} is integral because z_lambda divides
     mu_i! for every lambda |- mu_i; that is checked before the factor enters
-    the product, so the product runs on integer polynomials only.
+    the product.
     """
     out = PExpansion.one()
     for part in mu:

@@ -50,6 +50,24 @@ class TestInvariantChecks:
         with pytest.raises(NonExactDivision, match="gcd"):
             RationalFunction(Q, Q + 2)
 
+    def test_half_integer_error_in_h_n(self, monkeypatch):
+        # expansions compare in lowest terms over a common denominator; a
+        # half-integer error in h_2 must still show as a difference
+        expansion = symfunc.hn_expansion
+        monkeypatch.setattr(
+            symfunc,
+            "hn_expansion",
+            lambda n: expansion(n) + PExpansion({(2,): Fraction(1, 2)}) if n == 2 else expansion(n),
+        )
+        memos = (expansion, symfunc.qhat_mu, symfunc.schur_in_p)
+        try:
+            for check in (verify.check_h_adjoint_routes, verify.check_schur_decomposition):
+                result = check(2)
+                assert not result.ok and result.detail
+        finally:
+            for memo in memos:
+                memo.cache_clear()
+
     def test_enumerate_tableaux_count(self, monkeypatch):
         monkeypatch.setattr(seminormal, "standard_count", lambda lam, n: 0)
         with pytest.raises(InvariantViolation, match="expected 0"):

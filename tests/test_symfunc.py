@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rookq.errors import WeightMismatch
 from rookq.exact import LaurentPoly
@@ -24,6 +26,7 @@ from rookq.symfunc import (
     qhat_expansion,
     qhat_mu,
     qhat_mu_scaled,
+    q_mu,
     qn_expansion,
     schur_in_p,
 )
@@ -217,3 +220,56 @@ class TestHn:
         assert hn_expansion(0) == PExpansion.one()
         assert hn_expansion(1) == PExpansion.p((1,))
         assert hn_expansion(2) == PExpansion({(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+coefficients = st.one_of(
+    st.integers(-5, 5),
+    small_fractions,
+    st.lists(small_fractions, max_size=3).map(lambda cs: LaurentPoly("t", dict(enumerate(cs, -1)))),
+)
+expansions = st.dictionaries(
+    st.sampled_from([lam for w in range(5) for lam in partitions_of(w)]), coefficients, max_size=4
+).map(PExpansion)
+
+
+def assert_canonical(f):
+    """Integer coefficients over a positive denominator, in lowest terms."""
+    ints = [c for p in f._terms.values() for c in p._terms.values()]
+    assert type(f._den) is int and f._den > 0
+    assert all(type(c) is int for c in ints)
+    assert math.gcd(f._den, *ints) == 1
+    g = PExpansion(dict(f.terms()))
+    assert g == f and hash(g) == hash(f)
+
+
+def rational_inner_product(f, g):
+    """<f, g> summed over the rational coefficients, term by term."""
+    total = LaurentPoly.zero("t")
+    fc, gc = dict(f.terms()), dict(g.terms())
+    for rho, c in fc.items():
+        if rho in gc:
+            total = total + c * gc[rho] * z_lambda(rho)
+    return total
+
+
+class TestCommonDenominator:
+    @given(expansions, expansions, coefficients)
+    def test_operations_stay_in_lowest_terms(self, f, g, c):
+        total = f + g
+        fc, gc = dict(f.terms()), dict(g.terms())
+        assert dict(total.terms()) == {
+            rho: v for rho in fc.keys() | gc.keys() if (v := fc.get(rho, 0) + gc.get(rho, 0))
+        }
+        for h in (f, total, f * g, f.scale(c), adjoint_apply(f, g)):
+            assert_canonical(h)
+            assert inner_product(h, g) == rational_inner_product(h, g)
+
+    def test_engine_stores_integer_coefficients(self):
+        # a Fraction stored in a PExpansion coefficient would undo the common
+        # denominator; every memoised expansion up to weight 6 is checked
+        built = [f(n) for n in range(7) for f in (hn_expansion, qn_expansion, qhat_expansion)]
+        for lam in partitions_up_to(6):
+            built += [qhat_mu(lam), q_mu(lam), schur_in_p(lam)]
+        for f in built:
+            assert_canonical(f)
