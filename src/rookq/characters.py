@@ -3,10 +3,10 @@
 Five algorithms compute the same values; ``compute_chi`` runs any of them
 by name:
 
-* ``chi_oracle``     -- pairing of the integral product D_mu * q-hat_mu(t),
-                        D_mu = prod_i mu_i!, with the classical characters
-                        chi^lambda_rho, one exact division by D_mu, then the
-                        Frobenius conversion chi = q^|mu| / (q-1)^l(mu) * X(q^{-1});
+* ``chi_oracle``     -- pairing of q-hat_mu(t)'s integer numerators with the
+                        classical characters chi^lambda_rho, one exact
+                        division by its denominator, then the Frobenius
+                        conversion chi = q^|mu| / (q-1)^l(mu) * X(q^{-1});
 * ``chi_iterative``  -- recursion that shortens the upper partition lambda by
                         peeling its first row (vertical-strip complements);
 * ``chi_mn``         -- Murnaghan-Nakayama recursion that shortens the lower
@@ -23,7 +23,6 @@ coefficients; all internal divisions are exact and checked.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -42,7 +41,7 @@ from .shapes import (
 )
 # unused here, but perfbench/tests/test_tracer.py checks that this name is bound
 from .shapes import gbs_decompose  # noqa: F401
-from .symfunc import classical_char, qhat_mu_scaled
+from .symfunc import qhat_mu, schur_pairing
 
 _Q = LaurentPoly.monomial("q", 1)
 _ONE = LaurentPoly.one("q")
@@ -70,29 +69,16 @@ def chi_oracle(lam: Partition, mu: Partition) -> LaurentPoly:
 
     s_lambda = sum_rho chi^lambda_rho p_rho / z_rho and <p_rho, p_rho> = z_rho,
     so the pairing is sum_{rho |- |lambda|} [p_rho]q-hat_mu * chi^lambda_rho
-    (Macdonald I.7).  It is summed in integers over ``qhat_mu_scaled(mu)`` =
-    D_mu * q-hat_mu, D_mu = prod_i mu_i!, and each coefficient is divided
-    exactly by D_mu.
+    (Macdonald I.7).  ``symfunc.schur_pairing`` sums it over the integer
+    numerators of the memoised ``qhat_mu(mu)`` and divides by its denominator
+    once; a quotient outside Z[t] raises.
     """
     lam, mu = tuple(lam), tuple(mu)
     _check_weights(lam, mu)
-    scaled = qhat_mu_scaled(mu)
-    total: Dict[int, int] = {}
-    for rho in partitions_of(sum(lam)):
-        coeff = scaled.coefficient(rho)
-        chi = classical_char(lam, rho) if coeff else 0
-        if chi:
-            for h, c in coeff.items():
-                total[h] = total.get(h, 0) + c * chi
-    d_mu = math.prod(math.factorial(part) for part in mu)
-    x: Dict[int, int] = {}
-    for h, c in total.items():
-        x[h], rem = divmod(c, d_mu)
-        if rem:
-            raise InvariantViolation(
-                f"X^{list(lam)}_{list(mu)}: {c}*t^{h} is not divisible by D_mu = {d_mu}"
-            )
-    return frobenius_chi(LaurentPoly("t", x), mu)
+    x = schur_pairing(qhat_mu(mu), lam)
+    if not x.has_integer_coefficients():
+        raise InvariantViolation(f"X^{list(lam)}_{list(mu)} = {x} is not in Z[t]")
+    return frobenius_chi(x, mu)
 
 
 def chi_empty(mu: Sequence[int]) -> LaurentPoly:

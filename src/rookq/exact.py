@@ -11,7 +11,9 @@ to ``int`` on construction, and a ``float`` is refused.  Character values,
 border-strip weights, the seminormal entries and the power-sum expansions of
 ``symfunc`` (integer polynomials over one common denominator) therefore run
 on ``int`` arithmetic.  A ``Fraction`` is stored where a rational value is
-read out of such an expansion, and otherwise only by the coefficient parser,
+read out of such an expansion (``terms``, ``inner_product``, and
+``schur_pairing``, whose one division by the denominator ``chi_oracle``
+requires to be exact), and otherwise only by the coefficient parser,
 ``characters.perm_sum_closed_forms``, the random data of ``verify`` and the
 gcd of ``RationalFunction``.  Exponents are plain integers: the key ``h``
 stands for ``var**h``.

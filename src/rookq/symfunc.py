@@ -5,7 +5,7 @@ coefficients that are polynomials in t.  They are stored as polynomials with
 ``int`` coefficients over one common positive denominator, in lowest terms:
 the 1/z_rho of the power-sum basis go into that denominator, so products,
 sums and the adjoint run on integer arithmetic, and a rational value is formed
-only where one is read out (``terms``, ``coefficient``, ``inner_product``).
+only where one is read out (``terms``, ``inner_product``, ``schur_pairing``).
 Inhomogeneous elements are allowed: the modified one-row Hall-Littlewood
 functions q-hat mix weights because p-hat_n = 1 + p_n.
 
@@ -14,9 +14,11 @@ recursion with memoization); they give the Schur expansion
 
     s_lambda = sum_rho chi^lambda_rho / z_rho * p_rho,
 
-and ``characters.chi_oracle`` pairs them directly with the integral product
-``qhat_mu_scaled``: since <p_rho, p_rho> = z_rho, the z_rho cancels and
-<f, s_lambda> = sum_rho [p_rho]f * chi^lambda_rho.
+and ``schur_pairing`` pairs them directly with an expansion: since
+<p_rho, p_rho> = z_rho, the z_rho cancels and
+<f, s_lambda> = sum_rho [p_rho]f * chi^lambda_rho, summed over the integer
+numerators of f and divided by its denominator once.  ``characters.chi_oracle``
+takes it on ``qhat_mu(mu)``, the same memoised product the checks vouch for.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .shapes import (
 from .shapes import gbs_decompose  # noqa: F401
 
 Coeff = Union[int, Fraction, LaurentPoly]
-_ZERO_T = LaurentPoly.zero("t")
 
 
 def _cleared(c: Coeff) -> Tuple[LaurentPoly, int]:
@@ -80,8 +81,8 @@ class PExpansion:
     The coefficients are stored as ``_terms[rho] / _den``: every ``_terms``
     value is a t-polynomial with ``int`` coefficients, ``_den`` is a positive
     ``int``, and the pair is in lowest terms (zero is ``{}`` over 1), so equal
-    expansions have equal fields.  ``terms`` and ``coefficient`` give the
-    rational coefficients back.
+    expansions have equal fields.  ``terms`` gives the rational coefficients
+    back.
     """
 
     __slots__ = ("_terms", "_den")
@@ -110,10 +111,6 @@ class PExpansion:
     def terms(self):
         """The (rho, rational coefficient) pairs."""
         return {rho: self._value(c) for rho, c in self._terms.items()}.items()
-
-    def coefficient(self, rho: Partition) -> LaurentPoly:
-        """The coefficient of p_rho, zero when p_rho does not occur."""
-        return self._value(self._terms.get(tuple(rho), _ZERO_T))
 
     @property
     def is_zero(self) -> bool:
@@ -183,6 +180,23 @@ def inner_product(f: PExpansion, g: PExpansion) -> LaurentPoly:
     return total.scale(Fraction(1, f._den * g._den))
 
 
+def schur_pairing(f: PExpansion, lam: Partition) -> LaurentPoly:
+    """<f, s_lambda> = sum_{rho |- |lambda|} [p_rho]f * chi^lambda_rho.
+
+    The integer numerators of f times ``classical_char`` are summed and
+    divided by the denominator of f once, at the end; rho whose coefficient is
+    zero are skipped before their character is looked up.
+    """
+    total: Dict[int, int] = {}
+    for rho in partitions_of(sum(lam)):
+        c = f._terms.get(rho)
+        chi = classical_char(lam, rho) if c is not None else 0
+        if chi:
+            for h, v in c._terms.items():
+                total[h] = total.get(h, 0) + v * chi
+    return LaurentPoly("t", total).scale(Fraction(1, f._den))
+
+
 def adjoint_apply(g: PExpansion, f: PExpansion) -> PExpansion:
     """Apply the adjoint of multiplication by g.
 
@@ -190,10 +204,10 @@ def adjoint_apply(g: PExpansion, f: PExpansion) -> PExpansion:
     <g * u, v> = <u, adjoint_apply(g, v)>.
     """
     out: Dict[Partition, LaurentPoly] = {}
+    f_terms = [(multiplicities(sigma), cf) for sigma, cf in f._terms.items()]
     for rho, cg in g._terms.items():
         mult_rho = multiplicities(rho)
-        for sigma, cf in f._terms.items():
-            mult_sigma = multiplicities(sigma)
+        for mult_sigma, cf in f_terms:
             factor = 1
             for v, k in mult_rho.items():
                 m = mult_sigma.get(v, 0)
@@ -268,26 +282,6 @@ def qhat_mu(mu: Partition) -> PExpansion:
     out = PExpansion.one()
     for part in mu:
         out = out * qhat_expansion(part)
-    return out
-
-
-@lru_cache(maxsize=None)
-def qhat_mu_scaled(mu: Partition) -> PExpansion:
-    """D_mu * q-hat_mu with D_mu = prod_i mu_i!, every coefficient in Z[t].
-
-    The factor mu_i! * q-hat_{mu_i} is integral because z_lambda divides
-    mu_i! for every lambda |- mu_i; that is checked before the factor enters
-    the product.
-    """
-    out = PExpansion.one()
-    for part in mu:
-        factor = qhat_expansion(part).scale(math.factorial(part))
-        for rho, c in factor.terms():
-            if not c.has_integer_coefficients():
-                raise InvariantViolation(
-                    f"{part}! * q-hat_{part}: coefficient {c} of p_{list(rho)} is not in Z[t]"
-                )
-        out = out * factor
     return out
 
 

@@ -23,18 +23,9 @@ from rookq import verify
 from table1_golden import MUS, ROWS, TABLE1
 
 
-def _clear_character_caches():
-    ch.chi_oracle.cache_clear()
-    ch.qhat_mu_scaled.cache_clear()
-    ch.chi_iterative.cache_clear()
-    ch.chi_mn.cache_clear()
-    ch._ab_tables.cache_clear()
-
-
-def test_c1_table1_reproduction():
+def test_c1_table1_reproduction(clear_memos):
     """Criterion 1: the restricted weight-5 table matches the frozen reference
     byte-for-byte in canonical form, independently per method, in <10 s."""
-    _clear_character_caches()
     start = time.monotonic()
     for method in ("oracle", "iterative", "mn"):
         table = ch.CharacterTable.build(

@@ -89,7 +89,7 @@ class TestOracle:
     def test_column_value(self):
         assert chi_oracle((1, 1, 1, 1), (2, 1, 1, 1)) == qp("q - 4")
 
-    def test_independent_of_border_strips(self, monkeypatch):
+    def test_independent_of_border_strips(self, monkeypatch, clear_memos):
         cells = cells_up_to(6)
         expected = {cell: chi_mn(*cell) for cell in cells}
         shared = (
@@ -105,8 +105,7 @@ class TestOracle:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(LaurentPoly, "sum_of_products", refuse)
-        for memo in (chi_oracle, chi_mn, symfunc.qhat_mu_scaled, symfunc._classical_rec):
-            memo.cache_clear()
+        clear_memos()
         assert {cell: chi_oracle(*cell) for cell in cells} == expected
 
     def test_empty_value(self):

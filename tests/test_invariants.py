@@ -50,7 +50,7 @@ class TestInvariantChecks:
         with pytest.raises(NonExactDivision, match="gcd"):
             RationalFunction(Q, Q + 2)
 
-    def test_half_integer_error_in_h_n(self, monkeypatch):
+    def test_half_integer_error_in_h_n(self, monkeypatch, clear_memos):
         # expansions compare in lowest terms over a common denominator; a
         # half-integer error in h_2 must still show as a difference
         expansion = symfunc.hn_expansion
@@ -59,14 +59,9 @@ class TestInvariantChecks:
             "hn_expansion",
             lambda n: expansion(n) + PExpansion({(2,): Fraction(1, 2)}) if n == 2 else expansion(n),
         )
-        memos = (expansion, symfunc.qhat_mu, symfunc.schur_in_p)
-        try:
-            for check in (verify.check_h_adjoint_routes, verify.check_schur_decomposition):
-                result = check(2)
-                assert not result.ok and result.detail
-        finally:
-            for memo in memos:
-                memo.cache_clear()
+        for check in (verify.check_h_adjoint_routes, verify.check_schur_decomposition):
+            result = check(2)
+            assert not result.ok and result.detail
 
     def test_enumerate_tableaux_count(self, monkeypatch):
         monkeypatch.setattr(seminormal, "standard_count", lambda lam, n: 0)
@@ -134,25 +129,24 @@ class TestInvariantChecks:
             )
             assert run_optimized(script) == "False\nraised\n"
 
-    def test_oracle_pairing_not_divisible_by_d_mu(self, monkeypatch, capsys):
-        # one more p_(3) in 3! * q-hat_3 moves the pairing for (2,1) x (3) by
-        # chi^(2,1)_(3) = -1, which D_(3) = 3! = 6 does not divide
-        scaled = symfunc.qhat_mu_scaled
-        monkeypatch.setattr(characters, "qhat_mu_scaled", lambda mu: scaled(mu) + PExpansion.p((3,)))
-        characters.chi_oracle.cache_clear()
-        try:
-            with pytest.raises(InvariantViolation, match="not divisible by D_mu = 6"):
-                characters.chi_oracle((2, 1), (3,))
-            assert cli.main(["char", "--lambda", "[2,1]", "--mu", "[3]", "--method", "oracle"]) == 2
-            assert "not divisible by D_mu" in capsys.readouterr().err
-        finally:
-            characters.chi_oracle.cache_clear()
+    def test_oracle_pairing_not_divisible_by_d_mu(self, monkeypatch, capsys, clear_memos):
+        # 1/6 more p_(3) in q-hat_(3) moves the pairing for (2,1) x (3) by
+        # chi^(2,1)_(3) / 6 = -1/6, which takes it out of Z[t]
+        qhat_mu = symfunc.qhat_mu
+        monkeypatch.setattr(
+            characters, "qhat_mu", lambda mu: qhat_mu(mu) + PExpansion({(3,): Fraction(1, 6)})
+        )
+        with pytest.raises(InvariantViolation, match=r"X\^\[2, 1\]_\[3\] = .* is not in Z\[t\]"):
+            characters.chi_oracle((2, 1), (3,))
+        assert cli.main(["char", "--lambda", "[2,1]", "--mu", "[3]", "--method", "oracle"]) == 2
+        assert "not in Z[t]" in capsys.readouterr().err
         script = (
+            "from fractions import Fraction\n"
             "from rookq import characters, symfunc\n"
             "from rookq.errors import InvariantViolation\n"
             "print(__debug__)\n"
-            "scaled = symfunc.qhat_mu_scaled\n"
-            "characters.qhat_mu_scaled = lambda mu: scaled(mu) + symfunc.PExpansion.p((3,))\n"
+            "qhat_mu = symfunc.qhat_mu\n"
+            "characters.qhat_mu = lambda mu: qhat_mu(mu) + symfunc.PExpansion({(3,): Fraction(1, 6)})\n"
             "try:\n"
             "    characters.chi_oracle((2, 1), (3,))\n"
             "except InvariantViolation:\n"
@@ -160,24 +154,17 @@ class TestInvariantChecks:
         )
         assert run_optimized(script) == "False\nraised\n"
 
-    def test_qhat_factor_outside_zt(self, monkeypatch, capsys):
-        # 1/12 more p_(3) in q-hat_3 adds 3!/12 = 1/2 to the coefficient of
-        # p_(3) in the factor 3! * q-hat_3
+    def test_qhat_factor_outside_zt(self, monkeypatch, capsys, clear_memos):
+        # 1/12 more p_(3) in q-hat_3 enters the memoised product q-hat_(3)
+        # and moves the pairing for (2,1) x (3) by -1/12
         expansion = symfunc.qhat_expansion
         monkeypatch.setattr(
             symfunc, "qhat_expansion", lambda n: expansion(n) + PExpansion({(n,): Fraction(1, 12)})
         )
-        memos = (characters.chi_oracle, symfunc.qhat_mu_scaled)
-        for memo in memos:
-            memo.cache_clear()
-        try:
-            with pytest.raises(InvariantViolation, match=r"3! \* q-hat_3: .* not in Z\[t\]"):
-                characters.chi_oracle((2, 1), (3,))
-            assert cli.main(["char", "--lambda", "[2,1]", "--mu", "[3]", "--method", "oracle"]) == 2
-            assert "not in Z[t]" in capsys.readouterr().err
-        finally:
-            for memo in memos:
-                memo.cache_clear()
+        with pytest.raises(InvariantViolation, match=r"X\^\[2, 1\]_\[3\] = .* is not in Z\[t\]"):
+            characters.chi_oracle((2, 1), (3,))
+        assert cli.main(["char", "--lambda", "[2,1]", "--mu", "[3]", "--method", "oracle"]) == 2
+        assert "not in Z[t]" in capsys.readouterr().err
         script = (
             "from fractions import Fraction\n"
             "from rookq import characters, symfunc\n"

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rookq import verify
+from rookq.characters import chi_oracle
 from rookq.errors import WeightMismatch
 from rookq.exact import LaurentPoly
 from rookq.shapes import (
@@ -25,7 +27,6 @@ from rookq.symfunc import (
     inner_product,
     qhat_expansion,
     qhat_mu,
-    qhat_mu_scaled,
     q_mu,
     qn_expansion,
     schur_in_p,
@@ -90,12 +91,22 @@ class TestHallLittlewood:
     def test_qhat_empty(self):
         assert qhat_mu(()) == PExpansion.one()
 
-    def test_scaled_product_is_the_product_times_d_mu(self):
-        # the oracle pairs qhat_mu_scaled; qhat_mu is the product the checks vouch for
+    def test_qhat_mu_denominator_divides_d_mu(self):
+        # z_lambda divides n! for every lambda |- n, so D_mu * q-hat_mu lies
+        # over Z[t], D_mu = prod_i mu_i!
         for w in range(8):
             for mu in partitions_of(w):
-                d_mu = math.prod(math.factorial(part) for part in mu)
-                assert qhat_mu_scaled(mu) == qhat_mu(mu).scale(d_mu)
+                assert math.prod(math.factorial(part) for part in mu) % qhat_mu(mu)._den == 0
+
+    def test_oracle_reads_the_checked_memo(self, clear_memos):
+        # the oracle pairs the same q-hat_mu that qhat-lemma compares
+        assert verify.check_qhat_lemma(4).ok
+        before = qhat_mu.cache_info()
+        for mu in partitions_of(4):
+            for lam in partitions_up_to(4):
+                chi_oracle(lam, mu)
+        after = qhat_mu.cache_info()
+        assert after.hits > before.hits and after.misses == before.misses
 
     def test_lemma_single_row(self):
         # q-hat_n = q_n + (1-t) sum_{i=1}^{n} q_{n-i}
