@@ -24,11 +24,16 @@ coefficients; all internal divisions are exact and checked.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import InvariantViolation, MethodMismatch, VariantMismatch, WeightMismatch
+from .errors import (
+    InvariantViolation,
+    MethodMismatch,
+    NonExactDivision,
+    VariantMismatch,
+    WeightMismatch,
+)
 from .exact import LaurentPoly
 from .shapes import (
     Partition,
@@ -71,13 +76,14 @@ def chi_oracle(lam: Partition, mu: Partition) -> LaurentPoly:
     so the pairing is sum_{rho |- |lambda|} [p_rho]q-hat_mu * chi^lambda_rho
     (Macdonald I.7).  ``symfunc.schur_pairing`` sums it over the integer
     numerators of the memoised ``qhat_mu(mu)`` and divides by its denominator
-    once; a quotient outside Z[t] raises.
+    once; a quotient outside Z[t] raises InvariantViolation.
     """
     lam, mu = tuple(lam), tuple(mu)
     _check_weights(lam, mu)
-    x = schur_pairing(qhat_mu(mu), lam)
-    if not x.has_integer_coefficients():
-        raise InvariantViolation(f"X^{list(lam)}_{list(mu)} = {x} is not in Z[t]")
+    try:
+        x = schur_pairing(qhat_mu(mu), lam)
+    except NonExactDivision as e:
+        raise InvariantViolation(f"X^{list(lam)}_{list(mu)} = {e}") from None
     return frobenius_chi(x, mu)
 
 
@@ -363,7 +369,7 @@ def perm_sum_closed_forms(mu: Partition) -> Tuple[LaurentPoly, LaurentPoly]:
     for part in mu:
         prod_a = prod_a * hook_content_factor(part)
     sign = (-1) ** (n + l)
-    rhs1 = (prod_a - LaurentPoly.monomial("q", n - l, (-1) ** (n - l))).scale(Fraction(sign, 2))
+    rhs1 = (prod_a - LaurentPoly.monomial("q", n - l, (-1) ** (n - l))).exact_div(2 * sign)
     rhs2 = LaurentPoly.monomial("q", n - l)
     for part in mu:
         rhs2 = rhs2 * _two_row_factor(part)
@@ -418,7 +424,7 @@ def compute_chi(lam: Sequence[int], mu: Sequence[int], method: str = "mn") -> La
         chi = trace_standard_element(lam, mu)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if not (chi.is_ordinary() and chi.has_integer_coefficients()):
+    if not chi.is_ordinary():
         raise InvariantViolation(f"chi^{list(lam)}_{list(mu)} by {method} is not in Z[q]: {chi}")
     return chi
 

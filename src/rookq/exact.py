@@ -1,22 +1,17 @@
-"""Exact scalar arithmetic: rationals and Laurent polynomials.
+"""Exact scalar arithmetic: Laurent polynomials over the integers.
 
-The scalar tower is
+Every value the package computes lies in Z[q] (or Z[t]), so there is one
+scalar type,
 
-    coefficient   int, or fractions.Fraction when not integral
-    LaurentPoly                            (one tagged variable, q or t)
+    LaurentPoly   integer coefficients, one tagged variable (q or t)
 
-A stored coefficient is a plain ``int`` whenever it is integral and a
-``Fraction`` only otherwise; a ``Fraction`` with denominator 1 is folded back
-to ``int`` on construction, and a ``float`` is refused.  Character values,
-border-strip weights, the seminormal entries and the power-sum expansions of
-``symfunc`` (integer polynomials over one common denominator) therefore run
-on ``int`` arithmetic.  A ``Fraction`` is stored where a rational value is
-read out of such an expansion (``terms``, ``inner_product``, and
-``schur_pairing``, whose one division by the denominator ``chi_oracle``
-requires to be exact), and otherwise only by the coefficient parser,
-``characters.perm_sum_closed_forms``, the random data of ``verify`` and the
-gcd of ``RationalFunction``.  Exponents are plain integers: the key ``h``
-stands for ``var**h``.
+and a coefficient is always a plain ``int``: anything else, a rational number
+or a ``float`` included, is refused with ``TypeError``.  A division is exact
+or it raises: ``exact_div`` raises ``NonExactDivision`` unless the quotient
+lies in the Laurent ring over Z.  Rational numbers appear only in ``symfunc``,
+which stores each power-sum expansion as integer polynomials over one common
+denominator and divides by it, exactly, only in its two pairings.  Exponents
+are plain integers: the key ``h`` stands for ``var**h``.
 
 ``LaurentPoly.sum_of_products`` sums a*b over many pairs into one dict and
 folds it once, where ``__mul__`` and ``__add__`` would build a dict for every
@@ -25,74 +20,57 @@ product and every partial sum.  Only the Murnaghan-Nakayama route
 on ``__mul__`` and ``__add__``, so no two compared routes share the kernel.
 
 ``RationalFunction`` only puts a quotient of two Laurent polynomials into
-canonical reduced form, by a Euclidean gcd; it has no arithmetic.
+canonical reduced form over Z[q], by a primitive gcd; it has no arithmetic.
 
 No floating point is used anywhere; all arithmetic is exact.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
+from numbers import Number
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from .errors import DivisionByZero, DomainError, NonExactDivision
-
-Scalar = Union[int, Fraction]
 
 _VALID_VARS = ("q", "t")
 _TAG_SWAP = {"t": "q", "q": "t"}
 
 
-def _as_coeff(x: Scalar) -> Scalar:
-    """A valid coefficient: ``int`` when integral, ``Fraction`` otherwise."""
+def _as_int(x) -> int:
+    """``x`` as a plain ``int``; anything that is not an integer is refused."""
     if type(x) is int:
         return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
         return int(x)
-    raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
+    raise TypeError(f"expected an integer coefficient, got {type(x).__name__}")
 
 
-def _fold(terms: Mapping[int, Scalar]) -> Dict[int, Scalar]:
-    """Drop zero terms and fold integral Fractions of valid coefficients to int."""
-    return {
-        h: c if type(c) is int or c.denominator != 1 else c.numerator
-        for h, c in terms.items()
-        if c
-    }
-
-
-def _div(a: Scalar, b: Scalar) -> Scalar:
-    """Exact quotient of two coefficients (``a / b`` on two ints gives a float)."""
-    if type(a) is int and type(b) is int:
-        quot, rem = divmod(a, b)
-        if not rem:
-            return quot
-    return _as_coeff(Fraction(a) / b)
+def _fold(terms: Mapping[int, int]) -> Dict[int, int]:
+    """Drop zero terms."""
+    return {h: c for h, c in terms.items() if c}
 
 
 class LaurentPoly:
-    """Laurent polynomial in one formal variable with rational coefficients.
+    """Laurent polynomial in one formal variable with integer coefficients.
 
-    ``_terms`` maps integer exponents to nonzero coefficients, each an
-    ``int`` when integral and a ``Fraction`` otherwise, never a ``float``.
+    ``_terms`` maps integer exponents to nonzero plain ``int`` coefficients.
     Instances are immutable (by convention: internal dicts are never touched
     after construction) and hashable, so they can be used as cache keys.
     """
 
     __slots__ = ("var", "_terms", "_hash")
 
-    def __init__(self, var: str, terms: Mapping[int, Scalar] | None = None):
+    def __init__(self, var: str, terms: Mapping[int, int] | None = None):
         if var not in _VALID_VARS:
             raise ValueError(f"unknown variable tag {var!r}")
-        out: Dict[int, Scalar] = {}
+        out: Dict[int, int] = {}
         if terms:
             for h, c in terms.items():
                 if not isinstance(h, int):
                     raise TypeError(f"expected an integer exponent, got {type(h).__name__}")
-                c = _as_coeff(c)
+                c = _as_int(c)
                 if c:
                     out[int(h)] = c
         self.var = var
@@ -100,7 +78,7 @@ class LaurentPoly:
         self._hash = None
 
     @classmethod
-    def _make(cls, var: str, terms: Dict[int, Scalar]) -> "LaurentPoly":
+    def _make(cls, var: str, terms: Dict[int, int]) -> "LaurentPoly":
         """Wrap a dict of valid nonzero coefficients without re-checking it."""
         self = object.__new__(cls)
         self.var = var
@@ -120,11 +98,11 @@ class LaurentPoly:
         return cls(var, {0: 1})
 
     @classmethod
-    def const(cls, value: Scalar, var: str = "q") -> "LaurentPoly":
+    def const(cls, value: int, var: str = "q") -> "LaurentPoly":
         return cls(var, {0: value})
 
     @classmethod
-    def monomial(cls, var: str, exp: int, coeff: Scalar = 1) -> "LaurentPoly":
+    def monomial(cls, var: str, exp: int, coeff: int = 1) -> "LaurentPoly":
         """``coeff * var**exp`` for an integer exponent."""
         return cls(var, {exp: coeff})
 
@@ -144,11 +122,8 @@ class LaurentPoly:
             return 0
         return min(self._terms)
 
-    def items(self) -> List[Tuple[int, Scalar]]:
+    def items(self) -> List[Tuple[int, int]]:
         return sorted(self._terms.items(), reverse=True)
-
-    def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self._terms.values())
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -157,9 +132,11 @@ class LaurentPoly:
         return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def _coerce(self, other) -> "LaurentPoly | None":
+        """``other`` as a polynomial; None for a non-number, TypeError for a
+        number that is not an integer."""
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Number):
             return LaurentPoly(self.var, {0: other})
         return None
 
@@ -206,7 +183,7 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         var = self._result_var(other)
-        out: Dict[int, Scalar] = {}
+        out: Dict[int, int] = {}
         get = out.get
         terms2 = other._terms.items()
         for h1, c1 in self._terms.items():
@@ -232,7 +209,7 @@ class LaurentPoly:
         constant adopts the other tag exactly as in the fold.
         """
         var = "q"
-        out: Dict[int, Scalar] = {}
+        out: Dict[int, int] = {}
         get = out.get
         for a, b in pairs:
             if a._result_var(b) != var:
@@ -256,8 +233,8 @@ class LaurentPoly:
             n >>= 1
         return result
 
-    def scale(self, c: Scalar) -> "LaurentPoly":
-        c = _as_coeff(c)
+    def scale(self, c: int) -> "LaurentPoly":
+        c = _as_int(c)
         return LaurentPoly._make(self.var, _fold({h: cc * c for h, cc in self._terms.items()}))
 
     def times_power(self, exp: int) -> "LaurentPoly":
@@ -268,35 +245,34 @@ class LaurentPoly:
     # the operations of the scalar layer
     # ------------------------------------------------------------------
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / other in the Laurent ring.
+        """Exact quotient self / other in the Laurent ring over Z.
 
-        Raises NonExactDivision when the remainder is nonzero, which signals
-        a violated divisibility invariant upstream.
+        Raises NonExactDivision unless the quotient has integer coefficients,
+        which signals a violated divisibility invariant upstream.  The tags
+        combine as in ``*``: a constant of either tag divides.
         """
         other = self._coerce(other)
-        if other is None or not isinstance(other, LaurentPoly):
+        if other is None:
             raise TypeError("exact_div expects a LaurentPoly")
+        var = self._result_var(other)
         if other.is_zero:
             raise DivisionByZero("division by the zero polynomial")
         if self.is_zero:
-            return LaurentPoly(self.var, {})
+            return LaurentPoly(var, {})
         ma, mb = self.min_exp(), other.min_exp()
         a = {h - ma: c for h, c in self._terms.items()}
         b = {h - mb: c for h, c in other._terms.items()}
         quot, rem = _divmod(a, b)
         if rem:
             raise NonExactDivision(f"({self}) is not divisible by ({other})")
-        return LaurentPoly._make(self.var, {h + ma - mb: c for h, c in quot.items()})
+        return LaurentPoly._make(var, {h + ma - mb: c for h, c in quot.items()})
 
-    def evaluate(self, x: Scalar) -> Fraction:
-        """Exact value at a rational point; negative exponents require ``x != 0``."""
-        x = Fraction(_as_coeff(x))
-        if x == 0 and self.min_exp() < 0:
-            raise DomainError("evaluation at 0 with negative exponents present")
-        total = Fraction(0)
-        for h, c in self._terms.items():
-            total += c * x**h
-        return total
+    def evaluate(self, x: int) -> int:
+        """Exact value at an integer point; a negative exponent is refused."""
+        x = _as_int(x)
+        if self.min_exp() < 0:
+            raise DomainError(f"cannot evaluate {self} at an integer: negative exponent")
+        return sum(c * x**h for h, c in self._terms.items())
 
     def substitute_inverse(self) -> "LaurentPoly":
         """Substitute the reciprocal variable and swap the tag t <-> q.
@@ -310,9 +286,8 @@ class LaurentPoly:
     # equality / hashing
     # ------------------------------------------------------------------
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly(self.var, {0: other})
-        if not isinstance(other, LaurentPoly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         if self._terms != other._terms:
             return False
@@ -348,7 +323,7 @@ class LaurentPoly:
                 chunks.append((" + " if c > 0 else " - ") + body)
         return "".join(chunks)
 
-    def _term_body(self, h: int, mag: Scalar) -> str:
+    def _term_body(self, h: int, mag: int) -> str:
         if h == 0:
             return str(mag)
         vpart = self.var if h == 1 else f"{self.var}^{h}"
@@ -365,10 +340,10 @@ class LaurentPoly:
         chunks: List[str] = []
         for h, c in self.items():
             if h == 0:
-                body = _frac_latex(abs(c))
+                body = str(abs(c))
             else:
                 vpart = self.var if h == 1 else f"{self.var}^{{{h}}}"
-                body = vpart if abs(c) == 1 else _frac_latex(abs(c)) + vpart
+                body = vpart if abs(c) == 1 else f"{abs(c)}{vpart}"
             if not chunks:
                 chunks.append(body if c > 0 else "-" + body)
             else:
@@ -376,11 +351,12 @@ class LaurentPoly:
         return "".join(chunks)
 
     def terms_json(self) -> List[List[int]]:
-        """``[[exponent, numerator, denominator], ...]`` with exponents descending."""
-        return [[h, c.numerator, c.denominator] for h, c in self.items()]
+        """``[[exponent, coefficient, 1], ...]`` with exponents descending; the
+        trailing 1 fills the JSON format's denominator slot."""
+        return [[h, c, 1] for h, c in self.items()]
 
     _TERM_RE = re.compile(
-        r"^(?P<coeff>\d+(?:/\d+)?)?"
+        r"^(?P<coeff>\d+)?"
         r"(?:\*?(?P<var>[qt])"
         r"(?:\^(?P<exp>-?\d+))?)?$"
     )
@@ -391,7 +367,7 @@ class LaurentPoly:
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty polynomial string")
-        terms: Dict[int, Scalar] = {}
+        terms: Dict[int, int] = {}
         seen_var = var
         for piece in _split_terms(s):
             sign = 1
@@ -400,7 +376,7 @@ class LaurentPoly:
             m = cls._TERM_RE.match(piece)
             if not m or (m.group("coeff") is None and m.group("var") is None):
                 raise ValueError(f"cannot parse polynomial term {piece!r}")
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else 1
+            coeff = int(m.group("coeff")) if m.group("coeff") else 1
             v = m.group("var")
             if v is not None:
                 if seen_var is None:
@@ -426,57 +402,67 @@ def _split_terms(s: str) -> Iterator[str]:
     yield last if not last.startswith("+") else last[1:]
 
 
-def _frac_latex(c: Scalar) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"\\tfrac{{{c.numerator}}}{{{c.denominator}}}"
-
-
 # ----------------------------------------------------------------------
 # dict-level helpers (keys are exponents >= 0)
 # ----------------------------------------------------------------------
-def _divmod(a: Dict[int, Scalar], b: Dict[int, Scalar]):
-    """Long division of ordinary term dicts; returns (quotient, remainder)."""
+def _divmod(a: Dict[int, int], b: Dict[int, int]):
+    """Long division of ordinary term dicts over Z; returns (quotient,
+    remainder).  It stops early, with a nonzero remainder, at the first
+    leading coefficient that the divisor's does not divide, since the
+    quotient then leaves Z[q]."""
     a = dict(a)
-    q: Dict[int, Scalar] = {}
+    q: Dict[int, int] = {}
     db = max(b)
     lb = b[db]
     while a:
         da = max(a)
-        if da < db:
+        f, r = divmod(a[da], lb)
+        if da < db or r:
             break
-        f = _div(a[da], lb)
         q[da - db] = f
         for h, c in b.items():
             nh = h + da - db
             nc = a.get(nh, 0) - f * c
             if nc:
-                a[nh] = _as_coeff(nc)
+                a[nh] = nc
             else:
                 a.pop(nh, None)
     return q, a
 
 
-def _gcd(a: Dict[int, Scalar], b: Dict[int, Scalar]) -> Dict[int, Scalar]:
-    """Monic polynomial gcd of ordinary term dicts (Euclid over Q)."""
-    a, b = dict(a), dict(b)
+def _primitive(a: Dict[int, int]) -> Dict[int, int]:
+    """``a`` divided by its content, signed so that the leading coefficient is positive."""
+    g = math.gcd(*a.values())
+    if a[max(a)] < 0:
+        g = -g
+    return {h: c // g for h, c in a.items()}
+
+
+def _gcd(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    """gcd in Z[q] of nonzero ordinary term dicts, with positive leading
+    coefficient: the gcd of the contents times the gcd of the primitive parts,
+    taken by primitive pseudo-remainders (von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, ch. 6)."""
+    content = math.gcd(*a.values(), *b.values())
+    a, b = _primitive(a), _primitive(b)
+    if max(a) < max(b):
+        a, b = b, a
     while b:
-        _, r = _divmod(a, b)
-        a, b = b, r
-    if a:
-        lc = a[max(a)]
-        if lc != 1:
-            a = {h: _div(c, lc) for h, c in a.items()}
-    return a
+        # lc(b)^(deg a - deg b + 1) * a divides by b step by step over Z
+        k = b[max(b)] ** (max(a) - max(b) + 1)
+        _, r = _divmod({h: c * k for h, c in a.items()}, b)
+        a, b = b, (_primitive(r) if r else {})
+    return {h: c * content for h, c in a.items()}
 
 
 class RationalFunction:
     """Quotient of Laurent polynomials in canonical reduced form.
 
-    Canonical form: the denominator is an ordinary polynomial (nonnegative
-    exponents, nonzero constant term) made monic, and shares no polynomial
-    factor with the ordinary part of the numerator.  Equality of canonical
-    forms is therefore plain syntactic equality.  Zero has the one form 0/1.
+    Canonical form over Z[q], a UFD: the denominator is an ordinary polynomial
+    (nonnegative exponents, nonzero constant term) with a positive leading
+    coefficient, and shares no factor in Z[q], integer content included, with
+    the ordinary part of the numerator.  Equality of canonical forms is
+    therefore plain syntactic equality.  Zero has the one form 0/1.
     """
 
     __slots__ = ("num", "den")
@@ -486,16 +472,10 @@ class RationalFunction:
             num = LaurentPoly.const(num, var or (den.var if isinstance(den, LaurentPoly) else "q"))
         if not isinstance(den, LaurentPoly):
             den = LaurentPoly.const(den, num.var)
-        if num.var != den.var:
-            if num._is_const():
-                num = LaurentPoly(den.var, num._terms)
-            elif den._is_const():
-                den = LaurentPoly(num.var, den._terms)
-            else:
-                raise ValueError("numerator and denominator variable mismatch")
+        # a constant adopts the other tag, as in arithmetic
+        v = num._result_var(den)
         if den.is_zero:
             raise DivisionByZero("rational function with zero denominator")
-        v = num.var
         if num.is_zero:
             self.num = LaurentPoly.zero(v)
             self.den = LaurentPoly.one(v)
@@ -509,22 +489,19 @@ class RationalFunction:
         n_ord = {h - mn: c for h, c in num._terms.items()}
         d_ord = dict(den._terms)
         g = _gcd(n_ord, d_ord)
-        if g and not (len(g) == 1 and 0 in g and g[0] == 1):
+        if g != {0: 1}:
             n_ord, r1 = _divmod(n_ord, g)
             d_ord, r2 = _divmod(d_ord, g)
             if r1 or r2:
                 raise NonExactDivision(f"gcd ({LaurentPoly(v, g)}) failed to divide exactly")
-        lc = d_ord[max(d_ord)]
-        if lc != 1:
-            n_ord = {h: _div(c, lc) for h, c in n_ord.items()}
-            d_ord = {h: _div(c, lc) for h, c in d_ord.items()}
+        if d_ord[max(d_ord)] < 0:
+            n_ord = {h: -c for h, c in n_ord.items()}
+            d_ord = {h: -c for h, c in d_ord.items()}
         self.num = LaurentPoly(v, {h + mn: c for h, c in n_ord.items()})
         self.den = LaurentPoly(v, d_ord)
 
     def is_polynomial(self) -> bool:
-        # the denominator is ordinary, monic and has a nonzero constant term,
-        # so a one-term denominator is 1
-        return len(self.den._terms) == 1
+        return self.den._terms == {0: 1}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):

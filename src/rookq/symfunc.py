@@ -1,13 +1,15 @@
 """Symmetric functions in the power-sum basis, with coefficients in Q[t].
 
 A ``PExpansion`` is a finite linear combination of power sums p_rho with
-coefficients that are polynomials in t.  They are stored as polynomials with
-``int`` coefficients over one common positive denominator, in lowest terms:
-the 1/z_rho of the power-sum basis go into that denominator, so products,
-sums and the adjoint run on integer arithmetic, and a rational value is formed
-only where one is read out (``terms``, ``inner_product``, ``schur_pairing``).
-Inhomogeneous elements are allowed: the modified one-row Hall-Littlewood
-functions q-hat mix weights because p-hat_n = 1 + p_n.
+coefficients that are polynomials in t.  They are stored as integer
+t-polynomials over one common positive denominator ``den``, in lowest terms:
+the 1/z_rho of the power-sum basis go into that denominator, and h_n, q_n,
+q-hat_n and s_lambda are built as integer numerators over n! from the start,
+so no rational coefficient is ever formed.  ``inner_product`` and
+``schur_pairing`` divide their integer sums by the denominators once, and
+raise ``NonExactDivision`` when the value is not in Z[t].  Inhomogeneous
+elements are allowed: the modified one-row Hall-Littlewood functions q-hat mix
+weights because p-hat_n = 1 + p_n.
 
 The classical symmetric-group characters live here too (Murnaghan-Nakayama
 recursion with memoization); they give the Schur expansion
@@ -24,11 +26,11 @@ takes it on ``qhat_mu(mu)``, the same memoised product the checks vouch for.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
-from .errors import InvariantViolation, WeightMismatch
+from .errors import InvariantViolation, NonExactDivision, WeightMismatch
 from .exact import LaurentPoly
 from .shapes import (
     Partition,
@@ -40,20 +42,26 @@ from .shapes import (
 # unused here, but perfbench/tests/test_tracer.py checks that this name is bound
 from .shapes import gbs_decompose  # noqa: F401
 
-Coeff = Union[int, Fraction, LaurentPoly]
+Coeff = Union[Rational, LaurentPoly]
 
 
 def _cleared(c: Coeff) -> Tuple[LaurentPoly, int]:
-    """(integer t-polynomial, positive int) whose quotient is the coefficient c."""
-    if isinstance(c, LaurentPoly):
-        if c.var != "t" and not c._is_const():
-            raise ValueError(f"p-basis coefficients live in Q[t], got variable {c.var!r}")
-        if c.var != "t":
-            c = LaurentPoly("t", c._terms)
-    else:
-        c = LaurentPoly.const(c, "t")
-    den = math.lcm(*(v.denominator for v in c._terms.values()))
-    return (c if den == 1 else c.scale(den)), den
+    """(integer t-polynomial, positive int) whose quotient is the coefficient
+    c: a polynomial over 1, or a rational number's numerator and denominator."""
+    if isinstance(c, Rational):
+        return LaurentPoly.const(c.numerator, "t"), c.denominator
+    if not isinstance(c, LaurentPoly):
+        raise TypeError(f"expected a rational number or a LaurentPoly, got {type(c).__name__}")
+    if c.var != "t" and not c._is_const():
+        raise ValueError(f"p-basis coefficients live in Q[t], got variable {c.var!r}")
+    return (c if c.var == "t" else LaurentPoly._make("t", c._terms)), 1
+
+
+def _divided(num: LaurentPoly, den: int) -> LaurentPoly:
+    """The t-polynomial num / den, which must have integer coefficients."""
+    if any(c % den for c in num._terms.values()):
+        raise NonExactDivision(f"({num})/{den} is not in Z[t]")
+    return LaurentPoly._make("t", {h: c // den for h, c in num._terms.items()})
 
 
 def _reduced(terms: Dict[Partition, LaurentPoly], den: int) -> "PExpansion":
@@ -71,21 +79,21 @@ def _reduced(terms: Dict[Partition, LaurentPoly], den: int) -> "PExpansion":
         }
     out = object.__new__(PExpansion)
     out._terms = terms
-    out._den = den // g
+    out.den = den // g
     return out
 
 
 class PExpansion:
     """Symmetric function written in the power-sum basis.
 
-    The coefficients are stored as ``_terms[rho] / _den``: every ``_terms``
-    value is a t-polynomial with ``int`` coefficients, ``_den`` is a positive
-    ``int``, and the pair is in lowest terms (zero is ``{}`` over 1), so equal
-    expansions have equal fields.  ``terms`` gives the rational coefficients
-    back.
+    The coefficient of p_rho is ``_terms[rho] / den``: every ``_terms`` value
+    is an integer t-polynomial, ``den`` is a positive ``int``, and the pair is
+    in lowest terms (zero is ``{}`` over 1), so equal expansions have equal
+    fields.  The constructor and ``scale`` take rational numbers and
+    t-polynomials; ``terms`` gives the integer numerators back.
     """
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_terms", "den")
 
     def __new__(cls, terms: Mapping[Partition, Coeff] | None = None) -> "PExpansion":
         cleared = {tuple(rho): _cleared(c) for rho, c in (terms or {}).items()}
@@ -105,21 +113,18 @@ class PExpansion:
         """The power sum p_rho."""
         return cls({tuple(rho): 1})
 
-    def _value(self, c: LaurentPoly) -> LaurentPoly:
-        return c if self._den == 1 else c.scale(Fraction(1, self._den))
-
     def terms(self):
-        """The (rho, rational coefficient) pairs."""
-        return {rho: self._value(c) for rho, c in self._terms.items()}.items()
+        """The (rho, integer numerator) pairs; each coefficient is numerator / ``den``."""
+        return self._terms.items()
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     def __add__(self, other: "PExpansion") -> "PExpansion":
-        den = math.lcm(self._den, other._den)
-        out = self._scaled(den // self._den)
-        for rho, c in other._scaled(den // other._den).items():
+        den = math.lcm(self.den, other.den)
+        out = self._scaled(den // self.den)
+        for rho, c in other._scaled(den // other.den).items():
             cur = out.get(rho)
             out[rho] = c if cur is None else cur + c
         return _reduced(out, den)
@@ -132,7 +137,7 @@ class PExpansion:
 
     def scale(self, c: Coeff) -> "PExpansion":
         c, den = _cleared(c)
-        return _reduced({rho: cc * c for rho, cc in self._terms.items()}, self._den * den)
+        return _reduced({rho: cc * c for rho, cc in self._terms.items()}, self.den * den)
 
     def __mul__(self, other: "PExpansion") -> "PExpansion":
         """Bilinear product; p_lambda * p_mu = p_{sort(lambda + mu)}."""
@@ -143,23 +148,23 @@ class PExpansion:
                 c = c1 * c2
                 cur = out.get(key)
                 out[key] = c if cur is None else cur + c
-        return _reduced(out, self._den * other._den)
+        return _reduced(out, self.den * other.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PExpansion):
             return NotImplemented
-        return self._den == other._den and self._terms == other._terms
+        return self.den == other.den and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self._den, tuple(sorted(self._terms.items()))))
+        return hash((self.den, tuple(sorted(self._terms.items()))))
 
     def __str__(self) -> str:
-        terms = dict(self.terms())
-        if not terms:
+        if not self._terms:
             return "0"
-        keys = sorted(terms, key=lambda r: (sum(r), r))
+        over = f"/{self.den}" if self.den != 1 else ""
+        keys = sorted(self._terms, key=lambda r: (sum(r), r))
         return " + ".join(
-            f"({terms[k]})*p{list(k)}" if k else f"({terms[k]})"
+            f"({self._terms[k]}){over}*p{list(k)}" if k else f"({self._terms[k]}){over}"
             for k in keys
         )
 
@@ -169,7 +174,8 @@ class PExpansion:
 def inner_product(f: PExpansion, g: PExpansion) -> LaurentPoly:
     """<p_lambda, p_mu> = delta_{lambda,mu} z_lambda, extended bilinearly.
 
-    The integer sum is divided by the two denominators once, at the end.
+    The integer sum is divided by the two denominators once, at the end;
+    NonExactDivision when the value is not in Z[t].
     """
     total = LaurentPoly.zero("t")
     small, large = (f, g) if len(f._terms) <= len(g._terms) else (g, f)
@@ -177,14 +183,15 @@ def inner_product(f: PExpansion, g: PExpansion) -> LaurentPoly:
         c2 = large._terms.get(rho)
         if c2 is not None:
             total = total + c1 * c2 * z_lambda(rho)
-    return total.scale(Fraction(1, f._den * g._den))
+    return _divided(total, f.den * g.den)
 
 
 def schur_pairing(f: PExpansion, lam: Partition) -> LaurentPoly:
     """<f, s_lambda> = sum_{rho |- |lambda|} [p_rho]f * chi^lambda_rho.
 
     The integer numerators of f times ``classical_char`` are summed and
-    divided by the denominator of f once, at the end; rho whose coefficient is
+    divided by the denominator of f once, at the end, which raises
+    NonExactDivision when the value is not in Z[t]; rho whose coefficient is
     zero are skipped before their character is looked up.
     """
     total: Dict[int, int] = {}
@@ -194,7 +201,7 @@ def schur_pairing(f: PExpansion, lam: Partition) -> LaurentPoly:
         if chi:
             for h, v in c._terms.items():
                 total[h] = total.get(h, 0) + v * chi
-    return LaurentPoly("t", total).scale(Fraction(1, f._den))
+    return _divided(LaurentPoly("t", total), f.den)
 
 
 def adjoint_apply(g: PExpansion, f: PExpansion) -> PExpansion:
@@ -227,15 +234,19 @@ def adjoint_apply(g: PExpansion, f: PExpansion) -> PExpansion:
             c = cg * cf * factor
             cur = out.get(key)
             out[key] = c if cur is None else cur + c
-    return _reduced(out, g._den * f._den)
+    return _reduced(out, g.den * f.den)
 
 
 @lru_cache(maxsize=None)
 def hn_expansion(n: int) -> PExpansion:
-    """Complete homogeneous h_n = sum_{lambda |- n} p_lambda / z_lambda."""
+    """Complete homogeneous h_n = sum_{lambda |- n} p_lambda / z_lambda, built
+    as the class sizes n!/z_lambda over n!."""
     if n < 0:
         return PExpansion.zero()
-    return PExpansion({lam: Fraction(1, z_lambda(lam)) for lam in partitions_of(n)})
+    size = math.factorial(n)
+    return _reduced(
+        {lam: LaurentPoly.const(size // z_lambda(lam), "t") for lam in partitions_of(n)}, size
+    )
 
 
 @lru_cache(maxsize=None)
@@ -243,18 +254,18 @@ def qn_expansion(n: int) -> PExpansion:
     """One-row Hall-Littlewood q_n(t) = sum_{lambda |- n} p_lambda / z_lambda(t).
 
     The coefficient of p_lambda is prod_i (1 - t^{lambda_i}) / z_lambda, an
-    ordinary polynomial in t.
+    ordinary polynomial in t, built as n!/z_lambda times the product over n!.
     """
+    size = math.factorial(n)
     terms: Dict[Partition, LaurentPoly] = {}
     for lam in partitions_of(n):
-        c = LaurentPoly.one("t")
+        c = LaurentPoly.const(size // z_lambda(lam), "t")
         for part in lam:
             c = c * (1 - LaurentPoly.monomial("t", part))
-        c = c.scale(Fraction(1, z_lambda(lam)))
         if not c.is_ordinary():
-            raise InvariantViolation(f"q_n(t) coefficients must be polynomials in t, got {c}")
+            raise InvariantViolation(f"q_n(t) coefficients must be polynomials in t, got {c}/{size}")
         terms[lam] = c
-    return PExpansion(terms)
+    return _reduced(terms, size)
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +284,7 @@ def qhat_expansion(n: int) -> PExpansion:
         for part in lam:
             phat = phat * PExpansion({(): 1, (part,): 1})
         total = total + phat.scale(c)
-    return total.scale(Fraction(1, qn._den))
+    return _reduced(total._terms, total.den * qn.den)
 
 
 @lru_cache(maxsize=None)
@@ -334,12 +345,13 @@ def classical_char(lam: Partition, rho: Partition) -> int:
 def schur_in_p(lam: Partition) -> PExpansion:
     """s_lambda = sum_{rho |- |lambda|} (chi^lambda_rho / z_rho) p_rho."""
     n = sum(lam)
-    terms: Dict[Partition, Fraction] = {}
+    size = math.factorial(n)
+    terms: Dict[Partition, LaurentPoly] = {}
     for rho in partitions_of(n):
         chi = classical_char(lam, rho)
         if chi:
-            terms[rho] = Fraction(chi, z_lambda(rho))
-    return PExpansion(terms)
+            terms[rho] = LaurentPoly.const(chi * size // z_lambda(rho), "t")
+    return _reduced(terms, size)
 
 
 def qhat_lemma_rhs(lam: Partition) -> PExpansion:

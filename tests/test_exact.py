@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -17,7 +16,7 @@ def qpoly(d):
 def rand_poly(rng, var="q"):
     return LaurentPoly(
         var,
-        {rng.randint(-4, 6): Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 5))},
+        {rng.randint(-4, 6): rng.randint(-9, 9) for _ in range(rng.randint(0, 5))},
     )
 
 
@@ -40,8 +39,25 @@ class TestExactDiv:
             Q.exact_div(LaurentPoly.zero("q"))
 
     def test_laurent_quotient(self):
-        # monomials are units of the Laurent ring
-        assert Q.exact_div(Q**2 * 3) == LaurentPoly.monomial("q", -1, Fraction(1, 3))
+        # monomials are units of the Laurent ring; integers other than +-1 are not
+        assert (Q * 3).exact_div(Q**2 * 3) == LaurentPoly.monomial("q", -1)
+        assert (Q * 6).exact_div(-(Q**2) * 3) == LaurentPoly.monomial("q", -1, -2)
+        with pytest.raises(NonExactDivision):
+            Q.exact_div(3 * Q**2)
+
+    def test_variable_tags(self):
+        # tags combine as in *: a constant of either tag divides, two
+        # different variables do not
+        t = LaurentPoly.monomial("t", 1)
+        with pytest.raises(ValueError):
+            t.exact_div(Q)
+        with pytest.raises(ValueError):
+            (t * t).exact_div(Q)
+        with pytest.raises(ValueError):
+            t * Q
+        assert (t * 2).exact_div(LaurentPoly.const(2, "q")) == t
+        assert LaurentPoly.const(4, "t").exact_div(Q * 2) == LaurentPoly.monomial("q", -1, 2)
+        assert (t * t).exact_div(t) == t
 
 
 class TestSubstituteInverse:
@@ -74,6 +90,10 @@ class TestEvaluate:
     def test_zero_with_negative_exponent(self):
         with pytest.raises(DomainError):
             LaurentPoly.monomial("q", -1).evaluate(0)
+        # the value is an int, so a negative exponent is refused at any point
+        with pytest.raises(DomainError):
+            (Q + LaurentPoly.monomial("q", -1)).evaluate(2)
+        assert type(qpoly({2: 3, 0: -1}).evaluate(-2)) is int
 
 
 class TestRationalFunction:
@@ -92,6 +112,20 @@ class TestRationalFunction:
     def test_zero_denominator(self):
         with pytest.raises(DivisionByZero):
             RationalFunction(Q, LaurentPoly.zero("q"))
+
+    def test_canonical_form_over_z(self):
+        cases = [
+            # the common factor 2q+2 includes the content 2
+            (2 * Q + 2, 4 * Q + 4, LaurentPoly.one("q"), LaurentPoly.const(2, "q"), "(1)/(2)"),
+            # the denominator's leading coefficient is made positive
+            (Q, -Q - 1, -Q, Q + 1, "(-q)/(q + 1)"),
+            # q leaves the denominator, the content 2 cancels
+            (6 * Q**2, 4 * Q, 3 * Q, LaurentPoly.const(2, "q"), "(3*q)/(2)"),
+        ]
+        for num, den, want_num, want_den, text in cases:
+            rf = RationalFunction(num, den)
+            assert rf.num == want_num and rf.den == want_den, text
+            assert not rf.is_polynomial() and str(rf) == text
 
     def test_common_factor_invariance(self):
         rng = random.Random(17)
@@ -130,7 +164,7 @@ class TestEqualityAndHash:
             (LaurentPoly.one("q"), LaurentPoly.one("t")),
             (LaurentPoly.zero("q"), LaurentPoly.zero("t")),
             (LaurentPoly.one("q"), 1),
-            (LaurentPoly.const(Fraction(1, 2), "t"), Fraction(1, 2)),
+            (LaurentPoly.const(-2, "t"), -2),
         ]
         for a, b in pairs:
             assert a == b and hash(a) == hash(b), (a, b)
@@ -146,16 +180,21 @@ class TestTextForms:
         assert str(Q + 1) == "q + 1"
         assert str(-(Q**3) + Q**2) == "-q^3 + q^2"
         assert str(LaurentPoly.monomial("q", -1)) == "q^-1"
-        assert str(qpoly({2: 4, -1: -1, -3: Fraction(5, 2)})) == "4*q^2 - q^-1 + 5/2*q^-3"
-        assert str(qpoly({1: Fraction(3, 2)})) == "3/2*q"
+        assert str(qpoly({2: 4, -1: -1, -3: 5})) == "4*q^2 - q^-1 + 5*q^-3"
+        assert str(qpoly({1: 3})) == "3*q"
 
     def test_parse_round_trip(self):
         rng = random.Random(41)
         samples = [rand_poly(rng) for _ in range(40)]
-        samples.append(qpoly({2: 4, -1: -1, -3: Fraction(5, 2)}))
+        samples.append(qpoly({2: 4, -1: -1, -3: 5}))
         samples.append(LaurentPoly.zero("q"))
         for f in samples:
             assert LaurentPoly.parse(str(f), "q") == f
+
+    def test_parse_refuses_fractions(self):
+        for text in ("1/2*q", "q + 3/4", "2/1"):
+            with pytest.raises(ValueError):
+                LaurentPoly.parse(text)
 
     def test_terms_json(self):
         f = qpoly({2: 3, 0: -1})

@@ -15,7 +15,8 @@ from rookq.exact import LaurentPoly, RationalFunction
 from rookq.symfunc import PExpansion
 
 Q = LaurentPoly.monomial("q", 1)
-HALF = LaurentPoly.const(Fraction(1, 2), "q")
+# a value outside Z[q]: every coefficient is an int, so only an exponent can be wrong
+QINV = LaurentPoly.monomial("q", -1)
 
 
 def run_optimized(script):
@@ -34,7 +35,7 @@ def run_optimized(script):
 
 class TestInvariantChecks:
     def test_compute_chi_value_outside_zq(self, monkeypatch):
-        monkeypatch.setattr(characters, "chi_mn", lambda lam, mu: HALF)
+        monkeypatch.setattr(characters, "chi_mn", lambda lam, mu: QINV)
         with pytest.raises(InvariantViolation, match=r"Z\[q\]"):
             characters.compute_chi((1,), (1,), "mn")
 
@@ -80,12 +81,11 @@ class TestInvariantChecks:
 
     def test_check_survives_optimize_flag(self):
         script = (
-            "from fractions import Fraction\n"
             "from rookq import characters\n"
             "from rookq.errors import InvariantViolation\n"
             "from rookq.exact import LaurentPoly\n"
             "print(__debug__)\n"
-            "characters.chi_mn = lambda lam, mu: LaurentPoly.const(Fraction(1, 2), 'q')\n"
+            "characters.chi_mn = lambda lam, mu: LaurentPoly.monomial('q', -1)\n"
             "try:\n"
             "    characters.compute_chi((1,), (1,), 'mn')\n"
             "except InvariantViolation:\n"
