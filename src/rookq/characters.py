@@ -76,9 +76,9 @@ def chi_oracle(lam: Partition, mu: Partition) -> LaurentPoly:
     so the pairing is sum_{rho |- |lambda|} [p_rho]q-hat_mu * chi^lambda_rho
     (Macdonald I.7).  ``symfunc.schur_pairing`` sums it over the integer
     numerators of the memoised ``qhat_mu(mu)`` and divides by its denominator
-    once; a quotient outside Z[t] raises InvariantViolation.
+    once; a quotient outside Z[t] raises InvariantViolation.  ``lam`` and ``mu``
+    are tuples, which the memo hashes; ``compute_chi`` takes any sequence.
     """
-    lam, mu = tuple(lam), tuple(mu)
     _check_weights(lam, mu)
     try:
         x = schur_pairing(qhat_mu(mu), lam)
@@ -106,9 +106,8 @@ def chi_iterative(lam: Partition, mu: Partition) -> LaurentPoly:
     so each class is summed once, times its count.  The summands are added
     up per (q-1) exponent e, and each group is multiplied by (q-1)^(-e):
     every part of mu is in tau or in mu-tau, so l(tau) + l(mu-tau) >= l(mu)
-    and e is never positive.
+    and e is never positive.  Partitions are tuples, as for ``chi_oracle``.
     """
-    lam, mu = tuple(lam), tuple(mu)
     _check_weights(lam, mu)
     if not lam:
         return chi_empty(mu)
@@ -138,9 +137,9 @@ def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
 
     The weights come from the memo behind ``gbs_weight_k``, and the products
     are summed by ``LaurentPoly.sum_of_products`` into one dict rather than
-    one fresh polynomial per product and per partial sum.
+    one fresh polynomial per product and per partial sum.  Partitions are
+    tuples, as for ``chi_oracle``.
     """
-    lam, mu = tuple(lam), tuple(mu)
     _check_weights(lam, mu)
     if not mu:
         return _ONE if not lam else LaurentPoly.zero("q")
@@ -396,11 +395,15 @@ def is_two_row(lam: Partition) -> bool:
 def compute_chi(lam: Sequence[int], mu: Sequence[int], method: str = "mn") -> LaurentPoly:
     """Compute one character value with the requested algorithm.
 
+    ``lam`` and ``mu`` may be any sequences.  ``lam`` must be a partition and
+    every part of ``mu`` positive, else ValueError; ``mu`` need not be sorted.
     ``auto`` is another spelling of ``mn``: the Murnaghan-Nakayama recursion
     is faster than the hook and two-row closed forms even on their own
     shapes, so those run only when asked for by name.
     """
     lam, mu = tuple(lam), tuple(mu)
+    if min(lam + mu, default=1) < 1 or lam != tuple(sorted(lam, reverse=True)):
+        raise ValueError(f"lambda={list(lam)} must be a partition and mu={list(mu)} positive")
     _check_weights(lam, mu)
     if method == "auto":
         method = "mn"

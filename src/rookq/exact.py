@@ -8,10 +8,10 @@ scalar type,
 and a coefficient is always a plain ``int``: anything else, a rational number
 or a ``float`` included, is refused with ``TypeError``.  A division is exact
 or it raises: ``exact_div`` raises ``NonExactDivision`` unless the quotient
-lies in the Laurent ring over Z.  Rational numbers appear only in ``symfunc``,
-which stores each power-sum expansion as integer polynomials over one common
-denominator and divides by it, exactly, only in its two pairings.  Exponents
-are plain integers: the key ``h`` stands for ``var**h``.
+lies in the Laurent ring over Z.  The one denominator is in ``symfunc``, which
+takes and stores each power-sum expansion as integer numerators over one
+positive ``int`` and divides by it, exactly, only in its two pairings.
+Exponents are plain integers: the key ``h`` stands for ``var**h``.
 
 ``LaurentPoly.sum_of_products`` sums a*b over many pairs into one dict and
 folds it once, where ``__mul__`` and ``__add__`` would build a dict for every

@@ -72,9 +72,9 @@ def enumerate_tableaux(lam: Partition, n: int) -> Tuple[Tableau, ...]:
 
     Labels 1..n are placed in turn: each fills an addable cell of the shape
     built so far, rows top to bottom, or else is left out while enough labels
-    remain for the cells still empty.
+    remain for the cells still empty.  ``lam`` is a tuple, which the memo
+    hashes; ``characters.compute_chi`` takes any sequence.
     """
-    lam = tuple(lam)
     k = sum(lam)
     if k > n:
         raise ShapeTooLarge(f"shape {list(lam)} has {k} boxes but only {n} labels exist")

@@ -1,11 +1,11 @@
 """Symmetric functions in the power-sum basis, with coefficients in Q[t].
 
 A ``PExpansion`` is a finite linear combination of power sums p_rho with
-coefficients that are polynomials in t.  They are stored as integer
-t-polynomials over one common positive denominator ``den``, in lowest terms:
-the 1/z_rho of the power-sum basis go into that denominator, and h_n, q_n,
-q-hat_n and s_lambda are built as integer numerators over n! from the start,
-so no rational coefficient is ever formed.  ``inner_product`` and
+coefficients in Q[t].  It is built, stored and read back as integer
+t-polynomial numerators over one positive ``int`` denominator ``den``, in
+lowest terms: the 1/z_rho of the power-sum basis go into that denominator,
+and h_n, q_n, q-hat_n and s_lambda are built as integer numerators over n!,
+so no rational number is ever formed or accepted.  ``inner_product`` and
 ``schur_pairing`` divide their integer sums by the denominators once, and
 raise ``NonExactDivision`` when the value is not in Z[t].  Inhomogeneous
 elements are allowed: the modified one-row Hall-Littlewood functions q-hat mix
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from numbers import Rational
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Union
 
 from .errors import InvariantViolation, NonExactDivision, WeightMismatch
 from .exact import LaurentPoly
@@ -42,19 +41,17 @@ from .shapes import (
 # unused here, but perfbench/tests/test_tracer.py checks that this name is bound
 from .shapes import gbs_decompose  # noqa: F401
 
-Coeff = Union[Rational, LaurentPoly]
+Coeff = Union[int, LaurentPoly]
 
 
-def _cleared(c: Coeff) -> Tuple[LaurentPoly, int]:
-    """(integer t-polynomial, positive int) whose quotient is the coefficient
-    c: a polynomial over 1, or a rational number's numerator and denominator."""
-    if isinstance(c, Rational):
-        return LaurentPoly.const(c.numerator, "t"), c.denominator
+def _numerator(c: Coeff) -> LaurentPoly:
+    """c as an integer t-polynomial: an ``int``, a t-polynomial, or a constant
+    of either tag; ``LaurentPoly`` refuses any other number with TypeError."""
     if not isinstance(c, LaurentPoly):
-        raise TypeError(f"expected a rational number or a LaurentPoly, got {type(c).__name__}")
+        return LaurentPoly.const(c, "t")
     if c.var != "t" and not c._is_const():
         raise ValueError(f"p-basis coefficients live in Q[t], got variable {c.var!r}")
-    return (c if c.var == "t" else LaurentPoly._make("t", c._terms)), 1
+    return c if c.var == "t" else LaurentPoly._make("t", c._terms)
 
 
 def _divided(num: LaurentPoly, den: int) -> LaurentPoly:
@@ -89,16 +86,18 @@ class PExpansion:
     The coefficient of p_rho is ``_terms[rho] / den``: every ``_terms`` value
     is an integer t-polynomial, ``den`` is a positive ``int``, and the pair is
     in lowest terms (zero is ``{}`` over 1), so equal expansions have equal
-    fields.  The constructor and ``scale`` take rational numbers and
-    t-polynomials; ``terms`` gives the integer numerators back.
+    fields.  The constructor takes the same form, numerators (``int`` or
+    t-polynomials) over a positive ``int`` ``den``, and reduces it, so
+    ``PExpansion(dict(f.terms()), f.den) == f``; ``scale`` takes one such
+    numerator.
     """
 
     __slots__ = ("_terms", "den")
 
-    def __new__(cls, terms: Mapping[Partition, Coeff] | None = None) -> "PExpansion":
-        cleared = {tuple(rho): _cleared(c) for rho, c in (terms or {}).items()}
-        den = math.lcm(*(d for _, d in cleared.values()))
-        return _reduced({rho: c.scale(den // d) for rho, (c, d) in cleared.items()}, den)
+    def __new__(cls, terms: Mapping[Partition, Coeff] | None = None, den: int = 1) -> "PExpansion":
+        if not isinstance(den, int) or den < 1:
+            raise ValueError(f"den must be a positive int, got {den!r}")
+        return _reduced({tuple(rho): _numerator(c) for rho, c in (terms or {}).items()}, den)
 
     @classmethod
     def zero(cls) -> "PExpansion":
@@ -136,8 +135,8 @@ class PExpansion:
         return {rho: c.scale(k) for rho, c in self._terms.items()}
 
     def scale(self, c: Coeff) -> "PExpansion":
-        c, den = _cleared(c)
-        return _reduced({rho: cc * c for rho, cc in self._terms.items()}, self.den * den)
+        c = _numerator(c)
+        return _reduced({rho: cc * c for rho, cc in self._terms.items()}, self.den)
 
     def __mul__(self, other: "PExpansion") -> "PExpansion":
         """Bilinear product; p_lambda * p_mu = p_{sort(lambda + mu)}."""
@@ -244,9 +243,7 @@ def hn_expansion(n: int) -> PExpansion:
     if n < 0:
         return PExpansion.zero()
     size = math.factorial(n)
-    return _reduced(
-        {lam: LaurentPoly.const(size // z_lambda(lam), "t") for lam in partitions_of(n)}, size
-    )
+    return PExpansion({lam: size // z_lambda(lam) for lam in partitions_of(n)}, size)
 
 
 @lru_cache(maxsize=None)
@@ -346,12 +343,9 @@ def schur_in_p(lam: Partition) -> PExpansion:
     """s_lambda = sum_{rho |- |lambda|} (chi^lambda_rho / z_rho) p_rho."""
     n = sum(lam)
     size = math.factorial(n)
-    terms: Dict[Partition, LaurentPoly] = {}
-    for rho in partitions_of(n):
-        chi = classical_char(lam, rho)
-        if chi:
-            terms[rho] = LaurentPoly.const(chi * size // z_lambda(rho), "t")
-    return _reduced(terms, size)
+    return PExpansion(
+        {rho: classical_char(lam, rho) * size // z_lambda(rho) for rho in partitions_of(n)}, size
+    )
 
 
 def qhat_lemma_rhs(lam: Partition) -> PExpansion:

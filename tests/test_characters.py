@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -355,6 +356,27 @@ class TestDispatch:
         lam, mu = (2, 1), (3, 2)
         values = {m: compute_chi(lam, mu, m) for m in ("oracle", "iterative", "mn", "hook", "seminormal")}
         assert len(set(map(str, values.values()))) == 1
+
+    def test_malformed_input_refused_by_every_method(self):
+        # each of these once gave a value: the oracle 1 on (2,1) x (2,0,1),
+        # where chi^(2,1)_(2,1) = q - 1, and mn and iterative 0 on (1,2) x (3)
+        bad = [((2, 1), (2, 0, 1)), ((1, 2), (3,)), ((2, 0), (3,)), ((1,), (2, -1))]
+        for method in characters.METHODS + ("auto",):
+            for lam, mu in bad:
+                with pytest.raises(ValueError, match="must be a partition"):
+                    compute_chi(lam, mu, method)
+                with pytest.raises(ValueError, match="must be a partition"):
+                    characters.cross_checked(list(lam), list(mu), [method])
+        assert compute_chi([2, 1], [2, 1], "oracle") == qp("q - 1")
+
+    def test_unsorted_mu_is_kept(self):
+        for w in range(1, 6):
+            for mu in partitions_of(w):
+                for perm in set(itertools.permutations(mu)):
+                    for lam in partitions_up_to(w):
+                        want = chi_mn(lam, mu)
+                        for method in ("oracle", "iterative", "mn", "seminormal"):
+                            assert compute_chi(lam, perm, method) == want, (lam, perm, method)
 
     def test_table_builder_cross_checks(self):
         table = CharacterTable.build(3, methods=("oracle", "iterative", "mn"))

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -58,7 +57,7 @@ class TestInvariantChecks:
         monkeypatch.setattr(
             symfunc,
             "hn_expansion",
-            lambda n: expansion(n) + PExpansion({(2,): Fraction(1, 2)}) if n == 2 else expansion(n),
+            lambda n: expansion(n) + PExpansion({(2,): 1}, 2) if n == 2 else expansion(n),
         )
         for check in (verify.check_h_adjoint_routes, verify.check_schur_decomposition):
             result = check(2)
@@ -134,19 +133,18 @@ class TestInvariantChecks:
         # chi^(2,1)_(3) / 6 = -1/6, which takes it out of Z[t]
         qhat_mu = symfunc.qhat_mu
         monkeypatch.setattr(
-            characters, "qhat_mu", lambda mu: qhat_mu(mu) + PExpansion({(3,): Fraction(1, 6)})
+            characters, "qhat_mu", lambda mu: qhat_mu(mu) + PExpansion({(3,): 1}, 6)
         )
         with pytest.raises(InvariantViolation, match=r"X\^\[2, 1\]_\[3\] = .* is not in Z\[t\]"):
             characters.chi_oracle((2, 1), (3,))
         assert cli.main(["char", "--lambda", "[2,1]", "--mu", "[3]", "--method", "oracle"]) == 2
         assert "not in Z[t]" in capsys.readouterr().err
         script = (
-            "from fractions import Fraction\n"
             "from rookq import characters, symfunc\n"
             "from rookq.errors import InvariantViolation\n"
             "print(__debug__)\n"
             "qhat_mu = symfunc.qhat_mu\n"
-            "characters.qhat_mu = lambda mu: qhat_mu(mu) + symfunc.PExpansion({(3,): Fraction(1, 6)})\n"
+            "characters.qhat_mu = lambda mu: qhat_mu(mu) + symfunc.PExpansion({(3,): 1}, 6)\n"
             "try:\n"
             "    characters.chi_oracle((2, 1), (3,))\n"
             "except InvariantViolation:\n"
@@ -159,19 +157,18 @@ class TestInvariantChecks:
         # and moves the pairing for (2,1) x (3) by -1/12
         expansion = symfunc.qhat_expansion
         monkeypatch.setattr(
-            symfunc, "qhat_expansion", lambda n: expansion(n) + PExpansion({(n,): Fraction(1, 12)})
+            symfunc, "qhat_expansion", lambda n: expansion(n) + PExpansion({(n,): 1}, 12)
         )
         with pytest.raises(InvariantViolation, match=r"X\^\[2, 1\]_\[3\] = .* is not in Z\[t\]"):
             characters.chi_oracle((2, 1), (3,))
         assert cli.main(["char", "--lambda", "[2,1]", "--mu", "[3]", "--method", "oracle"]) == 2
         assert "not in Z[t]" in capsys.readouterr().err
         script = (
-            "from fractions import Fraction\n"
             "from rookq import characters, symfunc\n"
             "from rookq.errors import InvariantViolation\n"
             "print(__debug__)\n"
             "expansion = symfunc.qhat_expansion\n"
-            "symfunc.qhat_expansion = lambda n: expansion(n) + symfunc.PExpansion({(n,): Fraction(1, 12)})\n"
+            "symfunc.qhat_expansion = lambda n: expansion(n) + symfunc.PExpansion({(n,): 1}, 12)\n"
             "try:\n"
             "    characters.chi_oracle((2, 1), (3,))\n"
             "except InvariantViolation:\n"

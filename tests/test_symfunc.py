@@ -70,7 +70,7 @@ class TestPMul:
         assert f * f == PExpansion({(): 1, (1,): 2, (1, 1): 1})
 
     def test_unit(self):
-        f = PExpansion({(2, 1): 3, (): Fraction(1, 2)})
+        f = PExpansion({(2, 1): 6, (): 1}, 2)
         assert f * PExpansion.one() == f
 
 
@@ -80,7 +80,7 @@ class TestHallLittlewood:
         assert qn_expansion(1) == PExpansion({(1,): 1 - T})
 
     def test_qn_two(self):
-        expected = PExpansion({(2,): 1 - T**2, (1, 1): (1 - T) ** 2}).scale(Fraction(1, 2))
+        expected = PExpansion({(2,): 1 - T**2, (1, 1): (1 - T) ** 2}, 2)
         assert qn_expansion(2) == expected
 
     def test_qhat_one(self):
@@ -192,8 +192,8 @@ class TestClassicalChars:
 class TestSchur:
     def test_small(self):
         assert schur_in_p((1,)) == PExpansion.p((1,))
-        assert schur_in_p((2,)) == PExpansion({(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)})
-        assert schur_in_p((1, 1)) == PExpansion({(2,): Fraction(-1, 2), (1, 1): Fraction(1, 2)})
+        assert schur_in_p((2,)) == PExpansion({(2,): 1, (1, 1): 1}, 2)
+        assert schur_in_p((1, 1)) == PExpansion({(2,): -1, (1, 1): 1}, 2)
 
 
 class TestInnerProduct:
@@ -229,26 +229,30 @@ class TestHn:
     def test_small(self):
         assert hn_expansion(0) == PExpansion.one()
         assert hn_expansion(1) == PExpansion.p((1,))
-        assert hn_expansion(2) == PExpansion({(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+        assert hn_expansion(2) == PExpansion({(2,): 1, (1, 1): 1}, 2)
 
 
-coefficients = st.one_of(
+numerators = st.one_of(
     st.integers(-5, 5),
-    st.fractions(min_value=-3, max_value=3, max_denominator=12),
     st.lists(st.integers(-6, 6), max_size=3).map(lambda cs: LaurentPoly("t", dict(enumerate(cs, -1)))),
 )
-expansions = st.dictionaries(
-    st.sampled_from([lam for w in range(5) for lam in partitions_of(w)]), coefficients, max_size=4
-).map(PExpansion)
+expansions = st.builds(
+    PExpansion,
+    st.dictionaries(
+        st.sampled_from([lam for w in range(5) for lam in partitions_of(w)]), numerators, max_size=4
+    ),
+    st.integers(1, 12),
+)
 
 
 def assert_canonical(f):
-    """Integer coefficients over a positive denominator, in lowest terms."""
+    """Integer coefficients over a positive denominator, in lowest terms, which
+    the constructor takes back unchanged."""
     ints = [c for p in f._terms.values() for c in p._terms.values()]
     assert type(f.den) is int and f.den > 0
     assert all(type(c) is int for c in ints)
     assert math.gcd(f.den, *ints) == 1
-    g = PExpansion(dict(f.terms())).scale(Fraction(1, f.den))
+    g = PExpansion(dict(f.terms()), f.den)
     assert g == f and hash(g) == hash(f)
 
 
@@ -270,7 +274,7 @@ def rational_inner_product(f, g):
 
 
 class TestCommonDenominator:
-    @given(expansions, expansions, coefficients)
+    @given(expansions, expansions, numerators)
     def test_operations_stay_in_lowest_terms(self, f, g, c):
         total = f + g
         fc, gc = rational_terms(f), rational_terms(g)
@@ -289,6 +293,20 @@ class TestCommonDenominator:
             else:
                 with pytest.raises(NonExactDivision):
                     inner_product(h, g)
+
+    def test_constructor_takes_numerators_over_den(self):
+        assert PExpansion({(1,): 4, (): 2}, 6) == PExpansion({(1,): 2, (): 1}, 3)
+        assert PExpansion({(1,): LaurentPoly.const(3, "q")}) == PExpansion({(1,): 3})
+        assert PExpansion({(1,): 0}, 5) == PExpansion.zero() and PExpansion.zero().den == 1
+        f = PExpansion.p((2,))
+        for bad in (Fraction(1, 2), Fraction(2), 0.5, 2.0):
+            with pytest.raises(TypeError):
+                PExpansion({(1,): bad})
+            with pytest.raises(TypeError):
+                f.scale(bad)
+        for den in (0, -3, 2.0, Fraction(1, 2), Fraction(2), "2", None):
+            with pytest.raises(ValueError, match="den must be a positive int"):
+                PExpansion({(1,): 1}, den)
 
     def test_engine_stores_integer_coefficients(self):
         # a Fraction stored in a PExpansion coefficient would undo the common
