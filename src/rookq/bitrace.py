@@ -57,10 +57,21 @@ def bracket(r: int) -> LaurentPoly:
 
 
 def _validate_composition(c: Sequence[int]) -> Tuple[int, ...]:
-    t = tuple(int(x) for x in c)
-    if any(x <= 0 for x in t):
-        raise ValueError(f"composition parts must be positive: {t}")
+    t = tuple(c)
+    if any(not isinstance(x, int) or x <= 0 for x in t):
+        raise ValueError(f"composition parts must be positive integers: {t}")
     return t
+
+
+def _validate_pair(
+    mu: Sequence[int], nu: Sequence[int]
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``mu`` and ``nu`` as compositions of one weight: ValueError for a part
+    that is not a positive int, WeightMismatch for unequal weights."""
+    mu, nu = _validate_composition(mu), _validate_composition(nu)
+    if sum(mu) != sum(nu):
+        raise WeightMismatch(f"|{list(mu)}|={sum(mu)} but |{list(nu)}|={sum(nu)}")
+    return mu, nu
 
 
 @dataclass(frozen=True)
@@ -135,11 +146,8 @@ def contingency_matrices(mu: Sequence[int], nu: Sequence[int]) -> Iterator[Conti
     is bounded columnwise by nu and the first column rowwise by mu, and the
     inner block is filled by exact-margin recursion.
     """
-    mu = _validate_composition(mu)
-    nu = _validate_composition(nu)
+    mu, nu = _validate_pair(mu, nu)
     n = sum(mu)
-    if sum(nu) != n:
-        raise WeightMismatch(f"|mu|={n} but |nu|={sum(nu)}")
     for k in range(n + 1):
         for first_row in subcompositions(nu, k):
             inner_cols = comp_sub(nu, first_row)
@@ -203,11 +211,8 @@ def btr_matrix(mu: Sequence[int], nu: Sequence[int]) -> LaurentPoly:
 
     where k is the shared border total and H is ``inner_sum``.
     """
-    mu = _validate_composition(mu)
-    nu = _validate_composition(nu)
+    mu, nu = _validate_pair(mu, nu)
     n = sum(mu)
-    if sum(nu) != n:
-        raise WeightMismatch(f"|mu|={n} but |nu|={sum(nu)}")
     total = LaurentPoly.zero("q")
     for k in range(n + 1):
         cols = _border_groups(nu, k)
@@ -227,11 +232,8 @@ def btr_def(mu: Sequence[int], nu: Sequence[int]) -> LaurentPoly:
     Compositions are admitted: character values depend only on the partition
     rearrangement of the argument.
     """
-    mu_p = sort_to_partition(_validate_composition(mu) if mu else ())
-    nu_p = sort_to_partition(_validate_composition(nu) if nu else ())
+    mu_p, nu_p = map(sort_to_partition, _validate_pair(mu, nu))
     n = sum(mu_p)
-    if sum(nu_p) != n:
-        raise WeightMismatch(f"|mu|={n} but |nu|={sum(nu_p)}")
     total = LaurentPoly.zero("q")
     for k in range(n + 1):
         for lam in partitions_of(k):
@@ -247,11 +249,8 @@ def hl_inner(alpha: Sequence[int], beta: Sequence[int]) -> LaurentPoly:
     Power-sum route: the t-inner product of the one-row Hall-Littlewood
     products, followed by t -> q^{-1}.  The two must agree exactly.
     """
-    alpha = sort_to_partition(alpha)
-    beta = sort_to_partition(beta)
+    alpha, beta = map(sort_to_partition, _validate_pair(alpha, beta))
     w = sum(alpha)
-    if sum(beta) != w:
-        raise WeightMismatch(f"|alpha|={w} but |beta|={sum(beta)}")
     via_matrix = inner_sum(alpha, beta).times_power(-2 * w)
     via_pbasis = inner_product(q_mu(alpha), q_mu(beta)).substitute_inverse()
     if via_matrix != via_pbasis:
@@ -268,7 +267,7 @@ def regular_char(mu: Sequence[int]) -> LaurentPoly:
     q^n/(q-1)^l(mu) * sum_{i=0}^{n} sum_{tau in C(mu;i)}
         C(n,i) (1-q^{-1})^{l(mu-tau)+i} * i! / prod_j tau_j!.
     """
-    mu = sort_to_partition(_validate_composition(mu) if mu else ())
+    mu = sort_to_partition(_validate_composition(mu))
     n = sum(mu)
     acc = LaurentPoly.zero("q")
     for i in range(n + 1):

@@ -17,7 +17,8 @@ and ``[]`` for the empty partition.  The environment variable
 ROOKQ_MAX_WEIGHT caps the admissible weight (default 12); the seminormal
 method is refused above its own lower ceiling, ``seminormal.MAX_TRACE_WEIGHT``.
 
-Exit codes: 0 success, 2 verification/cross-check failure, 3 parse error.
+Exit codes: 0 success, 1 stdout closed by its reader (``| head -1``),
+2 verification/cross-check failure, 3 parse error.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from typing import List, Sequence, Tuple
 
@@ -42,6 +44,7 @@ from .seminormal import MAX_TRACE_WEIGHT
 from . import verify as verify_mod
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_VERIFY = 2
 EXIT_PARSE = 3
 
@@ -148,8 +151,10 @@ def emit_table_latex(table: CharacterTable, out) -> None:
     ]
     out.write(" & ".join(header) + " \\\\\n\\hline\n")
     for lam in table.rows:
+        # each cell is the canonical string without spaces or "*", exponents braced
+        texts = (str(table.value(lam, mu)).replace(" ", "").replace("*", "") for mu in table.cols)
         cells = ["$(" + ",".join(str(x) for x in lam) + ")$"] + [
-            "$" + table.value(lam, mu).to_latex() + "$" for mu in table.cols
+            "$" + re.sub(r"\^(-?\d+)", r"^{\1}", t) + "$" for t in texts
         ]
         out.write(" & ".join(cells) + " \\\\\n\\hline\n")
     out.write("\\end{tabular}\n")
@@ -272,7 +277,13 @@ def main(argv: List[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send the flush at exit to devnull (Python docs on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (CLIError, VariantMismatch) as e:
         # a shape that a requested closed form does not cover is bad input
         print(f"error: {e}", file=sys.stderr)

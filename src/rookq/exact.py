@@ -28,9 +28,8 @@ No floating point is used anywhere; all arithmetic is exact.
 from __future__ import annotations
 
 import math
-import re
 from numbers import Number
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import DivisionByZero, DomainError, NonExactDivision
 
@@ -312,6 +311,7 @@ class LaurentPoly:
     # text forms
     # ------------------------------------------------------------------
     def __str__(self) -> str:
+        """The one text form (``3*q^2 - q + 1``); distinct polynomials give distinct strings."""
         if not self._terms:
             return "0"
         chunks: List[str] = []
@@ -334,72 +334,10 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self.var!r}, {self!s})"
 
-    def to_latex(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: List[str] = []
-        for h, c in self.items():
-            if h == 0:
-                body = str(abs(c))
-            else:
-                vpart = self.var if h == 1 else f"{self.var}^{{{h}}}"
-                body = vpart if abs(c) == 1 else f"{abs(c)}{vpart}"
-            if not chunks:
-                chunks.append(body if c > 0 else "-" + body)
-            else:
-                chunks.append(("+" if c > 0 else "-") + body)
-        return "".join(chunks)
-
     def terms_json(self) -> List[List[int]]:
         """``[[exponent, coefficient, 1], ...]`` with exponents descending; the
         trailing 1 fills the JSON format's denominator slot."""
         return [[h, c, 1] for h, c in self.items()]
-
-    _TERM_RE = re.compile(
-        r"^(?P<coeff>\d+)?"
-        r"(?:\*?(?P<var>[qt])"
-        r"(?:\^(?P<exp>-?\d+))?)?$"
-    )
-
-    @classmethod
-    def parse(cls, text: str, var: str | None = None) -> "LaurentPoly":
-        """Parse the canonical string form produced by ``str``."""
-        s = text.strip().replace(" ", "")
-        if not s:
-            raise ValueError("empty polynomial string")
-        terms: Dict[int, int] = {}
-        seen_var = var
-        for piece in _split_terms(s):
-            sign = 1
-            if piece.startswith("-"):
-                sign, piece = -1, piece[1:]
-            m = cls._TERM_RE.match(piece)
-            if not m or (m.group("coeff") is None and m.group("var") is None):
-                raise ValueError(f"cannot parse polynomial term {piece!r}")
-            coeff = int(m.group("coeff")) if m.group("coeff") else 1
-            v = m.group("var")
-            if v is not None:
-                if seen_var is None:
-                    seen_var = v
-                elif v != seen_var:
-                    raise ValueError(f"mixed variables {seen_var!r} and {v!r}")
-                exp = m.group("exp")
-                h = 1 if exp is None else int(exp)
-            else:
-                h = 0
-            terms[h] = terms.get(h, 0) + sign * coeff
-        return cls(seen_var or "q", terms)
-
-
-def _split_terms(s: str) -> Iterator[str]:
-    """Split on +/- signs, except the minus sign of an exponent."""
-    start = 0
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > start and s[i - 1] != "^":
-            yield s[start:i] if s[start] != "+" else s[start + 1 : i]
-            start = i
-    last = s[start:]
-    yield last if not last.startswith("+") else last[1:]
 
 
 # ----------------------------------------------------------------------

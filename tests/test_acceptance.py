@@ -50,12 +50,14 @@ def test_c4_discrepancy_adjudication():
     which traces back to a dropped (1-1/q)^3 summand in a_51 for mu=(3,2,1)).
     """
     lam, mu = (3, 1, 1), (3, 2, 1)
-    winner = LaurentPoly.parse("2*q^3 - 10*q^2 + 10*q - 2", "q")
-    loser = LaurentPoly.parse("q^3 - 10*q^2 + 10*q - 2", "q")
+    q = LaurentPoly.monomial("q", 1)
+    winner = 2 * q**3 - 10 * q**2 + 10 * q - 2
+    loser = winner - q**3
     chi = ch.chi_oracle(lam, mu)
     assert chi in (winner, loser), "value must be one of the two candidates"
     assert chi.evaluate(1) == classical_char(lam, mu) == 0
     assert chi == winner and loser.evaluate(1) != 0
+    assert str(chi) == "2*q^3 - 10*q^2 + 10*q - 2"
     # the root cause: a_51 keeps its (1-1/q)^3 term
     qinv = LaurentPoly.monomial("q", -1)
     assert ch.a_poly(mu, 5, 1) == (1 - qinv) ** 3 + ((1 - qinv) ** 4).scale(2)
@@ -71,20 +73,20 @@ def test_verify_check(check):
 
 
 @pytest.mark.parametrize(
-    "skew, detail",
+    "skew_exp, detail",
     [
-        ("q", "oracle: q - 1; iterative: q"),
-        ("q^-1", "chi^[1]_[2] by iterative is not in Z[q]: q^-1"),
+        (1, "oracle: q - 1; iterative: q"),
+        (-1, "chi^[1]_[2] by iterative is not in Z[q]: q^-1"),
     ],
     ids=["disagreement", "outside-zq"],
 )
-def test_route_failure_names_the_values(monkeypatch, skew, detail):
+def test_route_failure_names_the_values(monkeypatch, skew_exp, detail):
     """A failing route comparison reports the routes' values, not just the cell."""
     good = ch.chi_iterative
 
     def skewed(lam, mu):
         if (lam, mu) == ((1,), (2,)):
-            return LaurentPoly.parse(skew, "q")
+            return LaurentPoly.monomial("q", skew_exp)
         return good(lam, mu)
 
     monkeypatch.setattr(ch, "chi_iterative", skewed)

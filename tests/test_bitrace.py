@@ -122,6 +122,23 @@ class TestHlInner:
     def test_empty(self):
         assert hl_inner((), ()) == LaurentPoly.one("q")
 
+    def test_malformed_pair_refused_by_every_entry(self):
+        # hl_inner once dropped the -1 of (2, -1) and returned the (2) x (2)
+        # value, though |(2, -1)| = 1
+        for alpha, beta in [((2, -1), (2,)), ((2, 0), (2,)), ((1, 0), (1,)), ((1.0,), (1,))]:
+            for entry in (hl_inner, btr_matrix, btr_def):
+                with pytest.raises(ValueError, match="positive integers"):
+                    entry(alpha, beta)
+                with pytest.raises(ValueError, match="positive integers"):
+                    entry(beta, alpha)
+            with pytest.raises(ValueError, match="positive integers"):
+                list(contingency_matrices(alpha, beta))
+        for entry in (hl_inner, btr_matrix, btr_def):
+            with pytest.raises(WeightMismatch):
+                entry((2, 1), (2,))
+        with pytest.raises(ValueError, match="positive integers"):
+            regular_char((2, 0))
+
     def test_mixed_shapes(self):
         # both routes agree (asserted inside) and the value is exact
         value = hl_inner((2,), (1, 1))

@@ -40,10 +40,6 @@ Q = LaurentPoly.monomial("q", 1)
 QINV = LaurentPoly.monomial("q", -1)
 
 
-def qp(s):
-    return LaurentPoly.parse(s, "q")
-
-
 # Reference sums for one-row and one-column lambda, as composition sums over
 # C(mu; k): the test's own route to values that chi_mn and the compact forms
 # must reproduce.
@@ -88,7 +84,7 @@ def refuse(*args):
 
 class TestOracle:
     def test_column_value(self):
-        assert chi_oracle((1, 1, 1, 1), (2, 1, 1, 1)) == qp("q - 4")
+        assert str(chi_oracle((1, 1, 1, 1), (2, 1, 1, 1))) == "q - 4"
 
     def test_independent_of_border_strips(self, monkeypatch, clear_memos):
         cells = cells_up_to(6)
@@ -110,7 +106,7 @@ class TestOracle:
         assert {cell: chi_oracle(*cell) for cell in cells} == expected
 
     def test_empty_value(self):
-        assert chi_oracle((), (2, 1, 1, 1)) == qp("q")
+        assert str(chi_oracle((), (2, 1, 1, 1))) == "q"
 
     def test_weight_guard(self):
         with pytest.raises(WeightMismatch):
@@ -134,18 +130,19 @@ class TestDisputedValue:
     requires.  Every method here must produce that one.
     """
 
-    GOOD = "2*q^3 - 10*q^2 + 10*q - 2"
-    OTHER = "q^3 - 10*q^2 + 10*q - 2"
+    GOOD = 2 * Q**3 - 10 * Q**2 + 10 * Q - 2
+    OTHER = GOOD - Q**3
 
     def test_oracle_adjudicates(self):
         chi = chi_oracle((3, 1, 1), (3, 2, 1))
-        assert chi == qp(self.GOOD)
-        assert chi != qp(self.OTHER)
+        assert str(chi) == "2*q^3 - 10*q^2 + 10*q - 2"
+        assert chi == self.GOOD
+        assert chi != self.OTHER
         assert chi.evaluate(1) == classical_char((3, 1, 1), (3, 2, 1)) == 0
-        assert qp(self.OTHER).evaluate(1) == -1
+        assert self.OTHER.evaluate(1) == -1
 
     def test_all_methods_agree(self):
-        expected = qp(self.GOOD)
+        expected = self.GOOD
         assert chi_iterative((3, 1, 1), (3, 2, 1)) == expected
         assert chi_mn((3, 1, 1), (3, 2, 1)) == expected
         assert chi_hook(3, 5, (3, 2, 1)) == expected
@@ -153,7 +150,7 @@ class TestDisputedValue:
 
 class TestIterative:
     def test_small_value(self):
-        assert chi_iterative((1,), (2,)) == qp("q - 1")
+        assert str(chi_iterative((1,), (2,))) == "q - 1"
 
     def test_empty_base(self):
         for mu in partitions_of(4):
@@ -210,19 +207,19 @@ class TestSeminormal:
 
 class TestMurnaghanNakayama:
     def test_single_row(self):
-        assert chi_mn((4,), (5,)) == qp("q^4 - q^3")
+        assert str(chi_mn((4,), (5,))) == "q^4 - q^3"
 
     def test_non_hook_vanishes_on_full_cycle(self):
         assert chi_mn((2, 2), (5,)).is_zero
 
     def test_table_entry(self):
-        assert chi_mn((2, 1), (2, 2, 1)) == qp("6*q^2 - 10*q + 4")
+        assert str(chi_mn((2, 1), (2, 2, 1))) == "6*q^2 - 10*q + 4"
 
 
 class TestCompactFormulas:
     def test_hook_column_case(self):
         # k=1 single-column hooks
-        assert chi_hook(1, 2, (3, 2)) == qp("q^3 - 4*q^2 + 2*q")
+        assert str(chi_hook(1, 2, (3, 2))) == "q^3 - 4*q^2 + 2*q"
 
     def test_hook_row_case_matches_row_formula(self):
         for n in range(1, 6):
@@ -233,7 +230,8 @@ class TestCompactFormulas:
     def test_two_row_adjudicated_value(self):
         """For lambda=(3,2), mu=(2,2,2) a value 3q^2(q-1) circulates that drops
         the (1-1/q)^6 component of b_32; the cross-validated value is below."""
-        expected = qp("6*q^3 - 12*q^2 + 9*q - 3")
+        expected = 6 * Q**3 - 12 * Q**2 + 9 * Q - 3
+        assert str(expected) == "6*q^3 - 12*q^2 + 9*q - 3"
         assert chi_two_row(3, 5, (2, 2, 2)) == expected
         assert chi_oracle((3, 2), (2, 2, 2)) == expected
         assert chi_mn((3, 2), (2, 2, 2)) == expected
@@ -261,12 +259,12 @@ class TestSpecialCases:
         assert chi_mn((2, 2), (1,) * 5) == LaurentPoly.const(10, "q")
 
     def test_row(self):
-        assert row_formula(3, (3, 2)) == qp("3*q^3 - 3*q^2 + q")
-        assert chi_mn((3,), (3, 2)) == qp("3*q^3 - 3*q^2 + q")
+        assert str(row_formula(3, (3, 2))) == "3*q^3 - 3*q^2 + q"
+        assert str(chi_mn((3,), (3, 2))) == "3*q^3 - 3*q^2 + q"
 
     def test_column(self):
-        assert column_formula(3, (4, 1)) == qp("-q^2 + 2*q - 1")
-        assert chi_mn((1, 1, 1), (4, 1)) == qp("-q^2 + 2*q - 1")
+        assert str(column_formula(3, (4, 1))) == "-q^2 + 2*q - 1"
+        assert str(chi_mn((1, 1, 1), (4, 1))) == "-q^2 + 2*q - 1"
         for n in range(1, 6):
             for mu in partitions_of(n):
                 for m in range(1, n + 1):
@@ -367,7 +365,7 @@ class TestDispatch:
                     compute_chi(lam, mu, method)
                 with pytest.raises(ValueError, match="must be a partition"):
                     characters.cross_checked(list(lam), list(mu), [method])
-        assert compute_chi([2, 1], [2, 1], "oracle") == qp("q - 1")
+        assert str(compute_chi([2, 1], [2, 1], "oracle")) == "q - 1"
 
     def test_unsorted_mu_is_kept(self):
         for w in range(1, 6):
@@ -380,7 +378,7 @@ class TestDispatch:
 
     def test_table_builder_cross_checks(self):
         table = CharacterTable.build(3, methods=("oracle", "iterative", "mn"))
-        assert table.value((2, 1), (3,)) == qp("-q")
+        assert str(table.value((2, 1), (3,))) == "-q"
         assert len(table.cells) == len(table.rows) * len(table.cols)
 
     def test_table_builder_reports_mismatch(self, monkeypatch):

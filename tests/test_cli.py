@@ -2,11 +2,17 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rookq
 from rookq.exact import LaurentPoly
 from rookq.cli import main, parse_partition, partition_str, CLIError
+from rookq.characters import chi_mn
 from rookq.seminormal import MAX_TRACE_WEIGHT
 
 from table1_golden import MUS, ROWS, TABLE1
@@ -223,13 +229,12 @@ class TestTableCommand:
         doc = json.loads(out)
         assert doc["var"] == "q" and doc["n"] == 3
         for record in doc["records"]:
-            poly = LaurentPoly.parse(record["value"], "q")
             # terms are [exponent, numerator, denominator], exponents descending
             exps = [t[0] for t in record["terms"]]
             assert exps == sorted(exps, reverse=True)
             rebuilt = {e: n for e, n, d in record["terms"]}
             assert all(d == 1 for _, _, d in record["terms"])
-            assert LaurentPoly("q", rebuilt) == poly
+            assert str(LaurentPoly("q", rebuilt)) == record["value"]
 
     def test_json_method_is_the_first_requested(self, capsys):
         code, out, _ = run_cli(
@@ -264,13 +269,30 @@ class TestTableCommand:
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == "a818bece4de8ae6f9c98d6beace9c5d4"
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--n", "6"), "ea62257aadddc077d3a29deaecb12171"),
+            (
+                ("--n", "7", "--order", "revlex", "--restrict-lambda-lt-n"),
+                "473484e4d0a70415e7115eba3ceddd69",
+            ),
+        ],
+        ids=["n6", "n7-revlex-restricted"],
+    )
+    def test_latex_is_byte_identical(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "table", "--format", "latex", *argv)
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == digest
+
     def test_round_trip_all_cells(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--n", "4", "--format", "csv")
         assert code == 0
-        for row in list(csv.reader(io.StringIO(out)))[1:]:
-            for cell in row[1:]:
-                poly = LaurentPoly.parse(cell, "q")
-                assert str(poly) == cell
+        header, *rows = csv.reader(io.StringIO(out))
+        mus = [parse_partition(col) for col in header[1:]]
+        for row in rows:
+            lam = parse_partition(row[0])
+            assert row[1:] == [str(chi_mn(lam, mu)) for mu in mus], lam
 
     @pytest.mark.parametrize("argv", [("--methods", ","), ("--methods=",)])
     def test_empty_method_list_is_refused(self, capsys, argv):
@@ -302,3 +324,24 @@ def test_choice_outside_the_list_is_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert "invalid choice" in err
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    """A reader that closes the pipe early (``rookq table --n 6 | head -1``)
+    ends the command with exit 1 and an empty stderr.  The read end is closed
+    before the command starts, so its first write always fails."""
+    src = str(Path(rookq.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rookq.cli", "table", "--n", "4"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -183,19 +183,6 @@ class TestTextForms:
         assert str(qpoly({2: 4, -1: -1, -3: 5})) == "4*q^2 - q^-1 + 5*q^-3"
         assert str(qpoly({1: 3})) == "3*q"
 
-    def test_parse_round_trip(self):
-        rng = random.Random(41)
-        samples = [rand_poly(rng) for _ in range(40)]
-        samples.append(qpoly({2: 4, -1: -1, -3: 5}))
-        samples.append(LaurentPoly.zero("q"))
-        for f in samples:
-            assert LaurentPoly.parse(str(f), "q") == f
-
-    def test_parse_refuses_fractions(self):
-        for text in ("1/2*q", "q + 3/4", "2/1"):
-            with pytest.raises(ValueError):
-                LaurentPoly.parse(text)
-
     def test_terms_json(self):
         f = qpoly({2: 3, 0: -1})
         assert f.terms_json() == [[2, 3, 1], [0, -1, 1]]

@@ -1,11 +1,13 @@
-"""Differential test of LaurentPoly's integer coefficients.
+"""Differential test of LaurentPoly's integer coefficients and text form.
 
 Every operation is checked against a plain dict-of-int reference, keyed by
-exponent, and every result must store plain ``int`` coefficients.  Long
-division in the reference runs over Q, so that a quotient outside Z[q] shows
-as a non-integral coefficient, which ``exact_div`` must refuse.
+exponent, and every result must store plain ``int`` coefficients and print
+the canonical string built from the reference.  Long division in the
+reference runs over Q, so that a quotient outside Z[q] shows as a
+non-integral coefficient, which ``exact_div`` must refuse.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from rookq.exact import LaurentPoly, RationalFunction
 coeffs = st.integers(-30, 30)
 term_dicts = st.dictionaries(st.integers(-3, 5), coeffs, max_size=5)
 nonzero_term_dicts = term_dicts.filter(lambda d: any(d.values()))
+tags = st.sampled_from("qt")
 
 
 def ref(d):
@@ -59,8 +62,21 @@ def ref_divmod(a, b):
     return {h + ma - mb: c for h, c in quot.items()}, rem
 
 
-def poly(d):
-    return LaurentPoly("q", d)
+def ref_str(d, var):
+    """The canonical string, term by term: exponents descending, a leading
+    ``-`` or `` + ``/`` - `` between terms, the coefficient 1 left out unless
+    the exponent is 0, and ``^e`` only for e != 1."""
+    out = ""
+    for h in sorted(d, reverse=True):
+        c = d[h]
+        out += (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+        v = var if h == 1 else f"{var}^{h}"
+        out += str(abs(c)) if h == 0 else v if abs(c) == 1 else f"{abs(c)}*{v}"
+    return out or "0"
+
+
+def poly(d, var="q"):
+    return LaurentPoly(var, d)
 
 
 def terms(p):
@@ -75,22 +91,37 @@ def assert_coefficient_rule(p):
 def assert_matches(p, reference):
     assert terms(p) == reference
     assert_coefficient_rule(p)
+    assert str(p) == ref_str(reference, p.var)
     # a build that skips the constructor's checks must be indistinguishable
-    raw = LaurentPoly._make("q", dict(reference))
-    assert str(p) == str(raw) == str(poly(reference))
+    raw = LaurentPoly._make(p.var, dict(reference))
+    assert str(p) == str(raw) == str(poly(reference, p.var))
     assert p == raw and hash(p) == hash(raw)
     assert p.terms_json() == raw.terms_json()
 
 
-@given(term_dicts)
-def test_construction_matches_the_reference(a):
-    assert_matches(poly(a), ref(a))
+@given(term_dicts, tags)
+def test_construction_matches_the_reference(a, var):
+    assert_matches(poly(a, var), ref(a))
 
 
-@given(term_dicts, term_dicts)
-def test_add_sub_mul(a, b):
-    pa, pb = poly(a), poly(b)
+def test_distinct_polynomials_print_distinct_strings():
+    """``str`` is lossless without a reader: over every dict on a few
+    exponents and coefficients, chosen so that digits and signs of
+    coefficients and exponents could run together, no two strings coincide."""
+    exps = (-10, -1, 0, 1, 10)
+    for var in "qt":
+        seen = {}
+        for cs in itertools.product((-11, -1, 0, 1, 2, 11), repeat=len(exps)):
+            d = ref(dict(zip(exps, cs)))
+            text = str(poly(d, var))
+            assert seen.setdefault(text, d) == d, (text, seen[text], d)
+
+
+@given(term_dicts, term_dicts, tags)
+def test_add_sub_mul(a, b, var):
+    pa, pb = poly(a, var), poly(b, var)
     ra, rb = ref(a), ref(b)
+    assert (str(pa) == str(pb)) == (ra == rb)
     assert_matches(pa + pb, ref_add(ra, rb))
     assert_matches(pa - pb, ref_add(ra, ref_neg(rb)))
     assert_matches(pa * pb, ref_mul(ra, rb))

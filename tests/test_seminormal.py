@@ -245,7 +245,7 @@ class TestBalancedDigits:
         return int(poly.evaluate(2**k))
 
     def test_negative_coefficients(self):
-        poly = LaurentPoly.parse("-3*q^5 + 2*q^3 - q^2 - 7")
+        poly = -3 * Q**5 + 2 * Q**3 - Q**2 - 7
         for k in range(4, 9):
             assert sn._balanced_digits(self.at(poly, k), k) == poly
 
