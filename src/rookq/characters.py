@@ -38,8 +38,8 @@ from .exact import LaurentPoly
 from .shapes import (
     Partition,
     border_counts,
+    _strip_weight,
     gbs_complements,
-    gbs_weight_k,
     nonzero_length,
     partitions_of,
     vertical_strip_complements,
@@ -59,6 +59,15 @@ METHODS = ("oracle", "iterative", "mn", "hook", "two_row", "seminormal")
 def _check_weights(lam: Partition, mu: Partition) -> None:
     if sum(lam) > sum(mu):
         raise WeightMismatch(f"|lambda|={sum(lam)} exceeds |mu|={sum(mu)}")
+
+
+def _checked(lam: Sequence[int], mu: Sequence[int]) -> Tuple[Partition, Partition]:
+    """The one input check: (lam, mu) as tuples, or ValueError or WeightMismatch."""
+    lam, mu = tuple(lam), tuple(mu)
+    if min(lam + mu, default=1) < 1 or lam != tuple(sorted(lam, reverse=True)):
+        raise ValueError(f"lambda={list(lam)} must be a partition and mu={list(mu)} positive")
+    _check_weights(lam, mu)
+    return lam, mu
 
 
 def frobenius_chi(x_t: LaurentPoly, mu: Partition) -> LaurentPoly:
@@ -89,6 +98,7 @@ def chi_oracle(lam: Partition, mu: Partition) -> LaurentPoly:
 
 def chi_empty(mu: Sequence[int]) -> LaurentPoly:
     """chi^{empty}_mu = q^{|mu| - l(mu)} (equal to 1 only when mu = (1^n))."""
+    _checked((), mu)
     return LaurentPoly.monomial("q", sum(mu) - nonzero_length(mu))
 
 
@@ -135,10 +145,10 @@ def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
     size at most mu_1 and |nu| <= |mu^[1]| of
     wt(lambda/nu; mu_1, q) * chi^nu_{mu^[1]}.
 
-    The weights come from the memo behind ``gbs_weight_k``, and the products
-    are summed by ``LaurentPoly.sum_of_products`` into one dict rather than
-    one fresh polynomial per product and per partial sum.  Partitions are
-    tuples, as for ``chi_oracle``.
+    Each strip is walked once: ``gbs_complements`` yields its weight key for
+    the memoised ``_strip_weight``.  ``LaurentPoly.sum_of_products`` sums the
+    products into one dict, not one fresh polynomial per partial sum.
+    Partitions are tuples, as for ``chi_oracle``.
     """
     _check_weights(lam, mu)
     if not mu:
@@ -146,8 +156,8 @@ def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
     k = mu[0]
     rest = mu[1:]
     return LaurentPoly.sum_of_products(
-        (gbs_weight_k(lam, nu, k), chi_mn(nu, rest))
-        for nu in gbs_complements(lam, sum(lam) - sum(rest), k)
+        (_strip_weight(*key, k), chi_mn(nu, rest))
+        for nu, key in gbs_complements(lam, sum(lam) - sum(rest), k)
     )
 
 
@@ -345,7 +355,7 @@ def perm_sums(mu: Partition) -> Tuple[LaurentPoly, LaurentPoly]:
              sum over two-row shapes of (m-2k+1) chi^{(m-k,k)}_mu),
     the k ranges being 0..m-1 and 0..floor(m/2) respectively.
     """
-    mu = tuple(mu)
+    mu = _checked((), mu)[1]
     n = sum(mu)
     s1 = LaurentPoly.zero("q")
     s2 = LaurentPoly.zero("q")
@@ -401,10 +411,10 @@ def compute_chi(lam: Sequence[int], mu: Sequence[int], method: str = "mn") -> La
     is faster than the hook and two-row closed forms even on their own
     shapes, so those run only when asked for by name.
     """
-    lam, mu = tuple(lam), tuple(mu)
-    if min(lam + mu, default=1) < 1 or lam != tuple(sorted(lam, reverse=True)):
-        raise ValueError(f"lambda={list(lam)} must be a partition and mu={list(mu)} positive")
-    _check_weights(lam, mu)
+    return _by_method(*_checked(lam, mu), method)
+
+
+def _by_method(lam: Partition, mu: Partition, method: str) -> LaurentPoly:
     if method == "auto":
         method = "mn"
     if method == "oracle":
@@ -438,10 +448,14 @@ def cross_checked(lam: Sequence[int], mu: Sequence[int], methods: Sequence[str])
     Raises MethodMismatch, naming every method's value, when two differ;
     otherwise returns the value.  A method listed twice runs once.
     """
-    values = {m: compute_chi(lam, mu, m) for m in dict.fromkeys(methods)}
+    return _agreed(*_checked(lam, mu), methods)
+
+
+def _agreed(lam: Partition, mu: Partition, methods: Sequence[str]) -> LaurentPoly:
+    values = {m: _by_method(lam, mu, m) for m in dict.fromkeys(methods)}
     first = values[methods[0]]
     if any(chi != first for chi in values.values()):
-        raise MethodMismatch(tuple(lam), tuple(mu), {m: str(c) for m, c in values.items()})
+        raise MethodMismatch(lam, mu, {m: str(c) for m, c in values.items()})
     return first
 
 
@@ -488,7 +502,12 @@ class CharacterTable:
         methods = tuple(methods)
         rows = table_rows(n, restrict=restrict_lambda_lt_n, order=order)
         cols = table_columns(n, order=order)
-        cells = {(lam, mu): cross_checked(lam, mu, methods) for lam in rows for mu in cols}
+        # every column weighs n, so one column checks each row's weight
+        for lam in rows:
+            _checked(lam, cols[0])
+        for mu in cols:
+            _checked((), mu)
+        cells = {(lam, mu): _agreed(lam, mu, methods) for lam in rows for mu in cols}
         return cls(n, rows, cols, cells, restrict_lambda_lt_n, order, methods)
 
     def value(self, lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly:

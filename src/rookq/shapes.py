@@ -202,8 +202,8 @@ def gbs_weight_k(lam: Partition, nu: Partition, k: int) -> LaurentPoly:
     Up to k cells the weight is +-q^a (q-1)^b, fixed by the component count,
     the parity of the row total, the column total, the size and k.
     ``_strip_weight`` builds it by one closed form, memoised on those five
-    values, so the 14 662 strips of the weight-9 table share 278
-    polynomials.
+    values.  ``chi_mn`` reads the first four off ``gbs_complements``; this
+    walk of lam/nu is the second derivation that ``mn-adjoint-identity`` uses.
     """
     if k <= 0:
         raise ValueError("k must be a positive integer")
@@ -260,8 +260,9 @@ def sub_partitions(lam: Partition) -> Tuple[Partition, ...]:
     return tuple(out)
 
 
-def gbs_complements(lam: Partition, lo: int, hi: int) -> Tuple[Partition, ...]:
-    """Partitions nu in lam with lam/nu a generalized border strip of lo..hi cells.
+def gbs_complements(lam: Partition, lo: int, hi: int) -> Tuple[Tuple[Partition, tuple], ...]:
+    """Each nu in lam with lam/nu a generalized border strip of lo..hi cells,
+    paired with the key (comps, odd, cols, size) of its ``_strip_weight``.
 
     The same nu, in the same order, as ``sub_partitions(lam)`` filtered by
     strip size and ``gbs_decompose``, without building the rest.  nu is built
@@ -269,29 +270,41 @@ def gbs_complements(lam: Partition, lo: int, hi: int) -> Tuple[Partition, ...]:
     (see ``gbs_decompose``), so nu_i goes no lower than that, nor so low that
     more than hi cells are removed; and no higher than leaves lo reachable,
     since rows i+1.. can give up at most the hook length of their first cell.
+    The key is gathered on the same walk: a run from row ``top`` closes at
+    row i where nu_i >= lam_{i+1}, one component of i - top + 1 rows and
+    lam_top - nu_i columns; the next run starts below it, as below an empty row.
     """
     rows = len(lam)
-    # the rows chosen so far: (nu, cells removed, last part)
-    layer = [((), 0, lam[0] if lam else 0)]
+    # the rows chosen so far: (nu, cells removed, last part, first row of the
+    # open run, components closed, parity of their row total, column total)
+    layer = [((), 0, lam[0] if lam else 0, 0, 0, 0, 0)]
     for i, part in enumerate(lam):
         below = lam[i + 1] if i + 1 < rows else 0
         floor = below - 1 if below else 0
         later = below + rows - 2 - i if below else 0
         grown = []
-        for nu, removed, cap in layer:
+        for nu, removed, cap, top, comps, odd, cols in layer:
             # min(cap, part, ...) without the call: this loop is hot in chi_mn
-            top = removed + part + later - lo
-            if top > cap:
-                top = cap
-            if top > part:
-                top = part
-            for v in range(top, floor - 1, -1):
+            high = removed + part + later - lo
+            if high > cap:
+                high = cap
+            if high > part:
+                high = part
+            for v in range(high, floor - 1, -1):
                 r = removed + part - v
                 if r > hi:
                     break
-                grown.append((nu + (v,) if v else nu, r, v))
+                sub = nu + (v,) if v else nu
+                if v == part:
+                    grown.append((sub, r, v, i + 1, comps, odd, cols))
+                elif v >= below:
+                    grown.append(
+                        (sub, r, v, i + 1, comps + 1, odd ^ (i - top) & 1, cols + lam[top] - v - 1)
+                    )
+                else:
+                    grown.append((sub, r, v, top, comps, odd, cols))
         layer = grown
-    return tuple(nu for nu, removed, _ in layer if removed >= lo)
+    return tuple((nu, (comps, odd, cols, r)) for nu, r, _, _, comps, odd, cols in layer if r >= lo)
 
 
 def vertical_strip_complements(lam: Partition) -> Tuple[Partition, ...]:

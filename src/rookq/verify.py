@@ -211,6 +211,8 @@ def check_schur_decomposition(cap: int) -> Optional[str]:
 
 @check("mn-adjoint-identity", cap=6)
 def check_mn_adjoint_identity(cap: int) -> Optional[str]:
+    """q_k^perp s_lam = sum over |lam/nu| = k of t^(k-1)(1-t) wt(lam/nu; k, t^-1) s_nu.
+    ``gbs_weight_k`` gives the weights: a second derivation of those ``chi_mn`` uses."""
     t = LaurentPoly.monomial("t", 1)
     for w in range(1, cap + 1):
         for lam in sh.partitions_of(w):

@@ -68,6 +68,12 @@ class TestChiEmpty:
         assert chi_empty((1,) * 5) == LaurentPoly.one("q")
         assert chi_empty(()) == LaurentPoly.one("q")
 
+    def test_parts_must_be_positive(self):
+        # once gave q^-1, a value outside Z[q]
+        for mu in ((2, -1), (2, 0)):
+            with pytest.raises(ValueError, match="must be a partition"):
+                chi_empty(mu)
+
 
 def cells_up_to(weight):
     return [
@@ -93,6 +99,7 @@ class TestOracle:
             "gbs_complements",
             "gbs_decompose",
             "gbs_weight_k",
+            "_strip_weight",
             "border_counts",
             "vertical_strip_complements",
             "inner_product",
@@ -165,9 +172,10 @@ class TestIterative:
         def refuse(*args):
             raise AssertionError("chi_iterative reached the border-strip code")
 
-        for name in ("gbs_complements", "gbs_decompose", "gbs_weight_k"):
-            monkeypatch.setattr(shapes, name, refuse)
-            monkeypatch.setattr(characters, name, refuse)
+        for name in ("gbs_complements", "gbs_decompose", "gbs_weight_k", "_strip_weight"):
+            for module in (shapes, characters):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
         chi_iterative.cache_clear()
         chi_mn.cache_clear()
         assert {cell: chi_iterative(*cell) for cell in cells} == expected
@@ -214,6 +222,18 @@ class TestMurnaghanNakayama:
 
     def test_table_entry(self):
         assert str(chi_mn((2, 1), (2, 2, 1))) == "6*q^2 - 10*q + 4"
+
+    def test_weights_come_from_the_walk_alone(self, monkeypatch, clear_memos):
+        # gbs_decompose and gbs_weight_k stay the separate derivation that
+        # verify and the strip tests compare the fused weight keys with
+        cells = cells_up_to(8)
+        expected = {cell: chi_oracle(*cell) for cell in cells}
+        for name in ("gbs_decompose", "gbs_weight_k"):
+            for module in (shapes, characters):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        clear_memos()
+        assert {cell: chi_mn(*cell) for cell in cells} == expected
 
 
 class TestCompactFormulas:
@@ -343,6 +363,12 @@ class TestPermSums:
         assert s1 == rhs1
         assert s2 == rhs2 == LaurentPoly.one("q")
 
+    def test_parts_must_be_positive(self):
+        # once gave (0, 0)
+        for mu in ((2, -1), (2, 0)):
+            with pytest.raises(ValueError, match="must be a partition"):
+                perm_sums(mu)
+
 
 class TestDispatch:
     def test_auto_paths(self):
@@ -385,15 +411,15 @@ class TestDispatch:
         import rookq.characters as chmod
         from rookq.errors import MethodMismatch
 
-        real = chmod.compute_chi
+        real = chmod._by_method
 
-        def skewed(lam, mu, method="mn"):
+        def skewed(lam, mu, method):
             chi = real(lam, mu, method)
             if method == "iterative" and lam == (1,) and mu == (2,):
                 return chi + 1
             return chi
 
-        monkeypatch.setattr(chmod, "compute_chi", skewed)
+        monkeypatch.setattr(chmod, "_by_method", skewed)
         with pytest.raises(MethodMismatch) as exc:
             CharacterTable.build(2, methods=("mn", "iterative"))
         assert exc.value.lam == (1,) and exc.value.mu == (2,)

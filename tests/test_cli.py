@@ -78,13 +78,13 @@ class TestCharCommand:
     def test_check_reports_a_disagreeing_route(self, capsys, monkeypatch):
         import rookq.characters as chmod
 
-        real = chmod.compute_chi
+        real = chmod._by_method
 
-        def skewed(lam, mu, method="mn"):
+        def skewed(lam, mu, method):
             chi = real(lam, mu, method)
             return chi + 1 if method == "iterative" else chi
 
-        monkeypatch.setattr(chmod, "compute_chi", skewed)
+        monkeypatch.setattr(chmod, "_by_method", skewed)
         code, out, err = run_cli(
             capsys, "char", "--lambda", "[2,1]", "--mu", "[3,2]", "--check"
         )
@@ -345,3 +345,12 @@ def test_closed_stdout_exits_1_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_weight_twelve_is_byte_identical(capsys, monkeypatch):
+    # the CLI's default weight cap, pinned so a faster strip walk cannot
+    # change a single byte of the largest default table
+    monkeypatch.delenv("ROOKQ_MAX_WEIGHT", raising=False)
+    code, out, _ = run_cli(capsys, "table", "--n", "12")
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "df8e93d035f45729798980c5a55371c1"

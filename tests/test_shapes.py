@@ -12,6 +12,7 @@ from rookq.shapes import (
     gbs_complements,
     gbs_decompose,
     gbs_weight_k,
+    _strip_weight,
     hook_lengths,
     partitions_of,
     sort_to_partition,
@@ -49,6 +50,17 @@ def weight_k_of_strips(comps, size, k):
     if size < k:
         return ((Q - 1) * w).times_power(k - size - 1)
     return w
+
+
+def weight_key(comps):
+    """(components, parity of the row total, column total, size) of the
+    (size, rows, cols) components: the key of ``_strip_weight``."""
+    return (
+        len(comps),
+        sum(rows - 1 for _, rows, _ in comps) % 2,
+        sum(cols - 1 for _, _, cols in comps),
+        sum(size for size, _, _ in comps),
+    )
 
 
 def fields(p):
@@ -257,13 +269,16 @@ class TestGbs:
         assert gbs_weight_k(lam, nu, 2) == LaurentPoly.zero("q")
 
     def test_weight_k_memo_matches_decomposition(self):
-        # every generalized border strip with |lambda| <= 9, the empty one included
+        # every generalized border strip with |lambda| <= 9, the empty one included;
+        # the key gathered by the walk gives the weight that the cell search and
+        # gbs_decompose give
         strips = 0
         for n in range(10):
             for lam in partitions_of(n):
-                for nu in gbs_complements(lam, 0, n):
+                for nu, key in gbs_complements(lam, 0, n):
                     size = n - sum(nu)
                     comps = bfs_strips(lam, nu)
+                    assert key[3] == size, (lam, nu)
                     wt = weight_of_strips(comps)
                     plain = gbs_weight_k(lam, nu, max(size, 1))
                     assert fields(plain) == fields(wt), (lam, nu)
@@ -272,6 +287,7 @@ class TestGbs:
                         got = gbs_weight_k(lam, nu, k)
                         assert fields(got) == fields(want), (lam, nu, k)
                         assert gbs_weight_k(lam, nu, k) is got
+                        assert _strip_weight(*key, k) is got, (lam, nu, k)
                     strips += 1
         assert strips == 1419
 
@@ -284,12 +300,12 @@ class TestGbs:
         for n in range(10):
             for lam in partitions_of(n):
                 strips = [
-                    (n - sum(nu), nu)
+                    (nu, weight_key(comps))
                     for nu in sub_partitions(lam)
-                    if gbs_decompose(lam, nu) is not None
+                    if (comps := gbs_decompose(lam, nu)) is not None
                 ]
                 for lo in range(n + 1):
                     for hi in range(lo, n + 1):
-                        want = tuple(nu for size, nu in strips if lo <= size <= hi)
+                        want = tuple(s for s in strips if lo <= s[1][3] <= hi)
                         assert gbs_complements(lam, lo, hi) == want, (lam, lo, hi)
-                assert gbs_complements(lam, -1, n + 1) == tuple(nu for _, nu in strips)
+                assert gbs_complements(lam, -1, n + 1) == tuple(strips)

@@ -129,7 +129,7 @@ def strip_walk_char(lam, rho):
         return 0
     rest = rho[1:]
     total = strip_walk_char(lam, rest)
-    for nu in gbs_complements(lam, rho[0], rho[0]):
+    for nu, _ in gbs_complements(lam, rho[0], rho[0]):
         comps = gbs_decompose(lam, nu)
         if len(comps) == 1:
             total += (-1) ** (comps[0][1] - 1) * strip_walk_char(nu, rest)
