@@ -38,8 +38,7 @@ from .exact import LaurentPoly
 from .shapes import (
     Partition,
     border_counts,
-    _strip_weight,
-    gbs_complements,
+    gbs_weighted,
     nonzero_length,
     partitions_of,
     vertical_strip_complements,
@@ -145,8 +144,9 @@ def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
     size at most mu_1 and |nu| <= |mu^[1]| of
     wt(lambda/nu; mu_1, q) * chi^nu_{mu^[1]}.
 
-    Each strip is walked once: ``gbs_complements`` yields its weight key for
-    the memoised ``_strip_weight``.  ``LaurentPoly.sum_of_products`` sums the
+    The strips and their weights depend on (lambda, |lambda| - |mu^[1]|, mu_1)
+    alone, so ``gbs_weighted`` memoises them: each strip set is walked once per
+    table, not once per mu^[1].  ``LaurentPoly.sum_of_products`` sums the
     products into one dict, not one fresh polynomial per partial sum.
     Partitions are tuples, as for ``chi_oracle``.
     """
@@ -156,8 +156,7 @@ def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
     k = mu[0]
     rest = mu[1:]
     return LaurentPoly.sum_of_products(
-        (_strip_weight(*key, k), chi_mn(nu, rest))
-        for nu, key in gbs_complements(lam, sum(lam) - sum(rest), k)
+        (weight, chi_mn(nu, rest)) for nu, weight in gbs_weighted(lam, sum(lam) - sum(rest), k)
     )
 
 

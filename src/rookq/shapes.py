@@ -202,8 +202,9 @@ def gbs_weight_k(lam: Partition, nu: Partition, k: int) -> LaurentPoly:
     Up to k cells the weight is +-q^a (q-1)^b, fixed by the component count,
     the parity of the row total, the column total, the size and k.
     ``_strip_weight`` builds it by one closed form, memoised on those five
-    values.  ``chi_mn`` reads the first four off ``gbs_complements``; this
-    walk of lam/nu is the second derivation that ``mn-adjoint-identity`` uses.
+    values.  ``chi_mn`` reads it from ``gbs_weighted``, which takes the first
+    four off ``gbs_complements``; this walk of lam/nu is the second derivation
+    that ``mn-adjoint-identity`` uses.
     """
     if k <= 0:
         raise ValueError("k must be a positive integer")
@@ -273,6 +274,7 @@ def gbs_complements(lam: Partition, lo: int, hi: int) -> Tuple[Tuple[Partition, 
     The key is gathered on the same walk: a run from row ``top`` closes at
     row i where nu_i >= lam_{i+1}, one component of i - top + 1 rows and
     lam_top - nu_i columns; the next run starts below it, as below an empty row.
+    ``gbs_weighted`` memoises the result with each key's weight for ``chi_mn``.
     """
     rows = len(lam)
     # the rows chosen so far: (nu, cells removed, last part, first row of the
@@ -305,6 +307,14 @@ def gbs_complements(lam: Partition, lo: int, hi: int) -> Tuple[Tuple[Partition, 
                     grown.append((sub, r, v, top, comps, odd, cols))
         layer = grown
     return tuple((nu, (comps, odd, cols, r)) for nu, r, _, _, comps, odd, cols in layer if r >= lo)
+
+
+@lru_cache(maxsize=None)
+def gbs_weighted(lam: Partition, lo: int, hi: int) -> Tuple[Tuple[Partition, LaurentPoly], ...]:
+    """``gbs_complements(lam, lo, hi)`` with each key turned into its weight
+    wt(lam/nu; hi, q): one step of ``chi_mn``, which depends only on these
+    three values, so each strip set is walked once per table."""
+    return tuple((nu, _strip_weight(*key, hi)) for nu, key in gbs_complements(lam, lo, hi))
 
 
 def vertical_strip_complements(lam: Partition) -> Tuple[Partition, ...]:

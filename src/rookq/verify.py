@@ -233,7 +233,7 @@ def check_mn_adjoint_identity(cap: int) -> Optional[str]:
                     return f"lam={lam}, k={k}"
 
 
-@check("cross-method-characters", cap=8)
+@check("cross-method-characters", cap=10)
 def check_cross_methods(cap: int) -> Optional[str]:
     sn_cap = min(cap, 5)
     for w in range(cap + 1):

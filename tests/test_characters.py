@@ -97,6 +97,7 @@ class TestOracle:
         expected = {cell: chi_mn(*cell) for cell in cells}
         shared = (
             "gbs_complements",
+            "gbs_weighted",
             "gbs_decompose",
             "gbs_weight_k",
             "_strip_weight",
@@ -172,7 +173,13 @@ class TestIterative:
         def refuse(*args):
             raise AssertionError("chi_iterative reached the border-strip code")
 
-        for name in ("gbs_complements", "gbs_decompose", "gbs_weight_k", "_strip_weight"):
+        for name in (
+            "gbs_complements",
+            "gbs_weighted",
+            "gbs_decompose",
+            "gbs_weight_k",
+            "_strip_weight",
+        ):
             for module in (shapes, characters):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
@@ -234,6 +241,17 @@ class TestMurnaghanNakayama:
                     monkeypatch.setattr(module, name, refuse)
         clear_memos()
         assert {cell: chi_mn(*cell) for cell in cells} == expected
+
+    def test_strip_memo_starts_cold(self, clear_memos):
+        # conftest's clear_memos and perfbench's cold starts find each memo by
+        # scanning a module for an lru_cache whose __module__ is that module
+        memo = shapes.gbs_weighted
+        assert hasattr(memo, "cache_info") and memo.__module__ == "rookq.shapes"
+        assert characters.gbs_weighted is memo
+        chi_mn((3, 2, 1), (2, 2, 2))
+        assert memo.cache_info().currsize > 0
+        clear_memos()
+        assert memo.cache_info().currsize == 0
 
 
 class TestCompactFormulas:

@@ -12,6 +12,7 @@ from rookq.shapes import (
     gbs_complements,
     gbs_decompose,
     gbs_weight_k,
+    gbs_weighted,
     _strip_weight,
     hook_lengths,
     partitions_of,
@@ -309,3 +310,18 @@ class TestGbs:
                         want = tuple(s for s in strips if lo <= s[1][3] <= hi)
                         assert gbs_complements(lam, lo, hi) == want, (lam, lo, hi)
                 assert gbs_complements(lam, -1, n + 1) == tuple(strips)
+
+    def test_gbs_weighted_matches_definition(self):
+        # the memo that chi_mn reads: the 2x2-free nu of sub_partitions(lam)
+        # with lo..hi cells removed, in that order, each with gbs_weight_k
+        for n in range(9):
+            for lam in partitions_of(n):
+                strips = [nu for nu in sub_partitions(lam) if gbs_decompose(lam, nu) is not None]
+                for hi in range(1, 9):
+                    for lo in range(hi + 1):
+                        want = tuple(
+                            (nu, gbs_weight_k(lam, nu, hi))
+                            for nu in strips
+                            if lo <= n - sum(nu) <= hi
+                        )
+                        assert gbs_weighted(lam, lo, hi) == want, (lam, lo, hi)
