@@ -13,8 +13,13 @@ takes and stores each power-sum expansion as integer numerators over one
 positive ``int`` and divides by it, exactly, only in its two pairings.
 Exponents are plain integers: the key ``h`` stands for ``var**h``.
 
+``+``, ``-`` and ``*`` take two polynomials of one tag straight to the loop,
+with no helper call, and ``*`` by a plain ``int`` goes to ``scale``.  Every
+other case (another number, a constant of the other tag, a mismatched tag)
+still goes through ``_coerce`` and ``_result_var``, which decide it.
+
 ``LaurentPoly.sum_of_products`` sums a*b over many pairs into one dict and
-folds it once, where ``__mul__`` and ``__add__`` would build a dict for every
+drops its zeros once, where a fold of ``*`` and ``+`` builds a dict for every
 product and every partial sum.  Only the Murnaghan-Nakayama route
 (``characters.chi_mn``) uses it; the routes it is cross-checked against stay
 on ``__mul__`` and ``__add__``, so no two compared routes share the kernel.
@@ -35,6 +40,7 @@ from .errors import DivisionByZero, DomainError, NonExactDivision
 
 _VALID_VARS = ("q", "t")
 _TAG_SWAP = {"t": "q", "q": "t"}
+_new = object.__new__
 
 
 def _as_int(x) -> int:
@@ -44,11 +50,6 @@ def _as_int(x) -> int:
     if isinstance(x, int):
         return int(x)
     raise TypeError(f"expected an integer coefficient, got {type(x).__name__}")
-
-
-def _fold(terms: Mapping[int, int]) -> Dict[int, int]:
-    """Drop zero terms."""
-    return {h: c for h, c in terms.items() if c}
 
 
 class LaurentPoly:
@@ -79,10 +80,8 @@ class LaurentPoly:
     @classmethod
     def _make(cls, var: str, terms: Dict[int, int]) -> "LaurentPoly":
         """Wrap a dict of valid nonzero coefficients without re-checking it."""
-        self = object.__new__(cls)
-        self.var = var
-        self._terms = terms
-        self._hash = None
+        self = _new(cls)
+        self.var, self._terms, self._hash = var, terms, None
         return self
 
     # ------------------------------------------------------------------
@@ -150,23 +149,36 @@ class LaurentPoly:
         raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
 
     def __add__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        var = self._result_var(other)
+        var = self.var
+        if type(other) is not LaurentPoly or other.var != var:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+            var = self._result_var(other)
         terms = dict(self._terms)
         get = terms.get
         for h, c in other._terms.items():
             terms[h] = get(h, 0) + c
-        return LaurentPoly._make(var, _fold(terms))
+        r = _new(LaurentPoly)
+        r.var, r._terms, r._hash = var, {h: c for h, c in terms.items() if c}, None
+        return r
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        var = self.var
+        if type(other) is not LaurentPoly or other.var != var:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+            var = self._result_var(other)
+        terms = dict(self._terms)
+        get = terms.get
+        for h, c in other._terms.items():
+            terms[h] = get(h, 0) - c
+        r = _new(LaurentPoly)
+        r.var, r._terms, r._hash = var, {h: c for h, c in terms.items() if c}, None
+        return r
 
     def __rsub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -178,10 +190,14 @@ class LaurentPoly:
         return LaurentPoly._make(self.var, {h: -c for h, c in self._terms.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        var = self._result_var(other)
+        var = self.var
+        if type(other) is not LaurentPoly or other.var != var:
+            if type(other) is int:
+                return self.scale(other)
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+            var = self._result_var(other)
         out: Dict[int, int] = {}
         get = out.get
         terms2 = other._terms.items()
@@ -189,7 +205,9 @@ class LaurentPoly:
             for h2, c2 in terms2:
                 h = h1 + h2
                 out[h] = get(h, 0) + c1 * c2
-        return LaurentPoly._make(var, _fold(out))
+        r = _new(LaurentPoly)
+        r.var, r._terms, r._hash = var, {h: c for h, c in out.items() if c}, None
+        return r
 
     __rmul__ = __mul__
 
@@ -202,39 +220,49 @@ class LaurentPoly:
 
         Every product is accumulated into one dict and folded once at the
         end, instead of a fresh dict for each product and each partial sum.
-        Each pair's tags go through ``_result_var``; when a product's tag
-        differs from the running one, the running sum and that product are
-        built as ``__add__`` would see them, so a mismatch raises and a
-        constant adopts the other tag exactly as in the fold.
+        A pair not both of the running tag goes through ``_result_var``; when
+        a product's tag differs from the running one, the running sum and that
+        product are built as ``__add__`` would see them, so a mismatch raises
+        and a constant adopts the other tag exactly as in the fold.
         """
         var = "q"
         out: Dict[int, int] = {}
         get = out.get
         for a, b in pairs:
-            if a._result_var(b) != var:
-                var = cls._make(var, _fold(out))._result_var(a * b)
+            if not a.var == b.var == var and a._result_var(b) != var:
+                var = cls._make(var, {h: c for h, c in out.items() if c})._result_var(a * b)
             terms2 = b._terms.items()
             for h1, c1 in a._terms.items():
                 for h2, c2 in terms2:
                     h = h1 + h2
                     out[h] = get(h, 0) + c1 * c2
-        return cls._make(var, _fold(out))
+        return cls._make(var, {h: c for h, c in out.items() if c})
 
     def __pow__(self, n: int) -> "LaurentPoly":
+        """``self**n`` by repeated squaring, starting from the base: floor(log2 n)
+        squarings and one product for each further set bit of n, so ``p**1``
+        makes no product, ``p**2`` one and ``p**3`` two; ``p**0`` is ``one``."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are supported")
-        result = LaurentPoly.one(self.var)
+        if not n:
+            return LaurentPoly.one(self.var)
         base = self
-        while n:
-            if n & 1:
-                result = result * base
+        while not n & 1:
             base = base * base
             n >>= 1
+        result = base
+        while n > 1:
+            base = base * base
+            n >>= 1
+            if n & 1:
+                result = result * base
         return result
 
     def scale(self, c: int) -> "LaurentPoly":
         c = _as_int(c)
-        return LaurentPoly._make(self.var, _fold({h: cc * c for h, cc in self._terms.items()}))
+        # a nonzero int times a nonzero coefficient is never zero
+        terms = {h: cc * c for h, cc in self._terms.items()} if c else {}
+        return LaurentPoly._make(self.var, terms)
 
     def times_power(self, exp: int) -> "LaurentPoly":
         """Multiply by ``var**exp``."""

@@ -74,11 +74,17 @@ def _route_error(lam, mu, methods) -> Optional[str]:
 def check_ring_axioms(cap: int) -> Optional[str]:
     rng = random.Random(20240831)
     for _ in range(60):
-        a, b, c = (_rand_poly(rng) for _ in range(3))
+        var = rng.choice("qt")
+        a, b, c = (_rand_poly(rng, var) for _ in range(3))
+        k, n = rng.randint(-6, 6), rng.randint(0, 4)
         if (a + b) * c != a * c + b * c or (a * b) * c != a * (b * c):
             return f"failed on {a}, {b}, {c}"
         if not b.is_zero and (a * b).exact_div(b) != a:
             return f"(a*b)/b != a for {a}, {b}"
+        if a - b != a + (-b) or not a * k == a.scale(k) == a * LaurentPoly.const(k, var):
+            return f"a - b or a * {k} failed on {a}, {b}"
+        if a**n != math.prod([a] * n):
+            return f"a**{n} failed on {a}"
 
 
 @check("rf-canonical-form", cap=0)

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rookq.errors import NonExactDivision
@@ -125,6 +125,61 @@ def test_add_sub_mul(a, b, var):
     assert_matches(pa + pb, ref_add(ra, rb))
     assert_matches(pa - pb, ref_add(ra, ref_neg(rb)))
     assert_matches(pa * pb, ref_mul(ra, rb))
+
+
+def ref_is_const(d):
+    return set(d) <= {0}
+
+
+@given(term_dicts, tags, term_dicts, tags)
+def test_add_sub_mul_across_tags(a, var_a, b, var_b):
+    """Tags drawn independently: a constant adopts the other tag (the right
+    operand's, when both are constants), and two non-constants of different
+    tags raise ValueError."""
+    pa, pb = poly(a, var_a), poly(b, var_b)
+    ra, rb = ref(a), ref(b)
+    if var_a == var_b or ref_is_const(ra) or ref_is_const(rb):
+        var = var_b if ref_is_const(ra) else var_a
+        for got, want in ((pa + pb, ref_add(ra, rb)), (pa - pb, ref_add(ra, ref_neg(rb))),
+                          (pa * pb, ref_mul(ra, rb))):
+            assert got.var == var
+            assert_matches(got, want)
+    else:
+        for op in (lambda: pa + pb, lambda: pa - pb, lambda: pa * pb):
+            with pytest.raises(ValueError):
+                op()
+
+
+@given(term_dicts, tags, st.integers(-30, 30))
+@example({}, "t", 0)
+@example({2: 3, -1: -1}, "t", 0)
+def test_int_operands(a, var, k):
+    pa, ra = poly(a, var), ref(a)
+    for got, want in ((pa * k, ref_mul(ra, ref({0: k}))), (k * pa, ref_mul(ra, ref({0: k}))),
+                      (pa + k, ref_add(ra, ref({0: k}))), (pa - k, ref_add(ra, ref({0: -k}))),
+                      (k - pa, ref_add(ref_neg(ra), ref({0: k})))):
+        assert got.var == var
+        assert_matches(got, want)
+
+
+@given(term_dicts, tags)
+@example({}, "t")
+@example({3: -2}, "t")
+@example({0: 1}, "q")
+def test_pow(a, var):
+    pa, want = poly(a, var), {0: 1}
+    for n in range(6):
+        got = pa**n
+        assert got.var == var
+        assert_matches(got, want)
+        want = ref_mul(want, ref(a))
+
+
+def test_pow_refuses_negative_and_non_integer_exponents():
+    q = LaurentPoly.monomial("q", 1)
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError):
+            q**bad
 
 
 @given(term_dicts, nonzero_term_dicts)
