@@ -1,41 +1,38 @@
 """Seminormal matrix model on n-standard tableaux.
 
-This is the package's independent oracle: the generators act explicitly on
-the basis indexed by n-standard tableaux of shape lambda |- k (fillings with
-k distinct labels from {1..n}, rows and columns strictly increasing), and
-character values are recovered as exact traces of products of generator
-matrices.
+This is the package's independent oracle: the generators act on the basis
+of n-standard tableaux of shape lambda |- k (fillings with k distinct labels
+from {1..n}, rows and columns strictly increasing), and character values
+are exact traces of products of generator matrices.
 
 The basis vector of each tableau L is the one of Halverson's model
 (Representations of the q-rook monoid, J. Algebra 2004) scaled by
 q^(s(L)/2), s(L) the sum of L's labels.  That model relabels i+1 -> i and
 i -> i+1 with the entry q^(1/2); the scaling conjugates every T_i by one
 diagonal matrix, so it keeps every relation and trace and turns those two
-entries into q and 1.
+entries into q and 1.  The other entries keep the label sum.  Their only
+denominators are q-integers [d]_q = 1 + q + ... + q^(d-1), so
+``_gen_action`` builds S_i = D_i * T_i, D_i the lcm of the [d]_q that T_i
+can meet (``_scale``): its columns in Z[q] are the one definition of S_i.
 
-The other entries keep the label sum.  Their only denominators are
-q-integers [d]_q = 1 + q + ... + q^(d-1), so ``_gen_action`` stores
-S_i = D_i * T_i, D_i the lcm of the [d]_q that T_i can meet (``_scale``):
-these polynomial columns, all in Z[q], are the one definition of S_i, and
-the relation checks compare products of them directly.
-
-A trace T(q) of S_mu, which is chi(q) times the product of the D_g, is taken
-in plain ints by Kronecker substitution (von zur Gathen and Gerhard, Modern
-Computer Algebra, 8.4): every entry is evaluated at B = 2^k (``_action_at``,
-one shift per term), one k per shape and n (``_base_bits``).  Let ||S_g|| be
-the largest column sum of the absolute coefficients of S_g's entries; no
-column is zero, so ||S_g|| >= 1.  A standard word uses each generator at
-most once, so dim times the product of ||S_g|| over g < n bounds ||T||_1
-for every mu |- n, and B exceeds twice that.  So T is T(B)'s balanced
-base-B digits (``_balanced_digits``), and it divides exactly by each D_g.
+All else runs in plain ints by Kronecker substitution (von zur Gathen and
+Gerhard, Modern Computer Algebra, 8.4): ``_model`` evaluates every S_g at
+B = 2^k, one k per shape and n, and keeps no polynomial column.  Let N_g be
+the largest column l1 norm of S_g (no column is zero, so N_g >= 1) and d_g
+the l1 norm of D_g.  B exceeds twice each of dim * prod N_g, which bounds
+a trace T(q) = chi(q) prod D_g of S_mu (a standard word uses each generator
+at most once); (N_i + d_i)^2 for S_i^2 = (q-1) D_i S_i + q D_i^2;
+d_{i+1} N_i^2 N_{i+1} + d_i N_{i+1}^2 N_i for the braid relation; and
+2 N_i N_j for commutation.  A polynomial of l1 norm below B/2 is zero iff
+its value at B is, so each relation is checked at B, and T is T(B)'s
+balanced base-B digits (``_balanced_digits``), divided exactly by each D_g.
 An entry with a negative exponent, a failed division or a quotient outside
 Z[q] raises InvariantViolation: each signals a bug.
 
 A tableau is stored as its content vector (``Tableau``): S_i reads the
 content difference of labels i and i+1 off two entries, and relabels them by
 swapping the two.  ``_image`` applies a product of generators to one basis
-vector, with int or polynomial entries alike; the trace and every relation
-check are built on it.
+vector; the trace and every relation check are built on it.
 """
 
 from __future__ import annotations
@@ -58,11 +55,10 @@ Vector = Dict[int, Union[int, LaurentPoly]]
 _Q = LaurentPoly.monomial("q", 1)
 _ONE = LaurentPoly.one("q")
 
-# The largest |mu| the command line runs this method on.  The slowest trace
-# of each weight from cold caches, on a 2-core host: 0.04 s at weight 8
-# ((3,2,1) x (8)), 0.14-0.19 s at 9 ((4,2,1) x (9)), 0.9-1.3 s at 10
-# ((4,2,1,1) x (10)); the whole table takes 2.8 s at weight 8 and 18-19 s
-# at weight 9.
+# The largest |mu| the command line runs this method on.  On a 2-core Xeon,
+# Python 3.11, the slowest trace over mu = (w) from cold caches takes 0.014 s
+# at w = 8, 0.065 s at 9 and 0.44 s at 10 ((4,2,1,1)); the cold CLI table
+# takes 1.0 s (29 MB peak RSS) at weight 8 and 7.7 s (68 MB) at weight 9.
 MAX_TRACE_WEIGHT = 9
 
 
@@ -109,11 +105,6 @@ def enumerate_tableaux(lam: Partition, n: int) -> Tuple[Tableau, ...]:
 
 
 @lru_cache(maxsize=None)
-def _index(lam: Partition, n: int) -> Dict[Tableau, int]:
-    return {t: i for i, t in enumerate(enumerate_tableaux(lam, n))}
-
-
-@lru_cache(maxsize=None)
 def _cyclotomic(e: int) -> LaurentPoly:
     """The cyclotomic polynomial Phi_e(q): q^e - 1 divided by Phi_d for d | e, d < e."""
     out = LaurentPoly("q", {e: 1, 0: -1})
@@ -144,6 +135,18 @@ def _scale(i: int, lam: Partition) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
+def _entries(i: int, lam: Partition):
+    """The distinct entries of S_i, which do not depend on n: delta -> (diagonal,
+    companion), one division D_i / [d]_q per d, then D_i, D_i * q and D_i * (q-1)."""
+    scale = _scale(i, lam)
+    table: Dict[int, Tuple[LaurentPoly, LaurentPoly]] = {}
+    for d in range(1, _max_gap(i, lam) + 1):
+        quot = scale.exact_div(LaurentPoly("q", dict.fromkeys(range(d), 1)))
+        for delta, diag in ((d, -quot), (-d, quot.times_power(d))):
+            table[delta] = (diag, scale + diag)
+    return table, scale, scale * _Q, scale * (_Q - 1)
+
+
 def _gen_action(i: int, lam: Partition, n: int):
     """Sparse columns of S_i = D_i * T_i on the tableau basis (see ``_scale``).
 
@@ -160,22 +163,15 @@ def _gen_action(i: int, lam: Partition, n: int):
         only i in L:        1 to the relabeling;
         neither:            q on the diagonal.
     """
-    index = _index(lam, n)
-    scale = _scale(i, lam)
-    scale_q = scale * _Q
-    scale_qm1 = scale * (_Q - 1)
-    # delta -> (diagonal entry, companion), one division D_i / [d]_q per d
-    entries: Dict[int, Tuple[LaurentPoly, LaurentPoly]] = {}
-    for d in range(1, _max_gap(i, lam) + 1):
-        quot = scale.exact_div(LaurentPoly("q", dict.fromkeys(range(d), 1)))
-        for delta, diag in ((d, -quot), (-d, quot.times_power(d))):
-            entries[delta] = (diag, scale + diag)
+    basis = enumerate_tableaux(lam, n)
+    index = {t: l for l, t in enumerate(basis)}
+    table, scale, scale_q, scale_qm1 = _entries(i, lam)
     cols = []
-    for l, t in enumerate(enumerate_tableaux(lam, n)):
+    for l, t in enumerate(basis):
         a, b = t[i - 1], t[i]
         swapped = t[: i - 1] + (b, a) + t[i + 1 :]  # labels i and i+1 exchanged
         if a is not None and b is not None:
-            diag, companion = entries[a - b]
+            diag, companion = table[a - b]
             col = [(l, diag)]
             if abs(a - b) > 1:
                 col.append((index[swapped], companion))
@@ -190,28 +186,32 @@ def _gen_action(i: int, lam: Partition, n: int):
 
 
 @lru_cache(maxsize=None)
-def _base_bits(lam: Partition, n: int) -> int:
-    """The least k with 2^k > 2 * dim * prod_{g<n} ||S_g|| (see the module docstring)."""
-    bound = len(enumerate_tableaux(lam, n))
-    for g in range(1, n):
-        bound *= max(sum(abs(c) for _, p in col for _, c in p.items()) for col in _gen_action(g, lam, n))
-    return (2 * bound).bit_length()
-
-
-@lru_cache(maxsize=None)
-def _action_at(i: int, lam: Partition, n: int):
-    """S_i with each entry evaluated at q = 2^k, k = ``_base_bits(lam, n)``."""
-    k = _base_bits(lam, n)
-    values: Dict[LaurentPoly, int] = {}  # the columns share a few entry objects
-    cols = []
-    for col in _gen_action(i, lam, n):
-        for _, p in col:
-            if p not in values:
-                if not p.is_ordinary():
-                    raise InvariantViolation(f"S_{i} on {list(lam)}, n={n}, has an entry not in Z[q]: {p}")
-                values[p] = sum(c << (h * k) for h, c in p.items())
-        cols.append(tuple((r, values[p]) for r, p in col))
-    return tuple(cols)
+def _model(lam: Partition, n: int):
+    """k and S_1, ..., S_{n-1} at q = 2^k, k the least that holds every trace and
+    relation residue (see the module docstring).  One walk over each S_g takes
+    its column norms, then each distinct entry is evaluated once."""
+    gens, norms, seen = [], [], {}  # id -> (entry, l1 norm): the columns share a few entries
+    for i in range(1, n):
+        cols, top = _gen_action(i, lam, n), 0
+        for col in cols:
+            s = 0
+            for _, p in col:
+                if id(p) not in seen:
+                    if not p.is_ordinary():
+                        raise InvariantViolation(f"S_{i} on {list(lam)}, n={n}: entry {p} not in Z[q]")
+                    seen[id(p)] = p, sum(abs(c) for _, c in p.items())
+                s += seen[id(p)][1]
+            top = max(top, s)
+        gens.append(cols)
+        norms.append(top)
+    scales = [sum(abs(c) for _, c in _scale(i, lam).items()) for i in range(1, n)]
+    bound = len(enumerate_tableaux(lam, n)) * math.prod(norms)
+    for g, (s, t, d, e) in enumerate(zip(norms, norms[1:] + [0], scales, scales[1:] + [0])):
+        braid = e * s * s * t + d * t * t * s  # 0 for S_{n-1}, which has no braid relation
+        bound = max(bound, (s + d) ** 2, braid, *(2 * s * u for u in norms[g + 2 :]))
+    k = (2 * bound).bit_length()
+    values = {key: p.evaluate(1 << k) for key, (p, _) in seen.items()}
+    return k, tuple(tuple(tuple((r, values[id(p)]) for r, p in col) for col in cols) for cols in gens)
 
 
 def _apply(action, vec: Vector) -> Vector:
@@ -236,20 +236,19 @@ def quadratic_check(i: int, lam: Sequence[int], n: int) -> bool:
     """(T_i - q)(T_i + 1) = 0, and the braid relation with T_{i+1} when defined.
 
     On S_i = D_i T_i these read S_i^2 = (q-1) D_i S_i + q D_i^2 and
-    D_{i+1} S_i S_{i+1} S_i = D_i S_{i+1} S_i S_{i+1}.
+    D_{i+1} S_i S_{i+1} S_i = D_i S_{i+1} S_i S_{i+1}, compared at q = 2^k.
     """
     lam = tuple(lam)
-    a = _gen_action(i, lam, n)
-    scale = _scale(i, lam)
-    lin, const = scale * (_Q - 1), scale * scale * _Q
+    k, gens = _model(lam, n)
+    a, scale = gens[i - 1], _scale(i, lam).evaluate(1 << k)
+    lin, const = scale * ((1 << k) - 1), (scale * scale) << k
     for l in range(len(a)):
         rhs = {r: v * lin for r, v in _image([a], l).items()}
         rhs[l] = rhs.get(l, 0) + const
         if _image([a, a], l) != {r: v for r, v in rhs.items() if v}:
             return False
     if i + 1 <= n - 1:
-        b = _gen_action(i + 1, lam, n)
-        scale_b = _scale(i + 1, lam)
+        b, scale_b = gens[i], _scale(i + 1, lam).evaluate(1 << k)
         for l in range(len(a)):
             aba, bab = _image([a, b, a], l), _image([b, a, b], l)
             if {r: v * scale_b for r, v in aba.items()} != {r: v * scale for r, v in bab.items()}:
@@ -258,9 +257,9 @@ def quadratic_check(i: int, lam: Sequence[int], n: int) -> bool:
 
 
 def commute_check(i: int, j: int, lam: Sequence[int], n: int) -> bool:
-    """T_i T_j = T_j T_i for |i - j| > 1."""
-    lam = tuple(lam)
-    a, b = _gen_action(i, lam, n), _gen_action(j, lam, n)
+    """T_i T_j = T_j T_i for |i - j| > 1, compared at q = 2^k."""
+    gens = _model(tuple(lam), n)[1]
+    a, b = gens[i - 1], gens[j - 1]
     return all(_image([a, b], l) == _image([b, a], l) for l in range(len(a)))
 
 
@@ -308,9 +307,10 @@ def trace_standard_element(lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly
     if sum(lam) > n:
         raise WeightMismatch(f"|lambda|={sum(lam)} exceeds |mu|={n}")
     word = standard_word(mu)
-    actions = [_action_at(g, lam, n) for g in word]
+    k, gens = _model(lam, n)
+    actions = [gens[g - 1] for g in word]
     value = sum(_image(actions, l).get(l, 0) for l in range(len(enumerate_tableaux(lam, n))))
-    total = _balanced_digits(value, _base_bits(lam, n))
+    total = _balanced_digits(value, k)
     # the trace of the product of the S_g is prod D_g times the trace of T_mu
     trace: Optional[LaurentPoly] = total
     try:

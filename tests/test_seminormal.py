@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from rookq.shapes import partitions_of, partitions_up_to, standard_count
 from rookq.characters import chi_mn, chi_oracle
 import rookq.seminormal as sn
 from rookq.cli import main
+from rookq import verify
 from rookq.seminormal import (
     _gen_action,
     commute_check,
@@ -126,7 +128,7 @@ class TestRelations:
             (1, lambda l, r, c: 2 * c if l == 0 else c, lambda: commute_check(1, 3, (2, 1), 4)),
         ],
     )
-    def test_each_check_detects_a_skewed_generator(self, monkeypatch, gen, skew, check):
+    def test_each_check_detects_a_skewed_generator(self, monkeypatch, clear_memos, gen, skew, check):
         assert check()
         action = sn._gen_action
 
@@ -137,7 +139,63 @@ class TestRelations:
             return tuple(tuple((r, skew(l, r, c)) for r, c in col) for l, col in enumerate(cols))
 
         monkeypatch.setattr(sn, "_gen_action", skewed)
+        clear_memos()  # the evaluated generators are memoised per shape
         assert not check()
+
+    @staticmethod
+    def sides(lam, n):
+        """(relation, l, lhs, rhs) for every relation on every basis vector v_l,
+        each side computed by polynomial products of the columns of S_g."""
+        gens = {g: _gen_action(g, lam, n) for g in range(1, n)}
+        scale = {g: sn._scale(g, lam) for g in range(1, n)}
+
+        def times(vec, p):
+            return {r: v * p for r, v in vec.items()}
+
+        for l in range(len(enumerate_tableaux(lam, n))):
+            for i in range(1, n):
+                a = gens[i]
+                rhs = times(sn._image([a], l), scale[i] * (Q - 1))
+                rhs[l] = rhs.get(l, 0) + scale[i] * scale[i] * Q
+                yield ("quadratic", i), l, sn._image([a, a], l), rhs
+                if i + 1 < n:
+                    b = gens[i + 1]
+                    aba, bab = sn._image([a, b, a], l), sn._image([b, a, b], l)
+                    yield ("braid", i), l, times(aba, scale[i + 1]), times(bab, scale[i])
+                for j in range(i + 2, n):
+                    b = gens[j]
+                    yield ("commute", i, j), l, sn._image([a, b], l), sn._image([b, a], l)
+
+    def test_base_holds_both_sides_of_every_relation(self):
+        # a residue lhs - rhs is zero iff its value at 2^k is, once 2^k exceeds
+        # twice its l1 norm; bound the sides, since the residue is zero here.
+        # A base with only the trace bound is too small for S_i^2 v.
+        zero = LaurentPoly.zero("q")
+        for n in range(7):
+            for lam in partitions_up_to(n):
+                k = sn._model(lam, n)[0]
+                for rel, l, lhs, rhs in self.sides(lam, n):
+                    for r in set(lhs) | set(rhs):
+                        left, right = lhs.get(r, zero), rhs.get(r, zero)
+                        assert left == right, (lam, n, rel, l, r)
+                        norm = sum(abs(c) for side in (left, right) for _, c in side.items())
+                        assert 2 * norm < 2**k, (lam, n, rel, l, r)
+
+    def test_relations_hold_to_weight_seven(self):
+        # every quadratic, braid and commutation relation on every shape, n <= 7
+        assert verify.check_seminormal_relations.__wrapped__(7) is None
+
+    def test_makes_no_polynomial_product(self, monkeypatch):
+        lam, n = (2, 1), 5
+        sn._model(lam, n)
+
+        def refuse(*args):
+            raise AssertionError("polynomial product in a relation check")
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+        monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
+        assert all(quadratic_check(i, lam, n) for i in range(1, n))
+        assert commute_check(1, 3, lam, n) and commute_check(2, 4, lam, n)
 
 
 class TestTraces:
@@ -183,9 +241,10 @@ class TestTraces:
     def test_makes_no_polynomial_product(self, monkeypatch):
         lam, mu = (3, 2, 1), (4, 3)
         expected = chi_mn(lam, mu)
-        # the base is read off every generator, not only those in the word
+        # only the few distinct entries of each S_g take polynomial products;
+        # the model reads every generator, not only those in the word
         for g in range(1, sum(mu)):
-            _gen_action(g, lam, sum(mu))
+            sn._entries(g, lam)
 
         def refuse(*args):
             raise AssertionError("polynomial product in the trace")
@@ -198,7 +257,7 @@ class TestTraces:
         # 555 traces; at n <= 1 the bound is tight, so the base needs its factor 2
         for n in range(7):
             for lam in partitions_up_to(n):
-                k = sn._base_bits(lam, n)
+                k = sn._model(lam, n)[0]
                 dim = len(enumerate_tableaux(lam, n))
                 for mu in partitions_of(n):
                     actions = [_gen_action(g, lam, n) for g in standard_word(mu)]
@@ -207,20 +266,18 @@ class TestTraces:
                     norm = sum(abs(c) for _, c in trace.items())
                     assert 2 * norm < 2**k, (lam, mu)
 
-    def test_base_covers_the_dimension(self, monkeypatch):
+    def test_base_covers_the_dimension(self, monkeypatch, clear_memos):
         # no true trace comes near dim * prod ||S_g||, but with every S_g the
-        # identity the trace is dim, and the base must still hold it
-        lam, n = (2, 1), 4
+        # identity the trace is dim, and the base must still hold it; here dim
+        # = 40 outgrows every relation bound, the largest (1 + ||D_i||)^2 = 9
+        lam, n = (2, 1), 6
         dim = len(enumerate_tableaux(lam, n))
         identity = tuple(((l, LaurentPoly.one("q")),) for l in range(dim))
         monkeypatch.setattr(sn, "_gen_action", lambda i, lam, n: identity)
-        sn._base_bits.cache_clear()
-        try:
-            assert 2 * dim < 2 ** sn._base_bits(lam, n)
-        finally:
-            sn._base_bits.cache_clear()
+        clear_memos()
+        assert 2 * dim < 2 ** sn._model(lam, n)[0]
 
-    def test_one_pass_over_one_view_per_generator(self, monkeypatch, capsys):
+    def test_one_pass_over_one_view_per_generator(self, monkeypatch, capsys, clear_memos):
         lam, mu = (3, 2, 1), (4, 2, 1)
         image, calls = sn._image, []
 
@@ -232,11 +289,21 @@ class TestTraces:
             patch.setattr(sn, "_image", counted)
             trace_standard_element(lam, mu)
         assert len(calls) == len(enumerate_tableaux(lam, sum(mu)))
-        for cache in (_gen_action, sn._base_bits, sn._action_at):
-            cache.cache_clear()
+        # the memo keeps the evaluated generators alone: no (row, LaurentPoly)
+        # entry of a polynomial column outlives a table run
+        def polynomial_entries():
+            gc.collect()
+            pairs = (o for o in gc.get_objects() if type(o) is tuple and len(o) == 2)
+            return sum(type(o[0]) is int and type(o[1]) is LaurentPoly for o in pairs)
+
+        clear_memos()
+        before = polynomial_entries()
         assert main(["table", "--n", "6", "--methods", "seminormal"]) == 0
         capsys.readouterr()
-        assert sn._action_at.cache_info().currsize == _gen_action.cache_info().currsize > 0
+        assert polynomial_entries() == before
+        gens = sn._model(lam, 6)[1]
+        assert sn._model.cache_info().hits > 0
+        assert all(type(v) is int for cols in gens for col in cols for _, v in col)
 
 
 class TestBalancedDigits:
