@@ -23,6 +23,7 @@ coefficients; all internal divisions are exact and checked.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -112,10 +113,12 @@ def chi_iterative(lam: Partition, mu: Partition) -> LaurentPoly:
           / (q-1)^(l(mu)-l(tau)-l(mu-tau)) * chi^nu_{sort(mu-tau)}.
 
     A summand depends on tau only through its class in ``border_counts``,
-    so each class is summed once, times its count.  The summands are added
-    up per (q-1) exponent e, and each group is multiplied by (q-1)^(-e):
-    every part of mu is in tau or in mu-tau, so l(tau) + l(mu-tau) >= l(mu)
-    and e is never positive.  Partitions are tuples, as for ``chi_oracle``.
+    so each class is summed once, times its count.  Its coefficients, shifted
+    by k - l(tau) and times sign * count, are added into one ``int`` dict per
+    (q-1) exponent e, and the dicts' polynomials are summed times (q-1)^(-e)
+    by Horner's rule: every part of mu is in tau or in mu-tau, so
+    l(tau) + l(mu-tau) >= l(mu) and e is never positive.  Partitions are
+    tuples, as for ``chi_oracle``.
     """
     _check_weights(lam, mu)
     if not lam:
@@ -123,17 +126,23 @@ def chi_iterative(lam: Partition, mu: Partition) -> LaurentPoly:
     m = sum(lam)
     head = lam[0]
     lmu = len(mu)
-    by_exponent: Dict[int, LaurentPoly] = {}
+    by_exponent: Dict[int, Dict[int, int]] = {}
     for nu in vertical_strip_complements(lam[1:]):
         k = m - sum(nu)
         sign = -1 if (k - head) % 2 else 1
         for (rho, lt), count in border_counts(mu, k).items():
-            e = lmu - lt - len(rho)
-            term = chi_iterative(nu, rho).times_power(k - lt).scale(sign * count)
-            by_exponent[e] = by_exponent[e] + term if e in by_exponent else term
-    return sum(
-        (poly * _QM1 ** (-e) for e, poly in by_exponent.items()), LaurentPoly.zero("q")
-    )
+            acc = by_exponent.setdefault(lmu - lt - len(rho), {})
+            get = acc.get
+            shift = k - lt
+            c = sign * count
+            for h, cc in chi_iterative(nu, rho)._terms.items():
+                h += shift
+                acc[h] = get(h, 0) + c * cc
+    total = LaurentPoly.zero("q")
+    for e in range(min(by_exponent, default=0), 1):
+        acc = by_exponent.get(e, {})
+        total = total * _QM1 + LaurentPoly._make("q", {h: c for h, c in acc.items() if c})
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -163,17 +172,6 @@ def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
 # ----------------------------------------------------------------------
 # the a/b polynomial families attached to mu
 # ----------------------------------------------------------------------
-def _bivar_mul(A: dict, B: dict) -> dict:
-    out: dict = {}
-    for (i1, j1), c1 in A.items():
-        for (i2, j2), c2 in B.items():
-            key = (i1 + i2, j1 + j2)
-            c = c1 * c2
-            cur = out.get(key)
-            out[key] = c if cur is None else cur + c
-    return {k: v for k, v in out.items() if not v.is_zero}
-
-
 @lru_cache(maxsize=None)
 def _ab_tables(mu: Partition) -> Tuple[dict, dict]:
     """All a_{ij}(mu; q) and b_{ij}(mu; q) at once.
@@ -183,61 +181,80 @@ def _ab_tables(mu: Partition) -> Tuple[dict, dict]:
         sum_{tau_i, theta_i} (1-q^{-1})^{[tau_i>0] + [theta_i>0]}
             * w^{[tau_i+theta_i < mu_i]} v^{tau_i} u^{theta_i}
 
-    with w = (1-q) for the a family and (1-q^{-1}) for the b family.
+    with w = (1-q) for the a family and (1-q^{-1}) for the b family.  Each
+    family's factors are convolved on plain ``int`` coefficients, one dict
+    of q-exponents per (i, j), and each becomes one polynomial at the end.
     """
-    a_acc: dict = {(0, 0): _ONE}
-    b_acc: dict = {(0, 0): _ONE}
-    one_minus_q = _ONE - _Q
-    for part in mu:
-        fa: dict = {}
-        fb: dict = {}
-        for ti in range(part + 1):
-            for th in range(part + 1 - ti):
-                border = (1 if ti else 0) + (1 if th else 0)
-                w = _ONE_MINUS_QINV**border
-                if ti + th != part:
-                    fa[(ti, th)] = w * one_minus_q
-                    fb[(ti, th)] = w * _ONE_MINUS_QINV
-                else:
-                    fa[(ti, th)] = w
-                    fb[(ti, th)] = w
-        a_acc = _bivar_mul(a_acc, fa)
-        b_acc = _bivar_mul(b_acc, fb)
-    return a_acc, b_acc
+    mu = _checked((), mu)[1]
+    tables = []
+    for w in (_ONE - _Q, _ONE_MINUS_QINV):
+        # weights[border][full]: (1-q^{-1})^border, times w unless tau_i + theta_i = mu_i
+        weights = [
+            [tuple((_ONE_MINUS_QINV**border * t)._terms.items()) for t in (w, _ONE)]
+            for border in range(3)
+        ]
+        acc: Dict[Tuple[int, int], Dict[int, int]] = {(0, 0): {0: 1}}
+        for part in mu:
+            factor = [
+                (ti, th, weights[(ti > 0) + (th > 0)][ti + th == part])
+                for ti in range(part + 1)
+                for th in range(part + 1 - ti)
+            ]
+            out: Dict[Tuple[int, int], Dict[int, int]] = {}
+            for (i, j), poly in acc.items():
+                for ti, th, terms in factor:
+                    dest = out.setdefault((i + ti, j + th), {})
+                    get = dest.get
+                    for h1, c1 in poly.items():
+                        for h2, c2 in terms:
+                            h = h1 + h2
+                            dest[h] = get(h, 0) + c1 * c2
+            acc = out
+        table = {}
+        for ij, poly in acc.items():
+            terms = {h: c for h, c in poly.items() if c}
+            if terms:
+                table[ij] = LaurentPoly._make("q", terms)
+        tables.append(table)
+    return tables[0], tables[1]
 
 
 def a_poly(mu: Partition, i: int, j: int) -> LaurentPoly:
     """a_{ij}(mu; q); zero outside 0 <= i, j with i + j <= |mu|."""
-    mu = tuple(mu)
-    if i < 0 or j < 0 or i + j > sum(mu):
-        return LaurentPoly.zero("q")
-    return _ab_tables(mu)[0].get((i, j), LaurentPoly.zero("q"))
+    return _ab_tables(tuple(mu))[0].get((i, j), LaurentPoly.zero("q"))
 
 
 def b_poly(mu: Partition, i: int, j: int) -> LaurentPoly:
     """b_{ij}(mu; q); zero outside 0 <= i, j with i + j <= |mu|."""
-    mu = tuple(mu)
-    if i < 0 or j < 0 or i + j > sum(mu):
-        return LaurentPoly.zero("q")
-    return _ab_tables(mu)[1].get((i, j), LaurentPoly.zero("q"))
+    return _ab_tables(tuple(mu))[1].get((i, j), LaurentPoly.zero("q"))
 
 
 def _ab_direct(mu: Partition, i: int, j: int, b_family: bool) -> LaurentPoly:
-    """Double sum over the classes of tau in C(mu;i) and theta in C(mu-tau;j)."""
+    """Double sum over the classes of tau in C(mu;i) and theta in C(mu-tau;j).
+
+    A pair with B = l(tau) + l(theta) and R = l(mu-tau-theta) adds
+    (1-q^{-1})^B (1-q)^R to a_{ij} and (1-q^{-1})^(B+R) to b_{ij}.  So the
+    pairs are counted by (B, R), and each count's power is expanded by
+    binomial coefficients straight into one ``int`` dict.
+    """
     mu = tuple(mu)
     if i < 0 or j < 0 or i + j > sum(mu):
         return LaurentPoly.zero("q")
-    # every (tau, theta) contributes by l(tau) + l(theta) and l(mu-tau-theta)
-    # alone, so count the pairs class by class before building any polynomial
     counts: Counter = Counter()
     for (rem, lt), n_tau in border_counts(mu, i).items():
         for (rest, lth), n_theta in border_counts(rem, j).items():
             counts[lt + lth, len(rest)] += n_tau * n_theta
-    tail = _ONE_MINUS_QINV if b_family else _ONE - _Q
-    total = LaurentPoly.zero("q")
+    out: Dict[int, int] = {}
+    get = out.get
     for (border, rest), count in counts.items():
-        total = total + (_ONE_MINUS_QINV**border * tail**rest).scale(count)
-    return total
+        if b_family:
+            border, rest = border + rest, 0
+        for s in range(border + 1):
+            cs = count * math.comb(border, s)
+            for r in range(rest + 1):
+                c = cs * math.comb(rest, r)
+                out[r - s] = get(r - s, 0) + (-c if (r + s) % 2 else c)
+    return LaurentPoly._make("q", {h: c for h, c in out.items() if c})
 
 
 def a_poly_direct(mu: Partition, i: int, j: int) -> LaurentPoly:
@@ -256,7 +273,7 @@ def chi_hook(k: int, m: int, mu: Partition) -> LaurentPoly:
 
     chi = q^(n-m) / (q-1)^l(mu) * (-1)^(m-k) * sum_{i=k}^{m} a_{i,n-m}(mu;q) q^i.
     """
-    mu = tuple(mu)
+    mu = _checked((), mu)[1]
     n = sum(mu)
     if not (1 <= k <= m <= n):
         raise VariantMismatch(f"need 1 <= k <= m <= |mu|, got k={k}, m={m}, n={n}")
@@ -274,7 +291,7 @@ def chi_two_row(k: int, m: int, mu: Partition) -> LaurentPoly:
 
     chi = q^n / (q-1)^l(mu) * (b_{k,m-k}(mu;q) - b_{k+1,m-k-1}(mu;q)).
     """
-    mu = tuple(mu)
+    mu = _checked((), mu)[1]
     n = sum(mu)
     if not (0 <= m - k <= k <= m <= n) or k < 1:
         raise VariantMismatch(f"need m-k <= k <= m <= |mu|, got k={k}, m={m}, n={n}")

@@ -206,6 +206,10 @@ class TestIterative:
     def test_matches_mn_at_high_weight(self, cell):
         assert chi_iterative(*cell) == chi_mn(*cell)
 
+    def test_matches_mn_on_every_cell_of_weight_11(self):
+        cells = [(lam, mu) for mu in partitions_of(11) for lam in partitions_up_to(11)]
+        assert next((c for c in cells if chi_iterative(*c) != chi_mn(*c)), None) is None
+
 
 class TestSeminormal:
     @settings(max_examples=10, deadline=None)
@@ -289,6 +293,15 @@ class TestCompactFormulas:
         with pytest.raises(VariantMismatch):
             chi_two_row(1, 3, (5,))
 
+    def test_hook_parts_must_be_positive(self):
+        # once gave 1, where chi^{(1)}_{(2)} = q - 1
+        with pytest.raises(ValueError, match="must be a partition"):
+            chi_hook(1, 1, (0, 2))
+
+    def test_two_row_parts_must_be_positive(self):
+        with pytest.raises(ValueError, match="must be a partition"):
+            chi_two_row(1, 1, (0, 2))
+
 
 class TestSpecialCases:
     def test_ones(self):
@@ -346,6 +359,44 @@ class TestABFamilies:
         assert a_poly((2, 1), 3, 1).is_zero
         assert b_poly((2, 1), -1, 0).is_zero
         assert b_poly((2, 1), 2, -1).is_zero
+
+    def test_parts_must_be_positive(self):
+        # once gave 0
+        with pytest.raises(ValueError, match="must be a partition"):
+            a_poly((2, -1), 1, 0)
+
+    FROZEN = {
+        ("a", (3, 2, 1), 5, 1): "3 - 11*q^-1 + 15*q^-2 - 9*q^-3 + 2*q^-4",
+        ("b", (2, 2, 2), 4, 1): "9 - 42*q^-1 + 78*q^-2 - 72*q^-3 + 33*q^-4 - 6*q^-5",
+        ("b", (2, 2, 2), 3, 2): "15 - 72*q^-1 + 141*q^-2 - 144*q^-3 + 81*q^-4 - 24*q^-5 + 3*q^-6",
+        ("a", (4, 2, 1), 3, 2): (
+            "9*q^2 - 55*q + 138 - 183*q^-1 + 137*q^-2 - 57*q^-3 + 12*q^-4 - q^-5"
+        ),
+        ("b", (4, 2, 1), 3, 2): (
+            "16 - 80*q^-1 + 165*q^-2 - 180*q^-3 + 110*q^-4 - 36*q^-5 + 5*q^-6"
+        ),
+        ("a", (3, 3), 2, 2): "3*q^2 - 18*q + 43 - 52*q^-1 + 33*q^-2 - 10*q^-3 + q^-4",
+        ("b", (5,), 2, 0): "1 - 2*q^-1 + q^-2",
+    }
+
+    def test_direct_route_without_the_tables(self, monkeypatch, clear_memos):
+        monkeypatch.setattr(characters, "_ab_tables", refuse)
+        route = {"a": a_poly_direct, "b": b_poly_direct}
+        assert {key: str(route[key[0]](*key[1:])) for key in self.FROZEN} == self.FROZEN
+
+    def test_tables_without_border_counts(self, monkeypatch, clear_memos):
+        for module in (shapes, characters):
+            monkeypatch.setattr(module, "border_counts", refuse)
+        route = {"a": a_poly, "b": b_poly}
+        assert {key: str(route[key[0]](*key[1:])) for key in self.FROZEN} == self.FROZEN
+
+    @pytest.mark.parametrize("w", [7, 8])
+    def test_tables_match_direct(self, w):
+        for mu in partitions_of(w):
+            for i in range(w + 1):
+                for j in range(w + 1 - i):
+                    assert a_poly(mu, i, j) == a_poly_direct(mu, i, j), (mu, i, j)
+                    assert b_poly(mu, i, j) == b_poly_direct(mu, i, j), (mu, i, j)
 
 
 class TestIdentitySuite:
