@@ -16,6 +16,13 @@ column sums beta is evaluated one row at a time, memoised on the sorted
 margins still to be filled; a border row or column with l nonzero entries
 summing to k contributes (1 - q^{-1})^l q^k.  ``contingency_matrices`` and
 ``ContingencyMatrix.weight`` keep the entry-by-entry listing as a reference.
+
+The matrix route sums in its own ``int`` dicts, exponent -> coefficient:
+the entry weights come from the terms of ``bracket``, each (1 - q^{-1})^l is
+expanded by binomial coefficients, and the levels k are added into one
+accumulator that becomes a ``LaurentPoly`` once, for its one exact division.
+It makes no ``LaurentPoly`` product or sum, so it shares no arithmetic
+kernel with ``btr_def``, which sums ``chi_mn`` values.
 """
 
 from __future__ import annotations
@@ -47,13 +54,21 @@ _ONE_MINUS_QINV = _ONE - LaurentPoly.monomial("q", -1)
 
 @lru_cache(maxsize=None)
 def bracket(r: int) -> LaurentPoly:
-    """(r)_q = (q-1)(q^{2r}-1)/(q+1); 1 at r=0 and 0 for negative r."""
+    """(r)_q = (q-1)(q^{2r}-1)/(q+1); 1 at r=0 and 0 for negative r.
+
+    (q^{2r}-1)/(q+1) = q^{2r-1} - q^{2r-2} + ... + q - 1, so for r > 0
+
+        (r)_q = q^{2r} + 2 sum_{0<j<2r} (-1)^j q^j + 1,
+
+    written down without a polynomial product.
+    """
     if r < 0:
         return LaurentPoly.zero("q")
     if r == 0:
         return _ONE
-    even = LaurentPoly.monomial("q", 2 * r) - 1
-    return even.exact_div(_Q + 1) * _QM1
+    terms = {j: 2 if j % 2 == 0 else -2 for j in range(1, 2 * r)}
+    terms[0] = terms[2 * r] = 1
+    return LaurentPoly._make("q", terms)
 
 
 def _validate_composition(c: Sequence[int]) -> Tuple[int, ...]:
@@ -160,7 +175,44 @@ def contingency_matrices(mu: Sequence[int], nu: Sequence[int]) -> Iterator[Conti
                     yield ContingencyMatrix(mu=mu, nu=nu, entries=entries)
 
 
+def _add_product(
+    acc: Dict[int, int], a: Dict[int, int], b: Dict[int, int], shift: int = 0
+) -> None:
+    """acc += a * b * q^shift, in place, on exponent -> int coefficient dicts."""
+    get = acc.get
+    terms2 = b.items()
+    for h1, c1 in a.items():
+        h1 += shift
+        for h2, c2 in terms2:
+            h = h1 + h2
+            acc[h] = get(h, 0) + c1 * c2
+
+
 @lru_cache(maxsize=None)
+def _inner_terms(alpha: Tuple[int, ...], beta: Tuple[int, ...]) -> Dict[int, int]:
+    """``inner_sum``'s value as a dict of nonzero coefficients.  The dict is
+    shared by every caller: never modify it."""
+    if not alpha:
+        return {} if beta else {0: 1}
+    groups: Dict[Tuple[int, ...], Counter] = {}
+    for r in subcompositions(beta, alpha[0]):
+        rest = sort_to_partition(comp_sub(beta, r))
+        groups.setdefault(rest, Counter())[sort_to_partition(r)] += 1
+    total: Dict[int, int] = {}
+    for rest, rows in groups.items():
+        row_weight: Dict[int, int] = {}
+        for parts, count in rows.items():
+            # count * prod_j (r_j)_q; the last factor goes into row_weight
+            w = {0: count}
+            for m in parts[:-1]:
+                nxt: Dict[int, int] = {}
+                _add_product(nxt, w, bracket(m)._terms)
+                w = nxt
+            _add_product(row_weight, w, bracket(parts[-1])._terms)
+        _add_product(total, row_weight, _inner_terms(alpha[1:], rest))
+    return {h: c for h, c in total.items() if c}
+
+
 def inner_sum(alpha: Tuple[int, ...], beta: Tuple[int, ...]) -> LaurentPoly:
     """H(alpha, beta): the sum over nonnegative matrices with row sums alpha
     and column sums beta of the product of entry brackets (m)_q.
@@ -172,33 +224,23 @@ def inner_sum(alpha: Tuple[int, ...], beta: Tuple[int, ...]) -> LaurentPoly:
         H(alpha, beta) = sum_r prod_j (r_j)_q * H(alpha_2..., sort(beta - r)).
 
     Rows r with the same nonzero entries and the same remainder are counted
-    once with their multiplicity before any polynomial is multiplied.
+    once with their multiplicity before any polynomial is multiplied.  The
+    recursion is memoised on plain ``int`` coefficient dicts, summed in place
+    from the terms of ``bracket``; only this wrapper builds a ``LaurentPoly``.
     """
-    if not alpha:
-        return _ONE if not beta else LaurentPoly.zero("q")
-    groups: Dict[Tuple[int, ...], Counter] = {}
-    for r in subcompositions(beta, alpha[0]):
-        rest = sort_to_partition(comp_sub(beta, r))
-        groups.setdefault(rest, Counter())[sort_to_partition(r)] += 1
-    total = LaurentPoly.zero("q")
-    for rest, rows in groups.items():
-        row_weight = LaurentPoly.zero("q")
-        for parts, count in rows.items():
-            w = _ONE
-            for m in parts:
-                w = w * bracket(m)
-            row_weight = row_weight + w.scale(count)
-        total = total + row_weight * inner_sum(alpha[1:], rest)
-    return total
+    return LaurentPoly._make("q", dict(_inner_terms(alpha, beta)))
 
 
-def _border_groups(mu: Tuple[int, ...], k: int) -> Dict[Tuple[int, ...], LaurentPoly]:
+def _border_groups(mu: Tuple[int, ...], k: int) -> Dict[Tuple[int, ...], Dict[int, int]]:
     """Border entries a in C(mu; k), grouped by the inner margin sort(mu - a):
-    each group sums (1 - q^{-1})^{l(a)} over its members."""
-    out: Dict[Tuple[int, ...], LaurentPoly] = {}
+    each group sums (1 - q^{-1})^{l(a)} over its members, expanded by binomial
+    coefficients into one ``int`` dict."""
+    out: Dict[Tuple[int, ...], Dict[int, int]] = {}
     for (rest, length), count in border_counts(mu, k).items():
-        term = (_ONE_MINUS_QINV**length).scale(count)
-        out[rest] = out[rest] + term if rest in out else term
+        acc = out.setdefault(rest, {})
+        for s in range(length + 1):
+            c = count * math.comb(length, s)
+            acc[-s] = acc.get(-s, 0) + (-c if s % 2 else c)
     return out
 
 
@@ -209,21 +251,26 @@ def btr_matrix(mu: Sequence[int], nu: Sequence[int]) -> LaurentPoly:
         sum_{a in C(mu;k), b in C(nu;k)} (1-q^{-1})^{l(a)+l(b)}
             H(sort(mu-a), sort(nu-b)),
 
-    where k is the shared border total and H is ``inner_sum``.
+    where k is the shared border total and H is ``inner_sum``.  Every level
+    is added, shifted by 2k, into one ``int`` dict, which becomes a
+    ``LaurentPoly`` once and is divided once by (q-1)^{l(mu)+l(nu)}, itself
+    expanded by binomial coefficients.  The route makes no ``LaurentPoly``
+    product or sum, so it shares no kernel with ``btr_def``.
     """
     mu, nu = _validate_pair(mu, nu)
-    n = sum(mu)
-    total = LaurentPoly.zero("q")
-    for k in range(n + 1):
+    total: Dict[int, int] = {}
+    for k in range(sum(mu) + 1):
         cols = _border_groups(nu, k)
-        level = LaurentPoly.zero("q")
         for rest_mu, wa in _border_groups(mu, k).items():
-            inner = LaurentPoly.zero("q")
+            inner: Dict[int, int] = {}
             for rest_nu, wb in cols.items():
-                inner = inner + wb * inner_sum(rest_mu, rest_nu)
-            level = level + wa * inner
-        total = total + level.times_power(2 * k)
-    return total.exact_div(_QM1 ** (len(mu) + len(nu)))
+                _add_product(inner, wb, _inner_terms(rest_mu, rest_nu))
+            _add_product(total, wa, inner, 2 * k)
+    l = len(mu) + len(nu)
+    qm1_power = {s: -math.comb(l, s) if (l - s) % 2 else math.comb(l, s) for s in range(l + 1)}
+    return LaurentPoly._make("q", {h: c for h, c in total.items() if c}).exact_div(
+        LaurentPoly._make("q", qm1_power)
+    )
 
 
 def btr_def(mu: Sequence[int], nu: Sequence[int]) -> LaurentPoly:

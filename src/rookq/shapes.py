@@ -317,8 +317,13 @@ def gbs_weighted(lam: Partition, lo: int, hi: int) -> Tuple[Tuple[Partition, Lau
     return tuple((nu, _strip_weight(*key, hi)) for nu, key in gbs_complements(lam, lo, hi))
 
 
+@lru_cache(maxsize=None)
 def vertical_strip_complements(lam: Partition) -> Tuple[Partition, ...]:
-    """All partitions nu contained in lam with lam/nu a vertical strip."""
+    """All partitions nu contained in lam with lam/nu a vertical strip.
+
+    Memoised: ``chi_iterative`` asks for the strips of one lambda^[1] once
+    per mu.
+    """
     out: List[Partition] = []
 
     def rec(i: int, prev: int, prefix: Tuple[int, ...]):

@@ -83,7 +83,7 @@ class TestBitrace:
             btr_matrix((2,), (1,))
 
     def test_routes_agree_exhaustive(self):
-        for n in range(7):
+        for n in range(8):
             for mu in partitions_of(n):
                 for nu in partitions_of(n):
                     assert btr_matrix(mu, nu) == btr_def(mu, nu), (mu, nu)
@@ -100,6 +100,20 @@ class TestBitrace:
                 total = total + m.weight()
             expected = total.exact_div((Q - 1) ** (len(mu) + len(nu)))
             assert btr_matrix(mu, nu) == expected, (mu, nu)
+
+    def test_matrix_route_without_the_polynomial_kernel(self, monkeypatch, clear_memos):
+        # the matrix route sums in its own int dicts, so it shares no
+        # LaurentPoly product or sum with btr_def
+        pairs = [(mu, nu) for n in range(6) for mu in partitions_of(n) for nu in partitions_of(n)]
+        expected = {pair: btr_def(*pair) for pair in pairs}
+
+        def refuse(*args):
+            raise AssertionError("btr_matrix reached the LaurentPoly kernel")
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "sum_of_products"):
+            monkeypatch.setattr(LaurentPoly, name, refuse)
+        clear_memos()
+        assert {pair: btr_matrix(*pair) for pair in pairs} == expected
 
     def test_symmetry(self):
         for n in range(5):

@@ -206,8 +206,8 @@ class TestIterative:
     def test_matches_mn_at_high_weight(self, cell):
         assert chi_iterative(*cell) == chi_mn(*cell)
 
-    def test_matches_mn_on_every_cell_of_weight_11(self):
-        cells = [(lam, mu) for mu in partitions_of(11) for lam in partitions_up_to(11)]
+    def test_matches_mn_on_every_cell_of_weight_12(self):
+        cells = [(lam, mu) for mu in partitions_of(12) for lam in partitions_up_to(12)]
         assert next((c for c in cells if chi_iterative(*c) != chi_mn(*c)), None) is None
 
 
@@ -364,6 +364,16 @@ class TestABFamilies:
         # once gave 0
         with pytest.raises(ValueError, match="must be a partition"):
             a_poly((2, -1), 1, 0)
+
+    def test_direct_a_parts_must_be_positive(self):
+        # once gave 0
+        with pytest.raises(ValueError, match="must be a partition"):
+            a_poly_direct((2, -1), 1, 0)
+
+    def test_direct_b_parts_must_be_positive(self):
+        # once gave b_10 of mu = (2)
+        with pytest.raises(ValueError, match="must be a partition"):
+            b_poly_direct((0, 2), 1, 0)
 
     FROZEN = {
         ("a", (3, 2, 1), 5, 1): "3 - 11*q^-1 + 15*q^-2 - 9*q^-3 + 2*q^-4",

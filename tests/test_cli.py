@@ -11,6 +11,7 @@ import pytest
 
 import rookq
 from rookq.exact import LaurentPoly
+from rookq import cli
 from rookq.cli import main, parse_partition, partition_str, CLIError
 from rookq.characters import chi_mn
 from rookq.seminormal import MAX_TRACE_WEIGHT
@@ -310,6 +311,47 @@ class TestTableCommand:
         monkeypatch.setenv("ROOKQ_MAX_WEIGHT", "3")
         code, _, err = run_cli(capsys, "table", "--n", "4")
         assert code == 3 and "ROOKQ_MAX_WEIGHT" in err
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Start from no parser and count the ``build_parser`` calls."""
+        calls = []
+        real = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        return calls
+
+    def test_built_once_per_process(self, capsys, builds):
+        for argv in (
+            ("dims", "--n", "3"),
+            ("bitrace", "--mu", "[1]", "--nu", "[1]"),
+            ("dims", "--n", "4"),
+        ):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert len(builds) == 1
+
+    def test_refused_call_leaves_the_next_unchanged(self, capsys, builds):
+        good = ("bitrace", "--mu", "[2,1]", "--nu", "[1,1,1]", "--method", "matrix")
+        code, first, _ = run_cli(capsys, *good)
+        assert code == 0
+        for bad in (("table",), ("bitrace", "--mu", "[2]", "--nu", "[1]")):
+            code, out, err = run_cli(capsys, *bad)
+            assert code == 3 and out == "" and err.startswith("error: ")
+            assert run_cli(capsys, *good) == (0, first, "")
+        assert len(builds) == 1
+
+    def test_weight_cap_read_on_every_call(self, capsys, monkeypatch, builds):
+        for cap, expected in (("3", 3), ("4", 0), ("3", 3)):
+            monkeypatch.setenv("ROOKQ_MAX_WEIGHT", cap)
+            assert run_cli(capsys, "dims", "--n", "4")[0] == expected
+        assert len(builds) == 1
 
 
 @pytest.mark.parametrize(
