@@ -10,7 +10,7 @@ by name:
 * ``chi_iterative``  -- recursion that shortens the upper partition lambda by
                         peeling its first row (vertical-strip complements);
 * ``chi_mn``         -- Murnaghan-Nakayama recursion that shortens the lower
-                        partition mu using weighted generalized border strips;
+                        partition mu by weighted border strips, at q = 2^k;
 * ``chi_hook`` / ``chi_two_row`` -- compact closed forms through the a/b
                         polynomial families attached to mu;
 * ``seminormal.trace_standard_element`` -- exact trace of the standard
@@ -35,7 +35,7 @@ from .errors import (
     VariantMismatch,
     WeightMismatch,
 )
-from .exact import LaurentPoly
+from .exact import LaurentPoly, balanced_digits
 from .shapes import (
     Partition,
     border_counts,
@@ -145,6 +145,10 @@ def chi_iterative(lam: Partition, mu: Partition) -> LaurentPoly:
     return total
 
 
+# chi_mn first evaluates at q = 2^32; no cell to weight 16 needs more
+_START_BITS = 32
+
+
 @lru_cache(maxsize=None)
 def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
     """Murnaghan-Nakayama recursion on the lower partition.
@@ -153,20 +157,36 @@ def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
     size at most mu_1 and |nu| <= |mu^[1]| of
     wt(lambda/nu; mu_1, q) * chi^nu_{mu^[1]}.
 
-    The strips and their weights depend on (lambda, |lambda| - |mu^[1]|, mu_1)
-    alone, so ``gbs_weighted`` memoises them: each strip set is walked once per
-    table, not once per mu^[1].  ``LaurentPoly.sum_of_products`` sums the
-    products into one dict, not one fresh polynomial per partial sum.
-    Partitions are tuples, as for ``chi_oracle``.
+    It runs on plain ints at q = 2^k by Kronecker substitution (``_mn_sum``),
+    with an l1 bound B of chi beside the value; if 2B >= 2^k it recomputes
+    once with 2^k > 2B, so chi is the value's balanced base-2^k digits.
     """
     _check_weights(lam, mu)
+    k = _START_BITS
+    value, bound = _mn_sum(lam, mu, k)
+    if 2 * bound >= 1 << k:
+        k = (2 * bound).bit_length()
+        value, bound = _mn_sum(lam, mu, k)
+    return balanced_digits(value, k)
+
+
+def _mn_sum(lam: Partition, mu: Partition, k: int) -> Tuple[int, int]:
+    """(chi^lambda_mu at q = 2^k, a bound on its l1 norm), summed over the
+    strips of ``gbs_weighted`` with l1(w * chi) <= l1(w) * l1(chi).  The
+    children come from the memo ``_mn_at``; the cell itself is not kept."""
     if not mu:
-        return _ONE if not lam else LaurentPoly.zero("q")
-    k = mu[0]
+        return 1, 1  # lam is empty too, since |lam| <= |mu|
     rest = mu[1:]
-    return LaurentPoly.sum_of_products(
-        (weight, chi_mn(nu, rest)) for nu, weight in gbs_weighted(lam, sum(lam) - sum(rest), k)
-    )
+    value = bound = 0
+    for nu, weight, norm in gbs_weighted(lam, sum(lam) - sum(rest), mu[0], k):
+        v, b = _mn_at(nu, rest, k)
+        value += weight * v
+        bound += norm * b
+    return value, bound
+
+
+# keyed by k too, so a recomputation at more bits needs no clearing
+_mn_at = lru_cache(maxsize=None)(_mn_sum)
 
 
 # ----------------------------------------------------------------------

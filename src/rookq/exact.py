@@ -18,13 +18,13 @@ with no helper call, and ``*`` by a plain ``int`` goes to ``scale``.  Every
 other case (another number, a constant of the other tag, a mismatched tag)
 still goes through ``_coerce`` and ``_result_var``, which decide it.
 
-``LaurentPoly.sum_of_products`` sums a*b over many pairs into one dict and
-drops its zeros once, where a fold of ``*`` and ``+`` builds a dict for every
-product and every partial sum.  Only the Murnaghan-Nakayama route
-(``characters.chi_mn``) uses it.  The iterative route, the a/b families, the
-oracle's pairing and the bitrace matrix route (``bitrace.btr_matrix``) each
-sum in their own ``int`` dict, and the rest stay on ``__mul__`` and
-``__add__``, so no two compared routes share the kernel.
+Two routes run on plain ints by Kronecker substitution (von zur Gathen and
+Gerhard, Modern Computer Algebra, 8.4): the Murnaghan-Nakayama route
+(``characters.chi_mn``) and the seminormal traces evaluate at q = 2^k, with
+2^k above twice an l1 bound of the result, and ``balanced_digits`` reads the
+polynomial back.  The iterative route, the a/b families, the oracle's
+pairing and the bitrace matrix route (``bitrace.btr_matrix``) each sum in
+their own ``int`` dict, and the rest stay on ``__mul__`` and ``__add__``.
 
 ``RationalFunction`` only puts a quotient of two Laurent polynomials into
 canonical reduced form over Z[q], by a primitive gcd; it has no arithmetic.
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from numbers import Number
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .errors import DivisionByZero, DomainError, NonExactDivision
 
@@ -213,33 +213,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    @classmethod
-    def sum_of_products(
-        cls, pairs: Iterable[Tuple["LaurentPoly", "LaurentPoly"]]
-    ) -> "LaurentPoly":
-        """sum a*b over the pairs, the same polynomial as folding
-        ``total = total + a * b`` from ``zero("q")``.
-
-        Every product is accumulated into one dict and folded once at the
-        end, instead of a fresh dict for each product and each partial sum.
-        A pair not both of the running tag goes through ``_result_var``; when
-        a product's tag differs from the running one, the running sum and that
-        product are built as ``__add__`` would see them, so a mismatch raises
-        and a constant adopts the other tag exactly as in the fold.
-        """
-        var = "q"
-        out: Dict[int, int] = {}
-        get = out.get
-        for a, b in pairs:
-            if not a.var == b.var == var and a._result_var(b) != var:
-                var = cls._make(var, {h: c for h, c in out.items() if c})._result_var(a * b)
-            terms2 = b._terms.items()
-            for h1, c1 in a._terms.items():
-                for h2, c2 in terms2:
-                    h = h1 + h2
-                    out[h] = get(h, 0) + c1 * c2
-        return cls._make(var, {h: c for h, c in out.items() if c})
-
     def __pow__(self, n: int) -> "LaurentPoly":
         """``self**n`` by repeated squaring, starting from the base: floor(log2 n)
         squarings and one product for each further set bit of n, so ``p**1``
@@ -368,6 +341,22 @@ class LaurentPoly:
         """``[[exponent, coefficient, 1], ...]`` with exponents descending; the
         trailing 1 fills the JSON format's denominator slot."""
         return [[h, c, 1] for h, c in self.items()]
+
+
+def balanced_digits(value: int, k: int) -> LaurentPoly:
+    """The unique T in Z[q] with T(2^k) = value and every coefficient in
+    [-2^(k-1), 2^(k-1)): value's balanced base-2^k digits.  So T is the
+    polynomial evaluated at 2^k if twice its l1 norm is below 2^k; k >= 2."""
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    terms: Dict[int, int] = {}
+    h = 0
+    while value:
+        digit = ((value + half) & mask) - half
+        if digit:
+            terms[h] = digit
+        value = (value - digit) >> k
+        h += 1
+    return LaurentPoly._make("q", terms)
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ at most once); (N_i + d_i)^2 for S_i^2 = (q-1) D_i S_i + q D_i^2;
 d_{i+1} N_i^2 N_{i+1} + d_i N_{i+1}^2 N_i for the braid relation; and
 2 N_i N_j for commutation.  A polynomial of l1 norm below B/2 is zero iff
 its value at B is, so each relation is checked at B, and T is T(B)'s
-balanced base-B digits (``_balanced_digits``), divided exactly by each D_g.
+balanced base-B digits (``exact.balanced_digits``), divided by each D_g.
 An entry with a negative exponent, a failed division or a quotient outside
 Z[q] raises InvariantViolation: each signals a bug.
 
@@ -42,7 +42,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InvariantViolation, NonExactDivision, ShapeTooLarge, WeightMismatch
-from .exact import LaurentPoly
+from .exact import LaurentPoly, balanced_digits
 from .shapes import Partition, standard_count
 
 # An n-standard tableau as its content vector: entry l-1 is the content
@@ -277,25 +277,6 @@ def standard_word(mu: Sequence[int]) -> List[int]:
     return word
 
 
-def _balanced_digits(value: int, k: int) -> LaurentPoly:
-    """The polynomial T with T(2^k) = value and every coefficient in [-2^(k-1), 2^(k-1)).
-
-    Such a T is unique: its coefficients are value's balanced base-2^k
-    digits.  Each step shrinks |value| when k >= 2.
-    """
-    mask, half = (1 << k) - 1, 1 << (k - 1)
-    terms: Dict[int, int] = {}
-    h = 0
-    while value:
-        digit = value & mask
-        if digit >= half:
-            digit -= mask + 1
-        terms[h] = digit
-        value = (value - digit) >> k
-        h += 1
-    return LaurentPoly("q", terms)
-
-
 def trace_standard_element(lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly:
     """Exact trace of T_mu on the module of shape lambda; equals chi^lambda_mu.
 
@@ -310,7 +291,7 @@ def trace_standard_element(lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly
     k, gens = _model(lam, n)
     actions = [gens[g - 1] for g in word]
     value = sum(_image(actions, l).get(l, 0) for l in range(len(enumerate_tableaux(lam, n))))
-    total = _balanced_digits(value, k)
+    total = balanced_digits(value, k)
     # the trace of the product of the S_g is prod D_g times the trace of T_mu
     trace: Optional[LaurentPoly] = total
     try:

@@ -202,8 +202,8 @@ def gbs_weight_k(lam: Partition, nu: Partition, k: int) -> LaurentPoly:
     Up to k cells the weight is +-q^a (q-1)^b, fixed by the component count,
     the parity of the row total, the column total, the size and k.
     ``_strip_weight`` builds it by one closed form, memoised on those five
-    values.  ``chi_mn`` reads it from ``gbs_weighted``, which takes the first
-    four off ``gbs_complements``; this walk of lam/nu is the second derivation
+    values.  ``chi_mn`` calls neither: ``gbs_weighted`` has its own closed
+    form, so this walk of lam/nu is the second derivation of the weights
     that ``mn-adjoint-identity`` uses.
     """
     if k <= 0:
@@ -310,11 +310,20 @@ def gbs_complements(lam: Partition, lo: int, hi: int) -> Tuple[Tuple[Partition, 
 
 
 @lru_cache(maxsize=None)
-def gbs_weighted(lam: Partition, lo: int, hi: int) -> Tuple[Tuple[Partition, LaurentPoly], ...]:
-    """``gbs_complements(lam, lo, hi)`` with each key turned into its weight
-    wt(lam/nu; hi, q): one step of ``chi_mn``, which depends only on these
-    three values, so each strip set is walked once per table."""
-    return tuple((nu, _strip_weight(*key, hi)) for nu, key in gbs_complements(lam, lo, hi))
+def gbs_weighted(lam: Partition, lo: int, hi: int, k: int) -> Tuple[tuple, ...]:
+    """``gbs_complements(lam, lo, hi)`` with each weight wt(lam/nu; hi, q) at
+    q = 2^k and its l1 norm: one step of ``chi_mn``, so each strip set is
+    walked once per table.  For hi >= 1 the weight is +-q^a (q-1)^b of norm
+    2^b: b = comps - 1 and a = cols for a strip of hi cells, and b = comps and
+    a = cols + hi - size - 1 for a shorter one, the empty strip included.
+    """
+    base = (1 << k) - 1
+    out = []
+    for nu, (comps, odd, cols, size) in gbs_complements(lam, lo, hi):
+        b, a = (comps, cols + hi - size - 1) if size < hi else (comps - 1, cols)
+        weight = base**b << k * a
+        out.append((nu, -weight if odd else weight, 1 << b))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -88,6 +88,19 @@ def refuse(*args):
     raise AssertionError("reached code that this route must not share")
 
 
+def record_bits(monkeypatch):
+    """The bit counts k at which chi_mn's memo ``_mn_at`` is asked, from now on."""
+    bits = set()
+    memo = characters._mn_at
+
+    def spy(lam, mu, k):
+        bits.add(k)
+        return memo(lam, mu, k)
+
+    monkeypatch.setattr(characters, "_mn_at", spy)
+    return bits
+
+
 class TestOracle:
     def test_column_value(self):
         assert str(chi_oracle((1, 1, 1, 1), (2, 1, 1, 1))) == "q - 4"
@@ -109,7 +122,6 @@ class TestOracle:
             for name in shared:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
-        monkeypatch.setattr(LaurentPoly, "sum_of_products", refuse)
         clear_memos()
         assert {cell: chi_oracle(*cell) for cell in cells} == expected
 
@@ -187,14 +199,6 @@ class TestIterative:
         chi_mn.cache_clear()
         assert {cell: chi_iterative(*cell) for cell in cells} == expected
 
-    def test_independent_of_the_fused_kernel(self, monkeypatch):
-        cells = cells_up_to(6)
-        expected = {cell: chi_mn(*cell) for cell in cells}
-        monkeypatch.setattr(LaurentPoly, "sum_of_products", refuse)
-        chi_iterative.cache_clear()
-        chi_mn.cache_clear()
-        assert {cell: chi_iterative(*cell) for cell in cells} == expected
-
     @settings(max_examples=20)
     @given(
         st.integers(9, 12).flatmap(
@@ -234,17 +238,50 @@ class TestMurnaghanNakayama:
     def test_table_entry(self):
         assert str(chi_mn((2, 1), (2, 2, 1))) == "6*q^2 - 10*q + 4"
 
-    def test_weights_come_from_the_walk_alone(self, monkeypatch, clear_memos):
-        # gbs_decompose and gbs_weight_k stay the separate derivation that
-        # verify and the strip tests compare the fused weight keys with
+    def test_off_the_polynomial_kernel(self, monkeypatch, clear_memos):
+        # the recursion runs on ints at q = 2^k, with weights from the strip
+        # walk alone: gbs_decompose, gbs_weight_k and _strip_weight stay the
+        # separate derivation that verify and the strip tests compare with
         cells = cells_up_to(8)
         expected = {cell: chi_oracle(*cell) for cell in cells}
-        for name in ("gbs_decompose", "gbs_weight_k"):
+        clear_memos()
+        for name in (
+            "__mul__",
+            "__rmul__",
+            "__add__",
+            "__radd__",
+            "__sub__",
+            "scale",
+            "__pow__",
+            "exact_div",
+        ):
+            monkeypatch.setattr(LaurentPoly, name, refuse)
+        for name in ("_strip_weight", "gbs_weight_k", "gbs_decompose"):
             for module in (shapes, characters):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
-        clear_memos()
         assert {cell: chi_mn(*cell) for cell in cells} == expected
+
+    def test_recomputes_with_more_bits(self, clear_memos, monkeypatch):
+        # from 4 bits nearly every cell overflows 2^k and is recomputed with
+        # enough bits; the memo keeps the entries of each k apart
+        cells = cells_up_to(8)
+        expected = {cell: chi_oracle(*cell) for cell in cells}
+        clear_memos()
+        monkeypatch.setattr(characters, "_START_BITS", 4)
+        bits = record_bits(monkeypatch)
+        assert {cell: chi_mn(*cell) for cell in cells} == expected
+        assert 4 in bits and len(bits) >= 2
+
+    def test_value_above_the_start_bits(self, clear_memos, monkeypatch):
+        # (1^20) acts as the identity: C(20, 16) f^lambda, above 2^32, so the
+        # first evaluation at 2^32 cannot be decoded and is recomputed
+        lam = (5, 4, 3, 2, 1, 1)
+        value = math.comb(20, 16) * f_lambda(lam)
+        assert value == 5587021440 > 2**32
+        bits = record_bits(monkeypatch)
+        assert chi_mn(lam, (1,) * 20) == LaurentPoly.const(value, "q")
+        assert min(bits) == characters._START_BITS == 32 < max(bits)
 
     def test_strip_memo_starts_cold(self, clear_memos):
         # conftest's clear_memos and perfbench's cold starts find each memo by
@@ -256,6 +293,38 @@ class TestMurnaghanNakayama:
         assert memo.cache_info().currsize > 0
         clear_memos()
         assert memo.cache_info().currsize == 0
+
+
+def rook_branching_failure(route, n):
+    """The first (lam, mu) breaking the branching rule of R_n(q) > R_{n-1}(q)
+    on ``route``, with the difference, or None.
+
+    For mu |- n-1 and |lam| <= n: chi^lam_{mu u (1)} = [|lam| < n] chi^lam_mu
+    + sum of chi^{lam-}_mu over the lam- obtained by removing one corner.
+    """
+    for mu in partitions_of(n - 1):
+        for lam in partitions_up_to(n):
+            want = route(lam, mu) if sum(lam) < n else LaurentPoly.zero("q")
+            for i, part in enumerate(lam):
+                if i + 1 == len(lam) or lam[i + 1] < part:
+                    smaller = lam[:i] + ((part - 1,) if part > 1 else ()) + lam[i + 1 :]
+                    want = want + route(smaller, mu)
+            got = route(lam, mu + (1,))
+            if got != want:
+                return lam, mu, str(got - want)
+    return None
+
+
+class TestRookBranching:
+    @pytest.mark.parametrize(
+        "route, cap",
+        [(chi_mn, 10), (chi_oracle, 7), (chi_iterative, 7)],
+        ids=["mn", "oracle", "iterative"],
+    )
+    def test_every_cell_up_to_the_cap(self, route, cap):
+        for n in range(1, cap + 1):
+            failure = rook_branching_failure(route, n)
+            assert failure is None, (route.__name__, n, failure)
 
 
 class TestCompactFormulas:

@@ -16,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rookq.errors import NonExactDivision
-from rookq.exact import LaurentPoly, RationalFunction
+from rookq.exact import LaurentPoly, RationalFunction, balanced_digits
 
 coeffs = st.integers(-30, 30)
 term_dicts = st.dictionaries(st.integers(-3, 5), coeffs, max_size=5)
@@ -236,46 +236,24 @@ def test_float_rejected():
 
 
 # ----------------------------------------------------------------------
-# LaurentPoly.sum_of_products against a fold of __mul__ and __add__
+# balanced_digits, the decoder of the values chi_mn and the seminormal
+# traces take at q = 2^k
 # ----------------------------------------------------------------------
-def poly_fields(p):
-    return p.var, p._terms, [type(c) for _, c in p.items()]
+@pytest.mark.parametrize("k", [2, 8, 32])
+@given(data=st.data())
+def test_balanced_digits_round_trip(k, data):
+    # every coefficient below 2^(k-1) in size; the value at 2^k by shifts
+    bound = 2 ** (k - 1) - 1
+    d = data.draw(st.dictionaries(st.integers(0, 12), st.integers(-bound, bound), max_size=8))
+    value = sum(c << (k * h) for h, c in d.items())
+    got = balanced_digits(value, k)
+    assert got.var == "q"
+    assert_matches(got, ref(d))
+    assert_matches(balanced_digits(-value, k), ref_neg(ref(d)))
 
 
-@st.composite
-def product_lists(draw):
-    """Pairs of q polynomials, negative-exponent terms included; some
-    lists repeat each pair with its sign flipped, so that the sum cancels."""
-    pairs = draw(st.lists(st.tuples(term_dicts, term_dicts), max_size=4))
-    pairs = [(poly(a), poly(b)) for a, b in pairs]
-    if draw(st.booleans()):
-        pairs += [(a, -b) for a, b in reversed(pairs)]
-    return pairs
-
-
-@given(product_lists())
-def test_sum_of_products_matches_fold(pairs):
-    want = LaurentPoly.zero("q")
-    for a, b in pairs:
-        want = want + a * b
-    got = LaurentPoly.sum_of_products(iter(pairs))
-    assert poly_fields(got) == poly_fields(want)
-    assert_coefficient_rule(got)
-
-
-def test_sum_of_products_edge_cases():
-    two_q = LaurentPoly.monomial("q", 1, 2)
-    cancel = [(two_q, two_q), (-two_q, two_q)]
-    assert poly_fields(LaurentPoly.sum_of_products(cancel)) == ("q", {}, [])
-    assert poly_fields(LaurentPoly.sum_of_products([])) == ("q", {}, [])
-    # a constant adopts the other tag, as in the fold
-    t = LaurentPoly.monomial("t", 1)
-    three = LaurentPoly.const(3, "q")
-    fold = LaurentPoly.zero("q") + three * t
-    got = LaurentPoly.sum_of_products([(three, t)])
-    assert poly_fields(got) == poly_fields(fold) == ("t", {1: 3}, [int])
-    with pytest.raises(ValueError):
-        LaurentPoly.sum_of_products([(t, LaurentPoly.monomial("q", 1) + 1)])
-    # a t product after a non-constant q sum raises, as __add__ does
-    with pytest.raises(ValueError):
-        LaurentPoly.sum_of_products([(two_q, two_q), (three, t)])
+@pytest.mark.parametrize("k", [2, 8, 32])
+def test_balanced_digits_of_zero(k):
+    zero = balanced_digits(0, k)
+    assert zero.var == "q"
+    assert_matches(zero, {})

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from rookq.errors import ShapeTooLarge, WeightMismatch
-from rookq.exact import LaurentPoly
+from rookq.exact import LaurentPoly, balanced_digits
 from rookq.shapes import partitions_of, partitions_up_to, standard_count
 from rookq.characters import chi_mn, chi_oracle
 import rookq.seminormal as sn
@@ -314,7 +314,7 @@ class TestBalancedDigits:
     def test_negative_coefficients(self):
         poly = -3 * Q**5 + 2 * Q**3 - Q**2 - 7
         for k in range(4, 9):
-            assert sn._balanced_digits(self.at(poly, k), k) == poly
+            assert balanced_digits(self.at(poly, k), k) == poly
 
     def test_coefficients_at_the_bound(self):
         # coefficients of exactly +-M at the least 2^k >= 2M + 1
@@ -322,8 +322,8 @@ class TestBalancedDigits:
             k = (2 * m).bit_length()
             assert 2**k >= 2 * m + 1 > 2 ** (k - 1)
             for poly in [m * Q**4 - m * Q + m, -m * Q**3 - m, m - m * Q**2]:
-                assert sn._balanced_digits(self.at(poly, k), k) == poly
-                assert sn._balanced_digits(-self.at(poly, k), k) == -poly
+                assert balanced_digits(self.at(poly, k), k) == poly
+                assert balanced_digits(-self.at(poly, k), k) == -poly
 
     def test_zero(self):
-        assert sn._balanced_digits(0, 16).is_zero
+        assert balanced_digits(0, 16).is_zero

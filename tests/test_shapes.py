@@ -313,15 +313,21 @@ class TestGbs:
 
     def test_gbs_weighted_matches_definition(self):
         # the memo that chi_mn reads: the 2x2-free nu of sub_partitions(lam)
-        # with lo..hi cells removed, in that order, each with gbs_weight_k
+        # with lo..hi cells removed, in that order, each with gbs_weight_k at
+        # q = 2^k and that polynomial's l1 norm
         for n in range(9):
             for lam in partitions_of(n):
                 strips = [nu for nu in sub_partitions(lam) if gbs_decompose(lam, nu) is not None]
                 for hi in range(1, 9):
                     for lo in range(hi + 1):
-                        want = tuple(
+                        weights = [
                             (nu, gbs_weight_k(lam, nu, hi))
                             for nu in strips
                             if lo <= n - sum(nu) <= hi
-                        )
-                        assert gbs_weighted(lam, lo, hi) == want, (lam, lo, hi)
+                        ]
+                        for k in (4, 32):
+                            want = tuple(
+                                (nu, w.evaluate(2**k), sum(abs(c) for _, c in w.items()))
+                                for nu, w in weights
+                            )
+                            assert gbs_weighted(lam, lo, hi, k) == want, (lam, lo, hi, k)
