@@ -489,8 +489,8 @@ def cross_checked(lam: Sequence[int], mu: Sequence[int], methods: Sequence[str])
 
 def _agreed(lam: Partition, mu: Partition, methods: Sequence[str]) -> LaurentPoly:
     values = {m: _by_method(lam, mu, m) for m in dict.fromkeys(methods)}
-    first = values[methods[0]]
-    if any(chi != first for chi in values.values()):
+    first, *others = values.values()
+    if any(chi != first for chi in others):
         raise MethodMismatch(lam, mu, {m: str(c) for m, c in values.items()})
     return first
 

@@ -25,14 +25,16 @@ at most once); (N_i + d_i)^2 for S_i^2 = (q-1) D_i S_i + q D_i^2;
 d_{i+1} N_i^2 N_{i+1} + d_i N_{i+1}^2 N_i for the braid relation; and
 2 N_i N_j for commutation.  A polynomial of l1 norm below B/2 is zero iff
 its value at B is, so each relation is checked at B, and T is T(B)'s
-balanced base-B digits (``exact.balanced_digits``), divided by each D_g.
+balanced base-B digits (``exact.balanced_digits``), divided once by prod D_g
+(``_divisor``): exact exactly when dividing by each D_g in turn is.
 An entry with a negative exponent, a failed division or a quotient outside
 Z[q] raises InvariantViolation: each signals a bug.
 
 A tableau is stored as its content vector (``Tableau``): S_i reads the
 content difference of labels i and i+1 off two entries, and relabels them by
 swapping the two.  ``_image`` applies a product of generators to one basis
-vector; the trace and every relation check are built on it.
+vector, and every relation check is built on it; the trace needs only the
+diagonal entry of each image, which ``_diagonal`` reads without building it.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ _Q = LaurentPoly.monomial("q", 1)
 _ONE = LaurentPoly.one("q")
 
 # The largest |mu| the command line runs this method on.  On a 2-core Xeon,
-# Python 3.11, the slowest trace over mu = (w) from cold caches takes 0.014 s
-# at w = 8, 0.065 s at 9 and 0.44 s at 10 ((4,2,1,1)); the cold CLI table
-# takes 1.0 s (29 MB peak RSS) at weight 8 and 7.7 s (68 MB) at weight 9.
+# Python 3.11, on a slow day, the slowest trace from cold caches takes 0.027 s
+# over mu = (8), 0.15 s over mu = (9) and 0.6 s over every mu |- 10
+# ((4,2,1,1) x (10)); the cold CLI table takes 1.5-1.8 s (26 MB peak RSS) at
+# weight 8 and 11-13 s (62 MB) at weight 9.
 MAX_TRACE_WEIGHT = 9
 
 
@@ -120,31 +123,38 @@ def _max_gap(i: int, lam: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _scale(i: int, lam: Partition) -> LaurentPoly:
-    """D_i = lcm([1]_q, ..., [d]_q) = prod Phi_e(q) over 2 <= e <= d, d = min(i, h-1).
+def _scale(d: int) -> LaurentPoly:
+    """D = lcm([1]_q, ..., [d]_q) = prod Phi_e(q) over 2 <= e <= d.
 
-    Labels 1..i+1 fill a subdiagram of at most i+1 cells, so the contents of
-    i and i+1 differ by at most i; inside lam they differ by at most h - 1,
-    h = lam_1 + l(lam) - 1 the largest hook length.  So D_i * T_i has
-    entries in Z[q].
+    S_i = D_i * T_i takes d = ``_max_gap(i, lam)``: labels 1..i+1 fill a
+    subdiagram of at most i+1 cells, so the contents of i and i+1 differ by
+    at most i; inside lam they differ by at most h - 1, h = lam_1 + l(lam) - 1
+    the largest hook length.  So D_i * T_i has entries in Z[q].
     """
     out = _ONE
-    for e in range(2, _max_gap(i, lam) + 1):
+    for e in range(2, d + 1):
         out = out * _cyclotomic(e)
     return out
 
 
 @lru_cache(maxsize=None)
-def _entries(i: int, lam: Partition):
-    """The distinct entries of S_i, which do not depend on n: delta -> (diagonal,
-    companion), one division D_i / [d]_q per d, then D_i, D_i * q and D_i * (q-1)."""
-    scale = _scale(i, lam)
+def _entries(d: int):
+    """The distinct entries of S_i for gap d = ``_max_gap(i, lam)``: delta ->
+    (diagonal, companion), one division D / [|delta|]_q per |delta| <= d, then
+    D, D * q and D * (q-1)."""
+    scale = _scale(d)
     table: Dict[int, Tuple[LaurentPoly, LaurentPoly]] = {}
-    for d in range(1, _max_gap(i, lam) + 1):
-        quot = scale.exact_div(LaurentPoly("q", dict.fromkeys(range(d), 1)))
-        for delta, diag in ((d, -quot), (-d, quot.times_power(d))):
+    for e in range(1, d + 1):
+        quot = scale.exact_div(LaurentPoly("q", dict.fromkeys(range(e), 1)))
+        for delta, diag in ((e, -quot), (-e, quot.times_power(e))):
             table[delta] = (diag, scale + diag)
     return table, scale, scale * _Q, scale * (_Q - 1)
+
+
+@lru_cache(maxsize=None)
+def _divisor(gaps: Tuple[int, ...]) -> LaurentPoly:
+    """prod D_g over a word's gaps, sorted: T(q) of S_mu is chi(q) times this."""
+    return math.prod(map(_scale, gaps), start=_ONE)
 
 
 def _gen_action(i: int, lam: Partition, n: int):
@@ -165,7 +175,7 @@ def _gen_action(i: int, lam: Partition, n: int):
     """
     basis = enumerate_tableaux(lam, n)
     index = {t: l for l, t in enumerate(basis)}
-    table, scale, scale_q, scale_qm1 = _entries(i, lam)
+    table, scale, scale_q, scale_qm1 = _entries(_max_gap(i, lam))
     cols = []
     for l, t in enumerate(basis):
         a, b = t[i - 1], t[i]
@@ -204,7 +214,7 @@ def _model(lam: Partition, n: int):
             top = max(top, s)
         gens.append(cols)
         norms.append(top)
-    scales = [sum(abs(c) for _, c in _scale(i, lam).items()) for i in range(1, n)]
+    scales = [sum(abs(c) for _, c in _scale(_max_gap(i, lam)).items()) for i in range(1, n)]
     bound = len(enumerate_tableaux(lam, n)) * math.prod(norms)
     for g, (s, t, d, e) in enumerate(zip(norms, norms[1:] + [0], scales, scales[1:] + [0])):
         braid = e * s * s * t + d * t * t * s  # 0 for S_{n-1}, which has no braid relation
@@ -232,6 +242,17 @@ def _image(actions, l: int) -> Vector:
     return vec
 
 
+def _diagonal(actions, l: int) -> int:
+    """Entry (l, l) of A_1 A_2 ... A_m: column l of A_m, then A_{m-1}, ..., A_2
+    applied, then row l of A_1 read off the (at most two) entries of each column."""
+    if len(actions) < 2:
+        return dict(actions[0][l]).get(l, 0) if actions else 1
+    vec = dict(actions[-1][l])
+    for action in actions[-2:0:-1]:
+        vec = _apply(action, vec)
+    return sum(c * a for r, c in vec.items() for s, a in actions[0][r] if s == l)
+
+
 def quadratic_check(i: int, lam: Sequence[int], n: int) -> bool:
     """(T_i - q)(T_i + 1) = 0, and the braid relation with T_{i+1} when defined.
 
@@ -240,7 +261,7 @@ def quadratic_check(i: int, lam: Sequence[int], n: int) -> bool:
     """
     lam = tuple(lam)
     k, gens = _model(lam, n)
-    a, scale = gens[i - 1], _scale(i, lam).evaluate(1 << k)
+    a, scale = gens[i - 1], _scale(_max_gap(i, lam)).evaluate(1 << k)
     lin, const = scale * ((1 << k) - 1), (scale * scale) << k
     for l in range(len(a)):
         rhs = {r: v * lin for r, v in _image([a], l).items()}
@@ -248,7 +269,7 @@ def quadratic_check(i: int, lam: Sequence[int], n: int) -> bool:
         if _image([a, a], l) != {r: v for r, v in rhs.items() if v}:
             return False
     if i + 1 <= n - 1:
-        b, scale_b = gens[i], _scale(i + 1, lam).evaluate(1 << k)
+        b, scale_b = gens[i], _scale(_max_gap(i + 1, lam)).evaluate(1 << k)
         for l in range(len(a)):
             aba, bab = _image([a, b, a], l), _image([b, a, b], l)
             if {r: v * scale_b for r, v in aba.items()} != {r: v * scale for r, v in bab.items()}:
@@ -290,17 +311,15 @@ def trace_standard_element(lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly
     word = standard_word(mu)
     k, gens = _model(lam, n)
     actions = [gens[g - 1] for g in word]
-    value = sum(_image(actions, l).get(l, 0) for l in range(len(enumerate_tableaux(lam, n))))
+    value = sum(_diagonal(actions, l) for l in range(len(enumerate_tableaux(lam, n))))
     total = balanced_digits(value, k)
     # the trace of the product of the S_g is prod D_g times the trace of T_mu
-    trace: Optional[LaurentPoly] = total
+    scale = _divisor(tuple(sorted(_max_gap(g, lam) for g in word)))
     try:
-        for g in word:
-            trace = trace.exact_div(_scale(g, lam))
+        trace: Optional[LaurentPoly] = total.exact_div(scale)
     except NonExactDivision:
         trace = None
     if trace is None or not trace.is_ordinary():
-        scale = math.prod((_scale(g, lam) for g in word), start=_ONE)
         raise InvariantViolation(
             f"trace of T_{list(mu)} on {list(lam)} is not in Z[q]: ({total})/({scale})"
         )

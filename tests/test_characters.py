@@ -318,8 +318,8 @@ def rook_branching_failure(route, n):
 class TestRookBranching:
     @pytest.mark.parametrize(
         "route, cap",
-        [(chi_mn, 10), (chi_oracle, 7), (chi_iterative, 7)],
-        ids=["mn", "oracle", "iterative"],
+        [(chi_mn, 10), (chi_oracle, 7), (chi_iterative, 7), (trace_standard_element, 7)],
+        ids=["mn", "oracle", "iterative", "seminormal"],
     )
     def test_every_cell_up_to_the_cap(self, route, cap):
         for n in range(1, cap + 1):
@@ -572,3 +572,26 @@ class TestDispatch:
             CharacterTable.build(2, methods=("mn", "iterative"))
         assert exc.value.lam == (1,) and exc.value.mu == (2,)
         assert set(exc.value.values) == {"mn", "iterative"}
+
+    def test_one_method_compares_no_values(self, monkeypatch, clear_memos):
+        # a table by one method has nothing to cross-check, so no cell is
+        # compared with itself; two methods that differ still raise
+        from rookq.errors import MethodMismatch
+
+        def refuse(*args):
+            raise AssertionError("a cell compared by one method")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LaurentPoly, "__eq__", refuse)
+            patch.setattr(LaurentPoly, "__ne__", refuse)
+            table = CharacterTable.build(6, ("mn",))
+        assert table.value((3, 2), (2, 2, 2)) == chi_mn((3, 2), (2, 2, 2))
+        real = characters._by_method
+        monkeypatch.setattr(
+            characters, "_by_method", lambda lam, mu, m: real(lam, mu, m) + (m == "oracle")
+        )
+        with pytest.raises(MethodMismatch) as exc:
+            CharacterTable.build(2, ("mn", "oracle"))
+        lam, mu = exc.value.lam, exc.value.mu
+        chi = chi_mn(lam, mu)
+        assert str(exc.value) == f"method mismatch at lambda={list(lam)} mu={list(mu)}: mn: {chi}; oracle: {chi + 1}"

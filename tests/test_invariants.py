@@ -127,6 +127,27 @@ class TestInvariantChecks:
                 "    print('raised')\n"
             )
             assert run_optimized(script) == "False\nraised\n"
+        # under -O the skew c + 1 is refused by the trace's one division by
+        # (q + 1)^2: on a second try, with every memo warm, it is the only
+        # exact_div of the trace
+        script = (
+            "from rookq import seminormal\n"
+            "from rookq.errors import InvariantViolation\n"
+            "from rookq.exact import LaurentPoly\n"
+            "print(__debug__)\n"
+            "action = seminormal._gen_action\n"
+            "seminormal._gen_action = lambda i, lam, n: tuple(tuple((r, c + 1) for r, c in col) for col in action(i, lam, n))\n"
+            "div, divisors = LaurentPoly.exact_div, []\n"
+            "LaurentPoly.exact_div = lambda a, b: divisors.append(str(b)) or div(a, b)\n"
+            "for attempt in range(2):\n"
+            "    divisors.clear()\n"
+            "    try:\n"
+            "        seminormal.trace_standard_element((2, 1), (4,))\n"
+            "    except InvariantViolation as exc:\n"
+            "        message = str(exc)\n"
+            "print(divisors, message.endswith('/(q^2 + 2*q + 1)'))\n"
+        )
+        assert run_optimized(script) == "False\n['q^2 + 2*q + 1'] True\n"
 
     def test_oracle_pairing_not_divisible_by_d_mu(self, monkeypatch, capsys, clear_memos):
         # 1/6 more p_(3) in q-hat_(3) moves the pairing for (2,1) x (3) by

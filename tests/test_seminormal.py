@@ -147,7 +147,7 @@ class TestRelations:
         """(relation, l, lhs, rhs) for every relation on every basis vector v_l,
         each side computed by polynomial products of the columns of S_g."""
         gens = {g: _gen_action(g, lam, n) for g in range(1, n)}
-        scale = {g: sn._scale(g, lam) for g in range(1, n)}
+        scale = {g: sn._scale(sn._max_gap(g, lam)) for g in range(1, n)}
 
         def times(vec, p):
             return {r: v * p for r, v in vec.items()}
@@ -241,10 +241,12 @@ class TestTraces:
     def test_makes_no_polynomial_product(self, monkeypatch):
         lam, mu = (3, 2, 1), (4, 3)
         expected = chi_mn(lam, mu)
-        # only the few distinct entries of each S_g take polynomial products;
-        # the model reads every generator, not only those in the word
+        # only the few distinct entries of each S_g and the word's divisor
+        # take polynomial products; the model reads every generator, not only
+        # those in the word
         for g in range(1, sum(mu)):
-            sn._entries(g, lam)
+            sn._entries(sn._max_gap(g, lam))
+        sn._divisor(tuple(sorted(sn._max_gap(g, lam) for g in standard_word(mu))))
 
         def refuse(*args):
             raise AssertionError("polynomial product in the trace")
@@ -279,16 +281,16 @@ class TestTraces:
 
     def test_one_pass_over_one_view_per_generator(self, monkeypatch, capsys, clear_memos):
         lam, mu = (3, 2, 1), (4, 2, 1)
-        image, calls = sn._image, []
+        diagonal, calls = sn._diagonal, []
 
         def counted(actions, l):
             calls.append(l)
-            return image(actions, l)
+            return diagonal(actions, l)
 
         with monkeypatch.context() as patch:
-            patch.setattr(sn, "_image", counted)
+            patch.setattr(sn, "_diagonal", counted)
             trace_standard_element(lam, mu)
-        assert len(calls) == len(enumerate_tableaux(lam, sum(mu)))
+        assert calls == list(range(len(enumerate_tableaux(lam, sum(mu)))))
         # the memo keeps the evaluated generators alone: no (row, LaurentPoly)
         # entry of a polynomial column outlives a table run
         def polynomial_entries():
@@ -304,6 +306,33 @@ class TestTraces:
         gens = sn._model(lam, 6)[1]
         assert sn._model.cache_info().hits > 0
         assert all(type(v) is int for cols in gens for col in cols for _, v in col)
+
+    def test_diagonal_pass_matches_the_full_images(self):
+        # for every cell to weight 6, entry (l, l) read by the diagonal pass
+        # equals the one of the full image of v_l, and one division by the
+        # product of the D_g equals dividing by each D_g in turn
+        for n in range(7):
+            for lam in partitions_up_to(n):
+                k, gens = sn._model(lam, n)
+                for mu in partitions_of(n):
+                    word = standard_word(mu)
+                    actions = [gens[g - 1] for g in word]
+                    dim = len(enumerate_tableaux(lam, n))
+                    value = sum(sn._diagonal(actions, l) for l in range(dim))
+                    assert value == sum(sn._image(actions, l).get(l, 0) for l in range(dim)), (lam, mu)
+                    total = stepwise = balanced_digits(value, k)
+                    for g in word:
+                        stepwise = stepwise.exact_div(sn._scale(sn._max_gap(g, lam)))
+                    gaps = tuple(sorted(sn._max_gap(g, lam) for g in word))
+                    assert total.exact_div(sn._divisor(gaps)) == stepwise, (lam, mu)
+
+    def test_cold_table_builds_each_entry_table_once(self, capsys, clear_memos):
+        # the entries of S_i depend on (i, lam) only through the gap min(i, h-1),
+        # which is at most 5 on the table of weight 6
+        assert main(["table", "--n", "6", "--methods", "seminormal"]) == 0
+        capsys.readouterr()
+        assert sn._entries.cache_info().misses <= 6
+        assert sn._entries.cache_info().hits > 0
 
 
 class TestBalancedDigits:
