@@ -20,9 +20,10 @@ summing to k contributes (1 - q^{-1})^l q^k.  ``contingency_matrices`` and
 The matrix route sums in its own ``int`` dicts, exponent -> coefficient:
 the entry weights come from the terms of ``bracket``, each (1 - q^{-1})^l is
 expanded by binomial coefficients, and the levels k are added into one
-accumulator that becomes a ``LaurentPoly`` once, for its one exact division.
-It makes no ``LaurentPoly`` product or sum, so it shares no arithmetic
-kernel with ``btr_def``, which sums ``chi_mn`` values.
+accumulator that becomes a ``LaurentPoly`` once, for its one division by
+(q-1)^{l(mu)+l(nu)} (``LaurentPoly.div_qm1``).  It makes no ``LaurentPoly``
+product or sum, so it shares no arithmetic kernel with ``btr_def``, which
+sums ``chi_mn`` values.
 """
 
 from __future__ import annotations
@@ -46,9 +47,7 @@ from .shapes import (
 from .symfunc import inner_product, q_mu
 from . import characters
 
-_Q = LaurentPoly.monomial("q", 1)
 _ONE = LaurentPoly.one("q")
-_QM1 = _Q - 1
 _ONE_MINUS_QINV = _ONE - LaurentPoly.monomial("q", -1)
 
 
@@ -253,9 +252,9 @@ def btr_matrix(mu: Sequence[int], nu: Sequence[int]) -> LaurentPoly:
 
     where k is the shared border total and H is ``inner_sum``.  Every level
     is added, shifted by 2k, into one ``int`` dict, which becomes a
-    ``LaurentPoly`` once and is divided once by (q-1)^{l(mu)+l(nu)}, itself
-    expanded by binomial coefficients.  The route makes no ``LaurentPoly``
-    product or sum, so it shares no kernel with ``btr_def``.
+    ``LaurentPoly`` once and is divided once by (q-1)^{l(mu)+l(nu)}, by
+    ``div_qm1``.  The route makes no ``LaurentPoly`` product or sum, so it
+    shares no kernel with ``btr_def``.
     """
     mu, nu = _validate_pair(mu, nu)
     total: Dict[int, int] = {}
@@ -267,10 +266,7 @@ def btr_matrix(mu: Sequence[int], nu: Sequence[int]) -> LaurentPoly:
                 _add_product(inner, wb, _inner_terms(rest_mu, rest_nu))
             _add_product(total, wa, inner, 2 * k)
     l = len(mu) + len(nu)
-    qm1_power = {s: -math.comb(l, s) if (l - s) % 2 else math.comb(l, s) for s in range(l + 1)}
-    return LaurentPoly._make("q", {h: c for h, c in total.items() if c}).exact_div(
-        LaurentPoly._make("q", qm1_power)
-    )
+    return LaurentPoly._make("q", {h: c for h, c in total.items() if c}).div_qm1(l)
 
 
 def btr_def(mu: Sequence[int], nu: Sequence[int]) -> LaurentPoly:
@@ -326,7 +322,7 @@ def regular_char(mu: Sequence[int]) -> LaurentPoly:
             coeff = binom * math.factorial(i) // denom
             rest = comp_sub(mu, tau)
             acc = acc + (_ONE_MINUS_QINV ** (nonzero_length(rest) + i)).scale(coeff)
-    return acc.times_power(n).exact_div(_QM1 ** len(mu))
+    return acc.times_power(n).div_qm1(len(mu))
 
 
 def dim_rn(n: int) -> int:

@@ -71,10 +71,9 @@ def _checked(lam: Sequence[int], mu: Sequence[int]) -> Tuple[Partition, Partitio
 
 
 def frobenius_chi(x_t: LaurentPoly, mu: Partition) -> LaurentPoly:
-    """chi(q) = q^|mu| / (q-1)^l(mu) * X(q^{-1}), by exact division."""
+    """chi(q) = q^|mu| / (q-1)^l(mu) * X(q^{-1}), by ``div_qm1``."""
     xq = x_t.substitute_inverse()
-    numer = xq.times_power(sum(mu))
-    return numer.exact_div(_QM1 ** len(mu))
+    return xq.times_power(sum(mu)).div_qm1(len(mu))
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +302,7 @@ def chi_hook(k: int, m: int, mu: Partition) -> LaurentPoly:
     numer = s.times_power(n - m)
     if (m - k) % 2:
         numer = -numer
-    return numer.exact_div(_QM1 ** len(mu))
+    return numer.div_qm1(len(mu))
 
 
 def chi_two_row(k: int, m: int, mu: Partition) -> LaurentPoly:
@@ -316,7 +315,7 @@ def chi_two_row(k: int, m: int, mu: Partition) -> LaurentPoly:
     if not (0 <= m - k <= k <= m <= n) or k < 1:
         raise VariantMismatch(f"need m-k <= k <= m <= |mu|, got k={k}, m={m}, n={n}")
     diff = b_poly(mu, k, m - k) - b_poly(mu, k + 1, m - k - 1)
-    return diff.times_power(n).exact_div(_QM1 ** len(mu))
+    return diff.times_power(n).div_qm1(len(mu))
 
 
 # ----------------------------------------------------------------------

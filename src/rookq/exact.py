@@ -22,9 +22,11 @@ Two routes run on plain ints by Kronecker substitution (von zur Gathen and
 Gerhard, Modern Computer Algebra, 8.4): the Murnaghan-Nakayama route
 (``characters.chi_mn``) and the seminormal traces evaluate at q = 2^k, with
 2^k above twice an l1 bound of the result, and ``balanced_digits`` reads the
-polynomial back.  The iterative route, the a/b families, the oracle's
-pairing and the bitrace matrix route (``bitrace.btr_matrix``) each sum in
-their own ``int`` dict, and the rest stay on ``__mul__`` and ``__add__``.
+polynomial back.  The iterative route, the a/b families, the bitrace matrix
+route (``bitrace.btr_matrix``) and ``symfunc``'s power-sum engine, its two
+pairings included, each sum in their own ``int`` dicts, and ``div_qm1``
+divides by (q-1)^l by running sums over a dense ``int`` list.  The rest stay
+on ``__mul__`` and ``__add__``.
 
 ``RationalFunction`` only puts a quotient of two Laurent polynomials into
 canonical reduced form over Z[q], by a primitive gcd; it has no arithmetic.
@@ -35,6 +37,7 @@ No floating point is used anywhere; all arithmetic is exact.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from numbers import Number
 from typing import Dict, List, Mapping, Tuple
 
@@ -268,6 +271,27 @@ class LaurentPoly:
         if rem:
             raise NonExactDivision(f"({self}) is not divisible by ({other})")
         return LaurentPoly._make(var, {h + ma - mb: c for h, c in quot.items()})
+
+    def div_qm1(self, l: int) -> "LaurentPoly":
+        """Exact quotient self / (var - 1)^l by l passes of synthetic division.
+
+        On the dense coefficients, highest exponent first, one division by
+        var - 1 is a running sum: the partial sums are the quotient and the
+        full sum, the value at 1, is the remainder.  A nonzero remainder
+        raises NonExactDivision, with the message of ``exact_div``.
+        """
+        if not isinstance(l, int) or l < 0:
+            raise ValueError("only nonnegative integer powers are supported")
+        if not self._terms:
+            return self
+        lo, hi = min(self._terms), max(self._terms)
+        coeffs = [self._terms.get(h, 0) for h in range(hi, lo - 1, -1)]
+        for _ in range(l):
+            coeffs = list(accumulate(coeffs))
+            if coeffs.pop():
+                qm1 = LaurentPoly._make(self.var, {1: 1, 0: -1})
+                raise NonExactDivision(f"({self}) is not divisible by ({qm1**l})")
+        return LaurentPoly._make(self.var, {hi - l - i: c for i, c in enumerate(coeffs) if c})
 
     def evaluate(self, x: int) -> int:
         """Exact value at an integer point; a negative exponent is refused."""

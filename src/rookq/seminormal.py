@@ -231,15 +231,16 @@ def _apply(action, vec: Vector) -> Vector:
             v = a * c
             cur = out.get(r)
             out[r] = v if cur is None else cur + v
-    return {r: v for r, v in out.items() if v}
+    return out
 
 
 def _image(actions, l: int) -> Vector:
-    """(A_1 A_2 ... A_m) v_l for actions = [A_1, ..., A_m], A_m applied first."""
+    """(A_1 A_2 ... A_m) v_l for actions = [A_1, ..., A_m], A_m applied first,
+    with its zero entries dropped, so that equal images are equal dicts."""
     vec: Vector = {l: 1}
     for action in reversed(actions):
         vec = _apply(action, vec)
-    return vec
+    return {r: v for r, v in vec.items() if v}
 
 
 def _diagonal(actions, l: int) -> int:

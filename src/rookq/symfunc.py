@@ -1,13 +1,16 @@
 """Symmetric functions in the power-sum basis, with coefficients in Q[t].
 
 A ``PExpansion`` is a finite linear combination of power sums p_rho with
-coefficients in Q[t].  It is built, stored and read back as integer
-t-polynomial numerators over one positive ``int`` denominator ``den``, in
-lowest terms: the 1/z_rho of the power-sum basis go into that denominator,
-and h_n, q_n, q-hat_n and s_lambda are built as integer numerators over n!,
-so no rational number is ever formed or accepted.  ``inner_product`` and
-``schur_pairing`` divide their integer sums by the denominators once, and
-raise ``NonExactDivision`` when the value is not in Z[t].  Inhomogeneous
+coefficients in Q[t].  It is built and read back as integer t-polynomial
+numerators over one positive ``int`` denominator ``den``, in lowest terms,
+and stores each numerator as a plain ``{exponent: int}`` dict: the 1/z_rho
+of the power-sum basis go into that denominator, and h_n, q_n, q-hat_n and
+s_lambda are built as integer numerators over n!, so no rational number is
+ever formed or accepted.  Products, sums and ``combination`` (sum c_i f_i)
+add int products straight into one dict per rho and reduce by the gcd once
+per result.  ``inner_product`` and ``schur_pairing`` divide their integer
+sums by the denominators once, and raise ``NonExactDivision`` when the value
+is not in Z[t].  Inhomogeneous
 elements are allowed: the modified one-row Hall-Littlewood functions q-hat mix
 weights because p-hat_n = 1 + p_n.
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .errors import InvariantViolation, NonExactDivision, WeightMismatch
 from .exact import LaurentPoly
@@ -42,54 +45,70 @@ from .shapes import (
 from .shapes import gbs_decompose  # noqa: F401
 
 Coeff = Union[int, LaurentPoly]
+Numerator = Dict[int, int]  # exponent of t -> nonzero int
 
 
-def _numerator(c: Coeff) -> LaurentPoly:
-    """c as an integer t-polynomial: an ``int``, a t-polynomial, or a constant
-    of either tag; ``LaurentPoly`` refuses any other number with TypeError."""
+def _numerator(c: Coeff) -> Numerator:
+    """c's terms, shared, never written: an ``int``, a t-polynomial, or a
+    constant of either tag; ``LaurentPoly`` refuses any other number with
+    TypeError."""
     if not isinstance(c, LaurentPoly):
-        return LaurentPoly.const(c, "t")
-    if c.var != "t" and not c._is_const():
+        c = LaurentPoly.const(c, "t")
+    elif c.var != "t" and not c._is_const():
         raise ValueError(f"p-basis coefficients live in Q[t], got variable {c.var!r}")
-    return c if c.var == "t" else LaurentPoly._make("t", c._terms)
+    return c._terms
 
 
-def _divided(num: LaurentPoly, den: int) -> LaurentPoly:
+def _add_product(acc: Numerator, a: Numerator, b: Numerator, k: int = 1) -> None:
+    """acc += k * a * b, in place."""
+    get = acc.get
+    b_items = b.items()
+    for h1, c1 in a.items():
+        c1 *= k
+        for h2, c2 in b_items:
+            h = h1 + h2
+            acc[h] = get(h, 0) + c1 * c2
+
+
+def _divided(num: Numerator, den: int) -> LaurentPoly:
     """The t-polynomial num / den, which must have integer coefficients."""
-    if any(c % den for c in num._terms.values()):
-        raise NonExactDivision(f"({num})/{den} is not in Z[t]")
-    return LaurentPoly._make("t", {h: c // den for h, c in num._terms.items()})
+    num = {h: c for h, c in num.items() if c}
+    if any(c % den for c in num.values()):
+        raise NonExactDivision(f"({LaurentPoly._make('t', num)})/{den} is not in Z[t]")
+    return LaurentPoly._make("t", {h: c // den for h, c in num.items()})
 
 
-def _reduced(terms: Dict[Partition, LaurentPoly], den: int) -> "PExpansion":
-    """The expansion sum_rho terms[rho] / den, put into lowest terms."""
-    terms = {rho: c for rho, c in terms.items() if c._terms}
+def _reduced(terms: Dict[Partition, Numerator], den: int) -> "PExpansion":
+    """The expansion sum_rho terms[rho] / den, zeros dropped, in lowest terms.
+    The dicts of ``terms`` are read, not kept."""
+    out: Dict[Partition, Numerator] = {}
     g = den
-    for c in terms.values():
-        if g == 1:
-            break
-        g = math.gcd(g, *c._terms.values())
+    for rho, c in terms.items():
+        c = {h: v for h, v in c.items() if v}
+        if c:
+            out[rho] = c
+            if g != 1:
+                g = math.gcd(g, *c.values())
     if g != 1:
-        terms = {
-            rho: LaurentPoly._make("t", {h: v // g for h, v in c._terms.items()})
-            for rho, c in terms.items()
-        }
-    out = object.__new__(PExpansion)
-    out._terms = terms
-    out.den = den // g
-    return out
+        out = {rho: {h: v // g for h, v in c.items()} for rho, c in out.items()}
+    f = object.__new__(PExpansion)
+    f._terms = out
+    f.den = den // g
+    return f
 
 
 class PExpansion:
     """Symmetric function written in the power-sum basis.
 
     The coefficient of p_rho is ``_terms[rho] / den``: every ``_terms`` value
-    is an integer t-polynomial, ``den`` is a positive ``int``, and the pair is
-    in lowest terms (zero is ``{}`` over 1), so equal expansions have equal
-    fields.  The constructor takes the same form, numerators (``int`` or
-    t-polynomials) over a positive ``int`` ``den``, and reduces it, so
-    ``PExpansion(dict(f.terms()), f.den) == f``; ``scale`` takes one such
-    numerator.
+    is a private ``{exponent of t: int}`` dict of nonzero integers, ``den`` is
+    a positive ``int``, and the pair is in lowest terms (zero is ``{}`` over
+    1), so equal expansions have equal fields.  Arithmetic adds products of
+    those ints straight into one accumulator dict per rho and reduces once.
+    The constructor takes numerators (``int`` or t-polynomials) over a
+    positive ``int`` ``den`` and reduces them; ``terms()`` gives them back as
+    t-polynomials, so ``PExpansion(dict(f.terms()), f.den) == f``; ``scale``
+    takes one such numerator.
     """
 
     __slots__ = ("_terms", "den")
@@ -112,41 +131,28 @@ class PExpansion:
         """The power sum p_rho."""
         return cls({tuple(rho): 1})
 
-    def terms(self):
-        """The (rho, integer numerator) pairs; each coefficient is numerator / ``den``."""
-        return self._terms.items()
+    def terms(self) -> List[Tuple[Partition, LaurentPoly]]:
+        """The (rho, integer t-polynomial numerator) pairs; each coefficient is
+        numerator / ``den``."""
+        return [(rho, LaurentPoly._make("t", c)) for rho, c in self._terms.items()]
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     def __add__(self, other: "PExpansion") -> "PExpansion":
-        den = math.lcm(self.den, other.den)
-        out = self._scaled(den // self.den)
-        for rho, c in other._scaled(den // other.den).items():
-            cur = out.get(rho)
-            out[rho] = c if cur is None else cur + c
-        return _reduced(out, den)
-
-    def _scaled(self, k: int) -> Dict[Partition, LaurentPoly]:
-        """A fresh dict of the integer coefficients times k."""
-        if k == 1:
-            return dict(self._terms)
-        return {rho: c.scale(k) for rho, c in self._terms.items()}
+        return combination(((1, self), (1, other)))
 
     def scale(self, c: Coeff) -> "PExpansion":
-        c = _numerator(c)
-        return _reduced({rho: cc * c for rho, cc in self._terms.items()}, self.den)
+        return combination(((c, self),))
 
     def __mul__(self, other: "PExpansion") -> "PExpansion":
         """Bilinear product; p_lambda * p_mu = p_{sort(lambda + mu)}."""
-        out: Dict[Partition, LaurentPoly] = {}
+        out: Dict[Partition, Numerator] = {}
         for r1, c1 in self._terms.items():
             for r2, c2 in other._terms.items():
                 key = tuple(sorted(r1 + r2, reverse=True))
-                c = c1 * c2
-                cur = out.get(key)
-                out[key] = c if cur is None else cur + c
+                _add_product(out.setdefault(key, {}), c1, c2)
         return _reduced(out, self.den * other.den)
 
     def __eq__(self, other) -> bool:
@@ -155,19 +161,35 @@ class PExpansion:
         return self.den == other.den and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.den, tuple(sorted(self._terms.items()))))
+        items = sorted((rho, tuple(sorted(c.items()))) for rho, c in self._terms.items())
+        return hash((self.den, tuple(items)))
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         over = f"/{self.den}" if self.den != 1 else ""
-        keys = sorted(self._terms, key=lambda r: (sum(r), r))
         return " + ".join(
-            f"({self._terms[k]}){over}*p{list(k)}" if k else f"({self._terms[k]}){over}"
-            for k in keys
+            f"({c}){over}*p{list(k)}" if k else f"({c}){over}"
+            for k, c in sorted(self.terms(), key=lambda kc: (sum(kc[0]), kc[0]))
         )
 
     __repr__ = __str__
+
+
+def combination(pairs: Iterable[Tuple[Coeff, PExpansion]]) -> PExpansion:
+    """sum_i c_i * f_i over (c_i, f_i) pairs, c_i an ``int`` or t-polynomial.
+
+    Every term is added over the lcm of the denominators into one dict per
+    rho, and the sum is reduced once, at the end; the empty sum is zero.
+    """
+    pairs = [(_numerator(c), f) for c, f in pairs]
+    den = math.lcm(*(f.den for _, f in pairs))
+    out: Dict[Partition, Numerator] = {}
+    for c, f in pairs:
+        k = den // f.den
+        for rho, cf in f._terms.items():
+            _add_product(out.setdefault(rho, {}), c, cf, k)
+    return _reduced(out, den)
 
 
 def inner_product(f: PExpansion, g: PExpansion) -> LaurentPoly:
@@ -176,12 +198,12 @@ def inner_product(f: PExpansion, g: PExpansion) -> LaurentPoly:
     The integer sum is divided by the two denominators once, at the end;
     NonExactDivision when the value is not in Z[t].
     """
-    total = LaurentPoly.zero("t")
+    total: Numerator = {}
     small, large = (f, g) if len(f._terms) <= len(g._terms) else (g, f)
     for rho, c1 in small._terms.items():
         c2 = large._terms.get(rho)
         if c2 is not None:
-            total = total + c1 * c2 * z_lambda(rho)
+            _add_product(total, c1, c2, z_lambda(rho))
     return _divided(total, f.den * g.den)
 
 
@@ -193,14 +215,14 @@ def schur_pairing(f: PExpansion, lam: Partition) -> LaurentPoly:
     NonExactDivision when the value is not in Z[t]; rho whose coefficient is
     zero are skipped before their character is looked up.
     """
-    total: Dict[int, int] = {}
+    total: Numerator = {}
     for rho in partitions_of(sum(lam)):
         c = f._terms.get(rho)
         chi = classical_char(lam, rho) if c is not None else 0
         if chi:
-            for h, v in c._terms.items():
+            for h, v in c.items():
                 total[h] = total.get(h, 0) + v * chi
-    return _divided(LaurentPoly("t", total), f.den)
+    return _divided(total, f.den)
 
 
 def adjoint_apply(g: PExpansion, f: PExpansion) -> PExpansion:
@@ -209,7 +231,7 @@ def adjoint_apply(g: PExpansion, f: PExpansion) -> PExpansion:
     Each p_n in g acts as the derivation n * d/dp_n, so
     <g * u, v> = <u, adjoint_apply(g, v)>.
     """
-    out: Dict[Partition, LaurentPoly] = {}
+    out: Dict[Partition, Numerator] = {}
     f_terms = [(multiplicities(sigma), cf) for sigma, cf in f._terms.items()]
     for rho, cg in g._terms.items():
         mult_rho = multiplicities(rho)
@@ -230,9 +252,7 @@ def adjoint_apply(g: PExpansion, f: PExpansion) -> PExpansion:
             key = tuple(
                 sorted((v for v, m in new_mult.items() for _ in range(m)), reverse=True)
             )
-            c = cg * cf * factor
-            cur = out.get(key)
-            out[key] = c if cur is None else cur + c
+            _add_product(out.setdefault(key, {}), cg, cf, factor)
     return _reduced(out, g.den * f.den)
 
 
@@ -254,14 +274,14 @@ def qn_expansion(n: int) -> PExpansion:
     ordinary polynomial in t, built as n!/z_lambda times the product over n!.
     """
     size = math.factorial(n)
-    terms: Dict[Partition, LaurentPoly] = {}
+    terms: Dict[Partition, Numerator] = {}
     for lam in partitions_of(n):
         c = LaurentPoly.const(size // z_lambda(lam), "t")
         for part in lam:
             c = c * (1 - LaurentPoly.monomial("t", part))
         if not c.is_ordinary():
             raise InvariantViolation(f"q_n(t) coefficients must be polynomials in t, got {c}/{size}")
-        terms[lam] = c
+        terms[lam] = c._terms
     return _reduced(terms, size)
 
 
@@ -275,12 +295,13 @@ def qhat_expansion(n: int) -> PExpansion:
     common denominator.
     """
     qn = qn_expansion(n)
-    total = PExpansion.zero()
-    for lam, c in qn._terms.items():
+    pairs = []
+    for lam, c in qn.terms():
         phat = PExpansion.one()
         for part in lam:
             phat = phat * PExpansion({(): 1, (part,): 1})
-        total = total + phat.scale(c)
+        pairs.append((c, phat))
+    total = combination(pairs)
     return _reduced(total._terms, total.den * qn.den)
 
 
@@ -351,11 +372,11 @@ def schur_in_p(lam: Partition) -> PExpansion:
 def qhat_lemma_rhs(lam: Partition) -> PExpansion:
     """sum over compositions tau contained in lam of (1-t)^{l(tau)} q_{lam-tau}(t)."""
     one_minus_t = 1 - LaurentPoly.monomial("t", 1)
-    total = PExpansion.zero()
-    for k in range(sum(lam) + 1):
-        for (rest, length), count in border_counts(tuple(lam), k).items():
-            total = total + q_mu(rest).scale(one_minus_t**length * count)
-    return total
+    return combination(
+        (one_minus_t**length * count, q_mu(rest))
+        for k in range(sum(lam) + 1)
+        for (rest, length), count in border_counts(tuple(lam), k).items()
+    )
 
 
 def h_adjoint_combinatorial(k: int, mu: Partition) -> PExpansion:
@@ -364,7 +385,7 @@ def h_adjoint_combinatorial(k: int, mu: Partition) -> PExpansion:
     sum over tau in C(mu; k) of (1-t)^{l(tau)} q-hat_{mu - tau}.
     """
     one_minus_t = 1 - LaurentPoly.monomial("t", 1)
-    total = PExpansion.zero()
-    for (rest, length), count in border_counts(tuple(mu), k).items():
-        total = total + qhat_mu(rest).scale(one_minus_t**length * count)
-    return total
+    return combination(
+        (one_minus_t**length * count, qhat_mu(rest))
+        for (rest, length), count in border_counts(tuple(mu), k).items()
+    )

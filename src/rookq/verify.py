@@ -207,10 +207,11 @@ def check_h_adjoint_routes(cap: int) -> Optional[str]:
 def check_schur_decomposition(cap: int) -> Optional[str]:
     for w in range(cap + 1):
         for lam in sh.partitions_of(w):
-            total = sf.PExpansion.zero()
-            for nu in sh.vertical_strip_complements(lam[1:]):
-                sign = (-1) ** (w - sum(nu) - (lam[0] if lam else 0))
-                total = total + (sf.hn_expansion(w - sum(nu)) * sf.schur_in_p(nu)).scale(sign)
+            head = lam[0] if lam else 0
+            total = sf.combination(
+                ((-1) ** (w - sum(nu) - head), sf.hn_expansion(w - sum(nu)) * sf.schur_in_p(nu))
+                for nu in sh.vertical_strip_complements(lam[1:])
+            )
             if total != sf.schur_in_p(lam):
                 return str(lam)
 
@@ -224,7 +225,7 @@ def check_mn_adjoint_identity(cap: int) -> Optional[str]:
         for lam in sh.partitions_of(w):
             for k in range(1, w + 1):
                 lhs = sf.adjoint_apply(sf.qn_expansion(k), sf.schur_in_p(lam))
-                rhs = sf.PExpansion.zero()
+                terms = []
                 for nu in sh.sub_partitions(lam):
                     if sum(lam) - sum(nu) != k:
                         continue
@@ -234,8 +235,8 @@ def check_mn_adjoint_identity(cap: int) -> Optional[str]:
                     except NotGbsError:
                         continue
                     coeff = LaurentPoly.monomial("t", k - 1) * (1 - t) * w_rev
-                    rhs = rhs + sf.schur_in_p(nu).scale(coeff)
-                if lhs != rhs:
+                    terms.append((coeff, sf.schur_in_p(nu)))
+                if lhs != sf.combination(terms):
                     return f"lam={lam}, k={k}"
 
 

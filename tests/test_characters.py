@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rookq import characters, shapes, symfunc
+from rookq import bitrace, characters, shapes, symfunc
 from rookq.errors import VariantMismatch, WeightMismatch
 from rookq.exact import LaurentPoly
 from rookq.shapes import (
     comp_sub,
+    conjugate,
     f_lambda,
     nonzero_length,
     partitions_of,
     partitions_up_to,
     subcompositions,
 )
+from rookq.bitrace import btr_matrix
 from rookq.seminormal import MAX_TRACE_WEIGHT, trace_standard_element
 from rookq.symfunc import classical_char
 from rookq.characters import (
@@ -142,6 +144,26 @@ class TestOracle:
     )
     def test_matches_mn_at_high_weight(self, cell):
         assert chi_oracle(*cell) == chi_mn(*cell)
+
+
+class TestRouteIndependence:
+    def test_no_divider_and_no_power_sum_engine(self, monkeypatch, clear_memos):
+        # only the oracle, the compact forms and the bitrace matrix route
+        # divide by (q-1)^l, and only the oracle runs symfunc's engine
+        cells = cells_up_to(7)
+        expected = {cell: chi_oracle(*cell) for cell in cells}
+        pairs = [(mu, nu) for n in range(6) for mu in partitions_of(n) for nu in partitions_of(n)]
+        bitraces = {pair: btr_matrix(*pair) for pair in pairs}
+        clear_memos()
+        monkeypatch.setattr(LaurentPoly, "div_qm1", refuse)
+        for module in (symfunc, characters, bitrace):
+            for name, value in list(vars(module).items()):
+                if callable(value) and getattr(value, "__module__", None) == "rookq.symfunc":
+                    monkeypatch.setattr(module, name, refuse)
+        for route, cap in ((chi_mn, 7), (chi_iterative, 7), (trace_standard_element, 5)):
+            mine = [cell for cell in cells if sum(cell[1]) <= cap]
+            assert {cell: route(*cell) for cell in mine} == {cell: expected[cell] for cell in mine}
+        assert {pair: bitrace.btr_def(*pair) for pair in pairs} == bitraces
 
 
 class TestDisputedValue:
@@ -324,6 +346,68 @@ class TestRookBranching:
     def test_every_cell_up_to_the_cap(self, route, cap):
         for n in range(1, cap + 1):
             failure = rook_branching_failure(route, n)
+            assert failure is None, (route.__name__, n, failure)
+
+
+def horizontal_strips(lam, n):
+    """Every nu |- n with nu/lam a horizontal strip, by the interlacing
+    nu_1 >= lam_1 >= nu_2 >= lam_2 >= ... >= nu_{l+1} >= 0, row by row."""
+    rows = lam + (0,)
+
+    def fill(i, left):
+        if i == len(rows):
+            return [] if left else [()]
+        top = rows[i] + left if i == 0 else min(rows[i - 1], rows[i] + left)
+        return [
+            (v,) + rest for v in range(rows[i], top + 1) for rest in fill(i + 1, left - v + rows[i])
+        ]
+
+    return [tuple(part for part in nu if part) for nu in fill(0, n - sum(lam))]
+
+
+def hecke_restriction_failure(route, n):
+    """The first (lam, mu) breaking the restriction rule of R_n(q) to its
+    Iwahori-Hecke algebra on ``route``, with the difference, or None.
+
+    For mu |- n and |lam| < n: chi^lam_mu = sum of chi^nu_mu over the
+    nu |- n with nu/lam a horizontal strip.
+    """
+    for mu in partitions_of(n):
+        for lam in partitions_up_to(n - 1):
+            want = route(lam, mu)
+            got = sum((route(nu, mu) for nu in horizontal_strips(lam, n)), LaurentPoly.zero("q"))
+            if got != want:
+                return lam, mu, str(got - want)
+    return None
+
+
+class TestHeckeRestriction:
+    def test_strip_listing_matches_brute_force(self):
+        # nu/lam is a horizontal strip when nu contains lam and no column
+        # of nu' exceeds that of lam' by more than one cell
+        def columns_grow_by_one(nu, lam):
+            pairs = itertools.zip_longest(conjugate(nu), conjugate(lam), fillvalue=0)
+            return all(a - b <= 1 for a, b in pairs)
+
+        for n in range(9):
+            for lam in partitions_up_to(n):
+                brute = [
+                    nu
+                    for nu in partitions_of(n)
+                    if len(nu) >= len(lam)
+                    and all(a >= b for a, b in zip(nu, lam))
+                    and columns_grow_by_one(nu, lam)
+                ]
+                assert sorted(horizontal_strips(lam, n)) == sorted(brute), (lam, n)
+
+    @pytest.mark.parametrize(
+        "route, cap",
+        [(chi_mn, 8), (chi_oracle, 6), (chi_iterative, 6), (trace_standard_element, 6)],
+        ids=["mn", "oracle", "iterative", "seminormal"],
+    )
+    def test_every_cell_up_to_the_cap(self, route, cap):
+        for n in range(1, cap + 1):
+            failure = hecke_restriction_failure(route, n)
             assert failure is None, (route.__name__, n, failure)
 
 

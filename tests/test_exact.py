@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rookq.errors import DivisionByZero, DomainError, NonExactDivision
 from rookq.exact import LaurentPoly, RationalFunction
@@ -58,6 +60,37 @@ class TestExactDiv:
         assert (t * 2).exact_div(LaurentPoly.const(2, "q")) == t
         assert LaurentPoly.const(4, "t").exact_div(Q * 2) == LaurentPoly.monomial("q", -1, 2)
         assert (t * t).exact_div(t) == t
+
+
+laurent = st.dictionaries(st.integers(-5, 6), st.integers(-9, 9), max_size=6).map(qpoly)
+
+
+class TestDivQm1:
+    @given(laurent, st.integers(0, 6))
+    def test_matches_the_general_division(self, p, l):
+        prod = p * (Q - 1) ** l
+        assert prod.div_qm1(l) == p == prod.exact_div((Q - 1) ** l)
+
+    @given(laurent.filter(lambda p: sum(c for _, c in p.items())), st.integers(0, 5))
+    def test_remainder_raises(self, p, l):
+        # p(1) != 0, so (q-1) does not divide p * (q-1)^l once more
+        prod = p * (Q - 1) ** l
+        with pytest.raises(NonExactDivision, match=r"is not divisible by") as div_qm1:
+            prod.div_qm1(l + 1)
+        with pytest.raises(NonExactDivision) as exact_div:
+            prod.exact_div((Q - 1) ** (l + 1))
+        assert str(div_qm1.value) == str(exact_div.value)
+
+    def test_edge_cases(self):
+        zero = LaurentPoly.zero("q")
+        assert zero.div_qm1(0) == zero.div_qm1(4) == zero
+        f = qpoly({3: 2, -2: -1})
+        assert f.div_qm1(0) == f
+        assert (T**2 - 2 * T + 1).div_qm1(2) == LaurentPoly.one("t")
+        with pytest.raises(ValueError):
+            f.div_qm1(-1)
+        with pytest.raises(NonExactDivision):
+            Q.div_qm1(1)
 
 
 class TestSubstituteInverse:

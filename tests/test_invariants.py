@@ -92,6 +92,25 @@ class TestInvariantChecks:
         )
         assert run_optimized(script) == "False\nraised\n"
 
+    def test_div_qm1_remainder_survives_optimize_flag(self):
+        # q^2 * X(q^-1) / (q-1)^2 with X = 1 + t: the divider that the
+        # Frobenius conversion runs leaves the remainder 2 on its first pass
+        script = (
+            "from rookq import characters\n"
+            "from rookq.errors import NonExactDivision\n"
+            "from rookq.exact import LaurentPoly\n"
+            "print(__debug__)\n"
+            "for divide in (\n"
+            "    lambda: (LaurentPoly.monomial('q', 2) + 1).div_qm1(1),\n"
+            "    lambda: characters.frobenius_chi(1 + LaurentPoly.monomial('t', 1), (1, 1)),\n"
+            "):\n"
+            "    try:\n"
+            "        divide()\n"
+            "    except NonExactDivision:\n"
+            "        print('raised')\n"
+        )
+        assert run_optimized(script) == "False\nraised\nraised\n"
+
     def test_seminormal_trace_outside_zq(self, monkeypatch, capsys):
         # every entry of every S_g skewed, one case per failure mode: divided
         # by q, the entry 1 of S_1 on (1) becomes q^-1, which is not in Z[q];

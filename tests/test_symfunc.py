@@ -23,6 +23,7 @@ from rookq.symfunc import (
     PExpansion,
     adjoint_apply,
     classical_char,
+    combination,
     hn_expansion,
     inner_product,
     qhat_expansion,
@@ -248,7 +249,7 @@ expansions = st.builds(
 def assert_canonical(f):
     """Integer coefficients over a positive denominator, in lowest terms, which
     the constructor takes back unchanged."""
-    ints = [c for p in f._terms.values() for c in p._terms.values()]
+    ints = [c for _, p in f.terms() for _, c in p.items()]
     assert type(f.den) is int and f.den > 0
     assert all(type(c) is int for c in ints)
     assert math.gcd(f.den, *ints) == 1
@@ -293,6 +294,28 @@ class TestCommonDenominator:
             else:
                 with pytest.raises(NonExactDivision):
                     inner_product(h, g)
+
+    @given(st.lists(st.tuples(numerators, expansions), max_size=4))
+    def test_combination_is_the_fold_of_add_and_scale(self, pairs):
+        # against the fold and against the sum of the rational coefficients;
+        # each pair also enters negated, so the doubled sum cancels to zero
+        fold = PExpansion.zero()
+        want = {}
+        for c, f in pairs:
+            fold = fold + f.scale(c)
+            c = c.items() if isinstance(c, LaurentPoly) else [(0, c)]
+            for rho, terms in rational_terms(f).items():
+                acc = want.setdefault(rho, {})
+                for (h1, v1), (h2, v2) in itertools.product(c, terms.items()):
+                    acc[h1 + h2] = acc.get(h1 + h2, 0) + v1 * v2
+        want = {rho: t for rho, acc in want.items() if (t := {h: v for h, v in acc.items() if v})}
+        total = combination(pairs)
+        assert total == fold and hash(total) == hash(fold)
+        assert rational_terms(total) == want
+        assert_canonical(total)
+        cancelled = combination(pairs + [(c, f.scale(-1)) for c, f in pairs])
+        assert cancelled == PExpansion.zero() and cancelled.den == 1
+        assert combination([]) == PExpansion.zero()
 
     def test_constructor_takes_numerators_over_den(self):
         assert PExpansion({(1,): 4, (): 2}, 6) == PExpansion({(1,): 2, (): 1}, 3)
