@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import (
     InvariantViolation,
@@ -54,6 +54,7 @@ _QM1 = _Q - 1
 _ONE_MINUS_QINV = _ONE - LaurentPoly.monomial("q", -1)
 
 METHODS = ("oracle", "iterative", "mn", "hook", "two_row", "seminormal")
+ORDERS = ("paper", "revlex")
 
 
 def _check_weights(lam: Partition, mu: Partition) -> None:
@@ -494,19 +495,22 @@ def _agreed(lam: Partition, mu: Partition, methods: Sequence[str]) -> LaurentPol
     return first
 
 
+def _ordered(k: int, order: str) -> Tuple[Partition, ...]:
+    """The partitions of k in ``order``: "paper", (1^k) first, or "revlex", (k) first."""
+    if order not in ORDERS:
+        raise ValueError(f"order must be one of {', '.join(ORDERS)}, got {order!r}")
+    block = partitions_of(k)
+    return tuple(reversed(block)) if order == "paper" else block
+
+
 def table_rows(n: int, *, restrict: bool = False, order: str = "paper") -> Tuple[Partition, ...]:
     """Row partitions: every weight from the top down, ordered within weight."""
-    rows: List[Partition] = []
     top = n - 1 if restrict else n
-    for k in range(top, -1, -1):
-        block = partitions_of(k)
-        rows.extend(reversed(block) if order == "paper" else block)
-    return tuple(rows)
+    return tuple(lam for k in range(top, -1, -1) for lam in _ordered(k, order))
 
 
 def table_columns(n: int, *, order: str = "paper") -> Tuple[Partition, ...]:
-    block = partitions_of(n)
-    return tuple(reversed(block)) if order == "paper" else tuple(block)
+    return _ordered(n, order)
 
 
 class CharacterTable:

@@ -34,6 +34,7 @@ from typing import List, Sequence, Tuple
 from .errors import MethodMismatch, RookqError, VariantMismatch
 from .characters import (
     METHODS,
+    ORDERS,
     CharacterTable,
     cross_checked,
     is_hook,
@@ -65,6 +66,10 @@ def max_weight() -> int:
         raise CLIError("ROOKQ_MAX_WEIGHT must be an integer")
 
 
+# comma-separated ASCII integers: int() alone would also take "1_0", "+3" and other digits
+_PARTS = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*", re.ASCII)
+
+
 def parse_partition(text: str, *, sorted_required: bool = True) -> Tuple[int, ...]:
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
@@ -72,10 +77,9 @@ def parse_partition(text: str, *, sorted_required: bool = True) -> Tuple[int, ..
     body = s[1:-1].strip()
     if not body:
         return ()
-    try:
-        parts = tuple(int(x) for x in body.split(","))
-    except ValueError:
+    if not _PARTS.fullmatch(body):
         raise CLIError(f"partition parts must be integers: {text!r}")
+    parts = tuple(int(x) for x in body.split(","))
     if any(p <= 0 for p in parts):
         raise CLIError(f"partition parts must be positive: {text!r}")
     if sorted_required and any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -246,7 +250,7 @@ def build_parser() -> _Parser:
     p.add_argument("--restrict-lambda-lt-n", action="store_true")
     p.add_argument("--format", default="csv", choices=["csv", "json", "latex"])
     p.add_argument("--methods", default="mn", help="comma-separated; cells are cross-checked")
-    p.add_argument("--order", default="paper", choices=["paper", "revlex"])
+    p.add_argument("--order", default="paper", choices=ORDERS)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("char", help="one character value")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rookq import bitrace, characters, shapes, symfunc
+from rookq import characters, shapes
 from rookq.errors import VariantMismatch, WeightMismatch
 from rookq.exact import LaurentPoly
 from rookq.shapes import (
@@ -17,7 +17,6 @@ from rookq.shapes import (
     partitions_up_to,
     subcompositions,
 )
-from rookq.bitrace import btr_matrix
 from rookq.seminormal import MAX_TRACE_WEIGHT, trace_standard_element
 from rookq.symfunc import classical_char
 from rookq.characters import (
@@ -86,10 +85,6 @@ def cells_up_to(weight):
     ]
 
 
-def refuse(*args):
-    raise AssertionError("reached code that this route must not share")
-
-
 def record_bits(monkeypatch):
     """The bit counts k at which chi_mn's memo ``_mn_at`` is asked, from now on."""
     bits = set()
@@ -106,26 +101,6 @@ def record_bits(monkeypatch):
 class TestOracle:
     def test_column_value(self):
         assert str(chi_oracle((1, 1, 1, 1), (2, 1, 1, 1))) == "q - 4"
-
-    def test_independent_of_border_strips(self, monkeypatch, clear_memos):
-        cells = cells_up_to(6)
-        expected = {cell: chi_mn(*cell) for cell in cells}
-        shared = (
-            "gbs_complements",
-            "gbs_weighted",
-            "gbs_decompose",
-            "gbs_weight_k",
-            "_strip_weight",
-            "border_counts",
-            "vertical_strip_complements",
-            "inner_product",
-        )
-        for module in (shapes, characters, symfunc):
-            for name in shared:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse)
-        clear_memos()
-        assert {cell: chi_oracle(*cell) for cell in cells} == expected
 
     def test_empty_value(self):
         assert str(chi_oracle((), (2, 1, 1, 1))) == "q"
@@ -144,26 +119,6 @@ class TestOracle:
     )
     def test_matches_mn_at_high_weight(self, cell):
         assert chi_oracle(*cell) == chi_mn(*cell)
-
-
-class TestRouteIndependence:
-    def test_no_divider_and_no_power_sum_engine(self, monkeypatch, clear_memos):
-        # only the oracle, the compact forms and the bitrace matrix route
-        # divide by (q-1)^l, and only the oracle runs symfunc's engine
-        cells = cells_up_to(7)
-        expected = {cell: chi_oracle(*cell) for cell in cells}
-        pairs = [(mu, nu) for n in range(6) for mu in partitions_of(n) for nu in partitions_of(n)]
-        bitraces = {pair: btr_matrix(*pair) for pair in pairs}
-        clear_memos()
-        monkeypatch.setattr(LaurentPoly, "div_qm1", refuse)
-        for module in (symfunc, characters, bitrace):
-            for name, value in list(vars(module).items()):
-                if callable(value) and getattr(value, "__module__", None) == "rookq.symfunc":
-                    monkeypatch.setattr(module, name, refuse)
-        for route, cap in ((chi_mn, 7), (chi_iterative, 7), (trace_standard_element, 5)):
-            mine = [cell for cell in cells if sum(cell[1]) <= cap]
-            assert {cell: route(*cell) for cell in mine} == {cell: expected[cell] for cell in mine}
-        assert {pair: bitrace.btr_def(*pair) for pair in pairs} == bitraces
 
 
 class TestDisputedValue:
@@ -197,29 +152,6 @@ class TestIterative:
     def test_empty_base(self):
         for mu in partitions_of(4):
             assert chi_iterative((), mu) == chi_empty(mu)
-
-    def test_independent_of_border_strips(self, monkeypatch):
-        cells = [
-            (lam, mu) for w in range(7) for mu in partitions_of(w) for lam in partitions_up_to(w)
-        ]
-        expected = {cell: chi_mn(*cell) for cell in cells}
-
-        def refuse(*args):
-            raise AssertionError("chi_iterative reached the border-strip code")
-
-        for name in (
-            "gbs_complements",
-            "gbs_weighted",
-            "gbs_decompose",
-            "gbs_weight_k",
-            "_strip_weight",
-        ):
-            for module in (shapes, characters):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse)
-        chi_iterative.cache_clear()
-        chi_mn.cache_clear()
-        assert {cell: chi_iterative(*cell) for cell in cells} == expected
 
     @settings(max_examples=20)
     @given(
@@ -259,30 +191,6 @@ class TestMurnaghanNakayama:
 
     def test_table_entry(self):
         assert str(chi_mn((2, 1), (2, 2, 1))) == "6*q^2 - 10*q + 4"
-
-    def test_off_the_polynomial_kernel(self, monkeypatch, clear_memos):
-        # the recursion runs on ints at q = 2^k, with weights from the strip
-        # walk alone: gbs_decompose, gbs_weight_k and _strip_weight stay the
-        # separate derivation that verify and the strip tests compare with
-        cells = cells_up_to(8)
-        expected = {cell: chi_oracle(*cell) for cell in cells}
-        clear_memos()
-        for name in (
-            "__mul__",
-            "__rmul__",
-            "__add__",
-            "__radd__",
-            "__sub__",
-            "scale",
-            "__pow__",
-            "exact_div",
-        ):
-            monkeypatch.setattr(LaurentPoly, name, refuse)
-        for name in ("_strip_weight", "gbs_weight_k", "gbs_decompose"):
-            for module in (shapes, characters):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse)
-        assert {cell: chi_mn(*cell) for cell in cells} == expected
 
     def test_recomputes_with_more_bits(self, clear_memos, monkeypatch):
         # from 4 bits nearly every cell overflows 2^k and is recomputed with
@@ -542,15 +450,9 @@ class TestABFamilies:
         ("b", (5,), 2, 0): "1 - 2*q^-1 + q^-2",
     }
 
-    def test_direct_route_without_the_tables(self, monkeypatch, clear_memos):
-        monkeypatch.setattr(characters, "_ab_tables", refuse)
-        route = {"a": a_poly_direct, "b": b_poly_direct}
-        assert {key: str(route[key[0]](*key[1:])) for key in self.FROZEN} == self.FROZEN
-
-    def test_tables_without_border_counts(self, monkeypatch, clear_memos):
-        for module in (shapes, characters):
-            monkeypatch.setattr(module, "border_counts", refuse)
-        route = {"a": a_poly, "b": b_poly}
+    @pytest.mark.parametrize("a, b", [(a_poly, b_poly), (a_poly_direct, b_poly_direct)])
+    def test_frozen_values(self, a, b):
+        route = {"a": a, "b": b}
         assert {key: str(route[key[0]](*key[1:])) for key in self.FROZEN} == self.FROZEN
 
     @pytest.mark.parametrize("w", [7, 8])
@@ -612,6 +514,12 @@ class TestDispatch:
         lam, mu = (2, 1), (3, 2)
         values = {m: compute_chi(lam, mu, m) for m in ("oracle", "iterative", "mn", "hook", "seminormal")}
         assert len(set(map(str, values.values()))) == 1
+
+    def test_unknown_table_order_is_refused(self):
+        # "Paper" once built a revlex table whose .order, and JSON, read "Paper"
+        for build in (CharacterTable.build, characters.table_rows, characters.table_columns):
+            with pytest.raises(ValueError, match="paper, revlex"):
+                build(2, order="Paper")
 
     def test_malformed_input_refused_by_every_method(self):
         # each of these once gave a value: the oracle 1 on (2,1) x (2,0,1),

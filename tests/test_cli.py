@@ -31,10 +31,23 @@ class TestPartitionSyntax:
         assert parse_partition("[]") == ()
         assert partition_str((3, 2, 1)) == "[3,2,1]"
         assert partition_str(()) == "[]"
+        assert parse_partition(" [ 3 , 2 ] ") == (3, 2)
 
     def test_rejects(self):
-        for bad in ["3,2,1", "[3,2,", "[a]", "[0]", "[-1]", "[1,2]"]:
-            with pytest.raises(CLIError):
+        for bad, reason in [
+            ("3,2,1", "must look like"),
+            ("[3,2,", "must look like"),
+            ("[a]", "must be integers"),
+            ("[3,,2]", "must be integers"),
+            # int() alone reads these as 10, 3 and 3
+            ("[1_0]", "must be integers"),
+            ("[+3]", "must be integers"),
+            ("[\uff13]", "must be integers"),
+            ("[0]", "must be positive"),
+            ("[-1]", "must be positive"),
+            ("[1,2]", "weakly decreasing"),
+        ]:
+            with pytest.raises(CLIError, match=reason):
                 parse_partition(bad)
 
     def test_composition_order_allowed_when_unsorted(self):
@@ -133,6 +146,9 @@ class TestCharCommand:
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "char", "--lambda", "nope", "--mu", "[5]")
         assert code == 3 and "error" in err
+        # once printed q^9 and exited 0
+        code, out, err = run_cli(capsys, "char", "--lambda", "[1_0]", "--mu", "[10]")
+        assert code == 3 and out == "" and "must be integers" in err
 
     def test_weight_error(self, capsys):
         code, _, _ = run_cli(capsys, "char", "--lambda", "[3]", "--mu", "[2]")
