@@ -63,9 +63,10 @@ def _check_weights(lam: Partition, mu: Partition) -> None:
 
 
 def _checked(lam: Sequence[int], mu: Sequence[int]) -> Tuple[Partition, Partition]:
-    """The one input check: (lam, mu) as tuples, or ValueError or WeightMismatch."""
+    """The one input check: (lam, mu) as tuples of ints, or ValueError or WeightMismatch."""
     lam, mu = tuple(lam), tuple(mu)
-    if min(lam + mu, default=1) < 1 or lam != tuple(sorted(lam, reverse=True)):
+    positive = all(isinstance(x, int) and x > 0 for x in lam + mu)
+    if not positive or lam != tuple(sorted(lam, reverse=True)):
         raise ValueError(f"lambda={list(lam)} must be a partition and mu={list(mu)} positive")
     _check_weights(lam, mu)
     return lam, mu

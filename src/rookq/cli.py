@@ -16,6 +16,8 @@ Partitions are written as comma-separated parts in brackets, e.g. ``[3,2,1]``
 and ``[]`` for the empty partition.  The environment variable
 ROOKQ_MAX_WEIGHT caps the admissible weight (default 12); the seminormal
 method is refused above its own lower ceiling, ``seminormal.MAX_TRACE_WEIGHT``.
+A part, N and ROOKQ_MAX_WEIGHT are each read as ASCII digits, with an
+optional leading ``-`` and surrounding whitespace.
 
 Exit codes: 0 success, 1 stdout closed by its reader (``| head -1``),
 2 verification/cross-check failure, 3 parse error.
@@ -59,15 +61,24 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
+# ASCII integers, alone or comma-separated: int() would also take "1_0", "+3" and other digits
+_INT = r"\s*-?[0-9]+\s*"
+_INTEGER = re.compile(_INT, re.ASCII)
+_PARTS = re.compile(rf"{_INT}(?:,{_INT})*", re.ASCII)
+
+
+def _ascii_int(text: str) -> int:
+    """``text`` as an int by the rule of partition parts; the type of every ``--n``."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def max_weight() -> int:
     try:
-        return int(os.environ.get("ROOKQ_MAX_WEIGHT", "12"))
-    except ValueError:
+        return _ascii_int(os.environ.get("ROOKQ_MAX_WEIGHT", "12"))
+    except argparse.ArgumentTypeError:
         raise CLIError("ROOKQ_MAX_WEIGHT must be an integer")
-
-
-# comma-separated ASCII integers: int() alone would also take "1_0", "+3" and other digits
-_PARTS = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*", re.ASCII)
 
 
 def parse_partition(text: str, *, sorted_required: bool = True) -> Tuple[int, ...]:
@@ -246,7 +257,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="emit the character table for weight n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
     p.add_argument("--restrict-lambda-lt-n", action="store_true")
     p.add_argument("--format", default="csv", choices=["csv", "json", "latex"])
     p.add_argument("--methods", default="mn", help="comma-separated; cells are cross-checked")
@@ -267,11 +278,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bitrace)
 
     p = sub.add_parser("verify", help="run the invariant suite up to weight n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dims", help="dimension of the algebra for weight n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
     p.set_defaults(func=cmd_dims)
 
     return parser

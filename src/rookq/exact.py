@@ -13,10 +13,10 @@ takes and stores each power-sum expansion as integer numerators over one
 positive ``int`` and divides by it, exactly, only in its two pairings.
 Exponents are plain integers: the key ``h`` stands for ``var**h``.
 
-``+``, ``-`` and ``*`` take two polynomials of one tag straight to the loop,
-with no helper call, and ``*`` by a plain ``int`` goes to ``scale``.  Every
-other case (another number, a constant of the other tag, a mismatched tag)
-still goes through ``_coerce`` and ``_result_var``, which decide it.
+Each operator has one path.  ``+`` and ``*`` read the other operand through
+``_coerce`` (an ``int`` becomes a constant, any other number is refused), run
+their loop, and tag the result by ``_result_var`` (a constant adopts the other
+tag); ``-`` is negation and ``+``.
 
 Two routes run on plain ints by Kronecker substitution (von zur Gathen and
 Gerhard, Modern Computer Algebra, 8.4): the Murnaghan-Nakayama route
@@ -45,7 +45,6 @@ from .errors import DivisionByZero, DomainError, NonExactDivision
 
 _VALID_VARS = ("q", "t")
 _TAG_SWAP = {"t": "q", "q": "t"}
-_new = object.__new__
 
 
 def _as_int(x) -> int:
@@ -65,7 +64,7 @@ class LaurentPoly:
     after construction) and hashable, so they can be used as cache keys.
     """
 
-    __slots__ = ("var", "_terms", "_hash")
+    __slots__ = ("var", "_terms")
 
     def __init__(self, var: str, terms: Mapping[int, int] | None = None):
         if var not in _VALID_VARS:
@@ -80,13 +79,12 @@ class LaurentPoly:
                     out[int(h)] = c
         self.var = var
         self._terms = out
-        self._hash = None
 
     @classmethod
     def _make(cls, var: str, terms: Dict[int, int]) -> "LaurentPoly":
         """Wrap a dict of valid nonzero coefficients without re-checking it."""
-        self = _new(cls)
-        self.var, self._terms, self._hash = var, terms, None
+        self = object.__new__(cls)
+        self.var, self._terms = var, terms
         return self
 
     # ------------------------------------------------------------------
@@ -154,55 +152,32 @@ class LaurentPoly:
         raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
 
     def __add__(self, other) -> "LaurentPoly":
-        var = self.var
-        if type(other) is not LaurentPoly or other.var != var:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-            var = self._result_var(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         terms = dict(self._terms)
         get = terms.get
         for h, c in other._terms.items():
             terms[h] = get(h, 0) + c
-        r = _new(LaurentPoly)
-        r.var, r._terms, r._hash = var, {h: c for h, c in terms.items() if c}, None
-        return r
+        return LaurentPoly._make(self._result_var(other), {h: c for h, c in terms.items() if c})
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentPoly":
-        var = self.var
-        if type(other) is not LaurentPoly or other.var != var:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-            var = self._result_var(other)
-        terms = dict(self._terms)
-        get = terms.get
-        for h, c in other._terms.items():
-            terms[h] = get(h, 0) - c
-        r = _new(LaurentPoly)
-        r.var, r._terms, r._hash = var, {h: c for h, c in terms.items() if c}, None
-        return r
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other + -self
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._make(self.var, {h: -c for h, c in self._terms.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
-        var = self.var
-        if type(other) is not LaurentPoly or other.var != var:
-            if type(other) is int:
-                return self.scale(other)
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-            var = self._result_var(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         out: Dict[int, int] = {}
         get = out.get
         terms2 = other._terms.items()
@@ -210,9 +185,7 @@ class LaurentPoly:
             for h2, c2 in terms2:
                 h = h1 + h2
                 out[h] = get(h, 0) + c1 * c2
-        r = _new(LaurentPoly)
-        r.var, r._terms, r._hash = var, {h: c for h, c in out.items() if c}, None
-        return r
+        return LaurentPoly._make(self._result_var(other), {h: c for h, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -324,12 +297,9 @@ class LaurentPoly:
 
     def __hash__(self):
         # a constant equals itself under either tag and as a plain number
-        if self._hash is None:
-            if self._is_const():
-                self._hash = hash(self._terms.get(0, 0))
-            else:
-                self._hash = hash((self.var, tuple(sorted(self._terms.items()))))
-        return self._hash
+        if self._is_const():
+            return hash(self._terms.get(0, 0))
+        return hash((self.var, tuple(sorted(self._terms.items()))))
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -524,7 +524,8 @@ class TestDispatch:
     def test_malformed_input_refused_by_every_method(self):
         # each of these once gave a value: the oracle 1 on (2,1) x (2,0,1),
         # where chi^(2,1)_(2,1) = q - 1, and mn and iterative 0 on (1,2) x (3)
-        bad = [((2, 1), (2, 0, 1)), ((1, 2), (3,)), ((2, 0), (3,)), ((1,), (2, -1))]
+        # and a float part raised TypeError from inside every route
+        bad = [((2, 1), (2, 0, 1)), ((1, 2), (3,)), ((2, 0), (3,)), ((1,), (2, -1)), ((2.0,), (2,))]
         for method in characters.METHODS + ("auto",):
             for lam, mu in bad:
                 with pytest.raises(ValueError, match="must be a partition"):

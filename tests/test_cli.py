@@ -61,6 +61,46 @@ class TestPartitionSyntax:
         assert parse_partition("[5]") == (5,)
 
 
+class TestIntegerSyntax:
+    """``--n`` and ROOKQ_MAX_WEIGHT follow the rule of partition parts."""
+
+    @pytest.mark.parametrize("command", ["table", "verify", "dims"])
+    @pytest.mark.parametrize(
+        "n, reason",
+        [
+            ("abc", "invalid int value"),
+            ("-1", "must be nonnegative"),
+            ("13", "exceeds ROOKQ_MAX_WEIGHT=12"),
+            # int() alone reads these as 10, 5, 3 and 3: dims --n 1_0 printed 234662231
+            ("1_0", "invalid int value"),
+            (" +5 ", "invalid int value"),
+            ("\u0663", "invalid int value"),
+            ("\uff13", "invalid int value"),
+        ],
+    )
+    def test_n_rejects(self, capsys, monkeypatch, command, n, reason):
+        monkeypatch.delenv("ROOKQ_MAX_WEIGHT", raising=False)
+        code, out, err = run_cli(capsys, command, "--n", n)
+        assert code == 3 and out == "" and reason in err
+
+    def test_n_may_be_padded(self, capsys):
+        assert run_cli(capsys, "dims", "--n", " 4 ") == (0, "209\n", "")
+
+    # int() alone reads "1_1" as 11: char --lambda [11] --mu [11] printed q^10
+    @pytest.mark.parametrize("cap", ["abc", "1_1", " +11 ", "\u0663\u0663"])
+    def test_weight_cap_rejects(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("ROOKQ_MAX_WEIGHT", cap)
+        code, out, err = run_cli(capsys, "char", "--lambda", "[11]", "--mu", "[11]")
+        assert code == 3 and out == "" and "ROOKQ_MAX_WEIGHT must be an integer" in err
+
+    def test_weight_cap_may_be_padded(self, capsys, monkeypatch):
+        monkeypatch.setenv("ROOKQ_MAX_WEIGHT", " 11 ")
+        assert run_cli(capsys, "char", "--lambda", "[11]", "--mu", "[11]") == (0, "q^10\n", "")
+        monkeypatch.setenv("ROOKQ_MAX_WEIGHT", " 10 ")
+        code, out, err = run_cli(capsys, "char", "--lambda", "[11]", "--mu", "[11]")
+        assert code == 3 and out == "" and "exceeds ROOKQ_MAX_WEIGHT=10" in err
+
+
 class TestCharCommand:
     def test_values(self, capsys):
         for args, expected in [

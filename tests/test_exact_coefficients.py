@@ -222,6 +222,8 @@ def test_float_rejected():
             lambda: q.scale(bad),
             lambda: q + bad,
             lambda: bad + q,
+            lambda: q - bad,
+            lambda: bad - q,
             lambda: q * bad,
             lambda: bad * q,
             lambda: q == bad,

@@ -18,7 +18,7 @@ from rookq import bitrace, characters as ch, shapes
 from rookq.seminormal import trace_standard_element
 from rookq.shapes import partitions_of, partitions_up_to
 
-VALUE_TYPE = "__init__ _make _coerce zero monomial times_power __add__ __mul__ __neg__".split()
+VALUE_TYPE = "__init__ _make _coerce _result_var zero monomial times_power __add__ __mul__ __neg__".split()
 ALLOWED = {
     **{f"exact.LaurentPoly.{name}": "the exact value type, tested alone" for name in VALUE_TYPE},
     "exact.LaurentPoly.is_ordinary": "each route's own check that its value lies in Z[q]",
