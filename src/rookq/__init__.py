@@ -60,7 +60,6 @@ from .characters import (
     compute_chi,
     identity_suite_ab,
     perm_sums,
-    perm_sums_agree,
 )
 from .bitrace import (
     ContingencyMatrix,

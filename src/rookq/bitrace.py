@@ -321,7 +321,7 @@ def regular_char(mu: Sequence[int]) -> LaurentPoly:
                 denom *= math.factorial(t)
             coeff = binom * math.factorial(i) // denom
             rest = comp_sub(mu, tau)
-            acc = acc + (_ONE_MINUS_QINV ** (nonzero_length(rest) + i)).scale(coeff)
+            acc = acc + _ONE_MINUS_QINV ** (nonzero_length(rest) + i) * coeff
     return acc.times_power(n).div_qm1(len(mu))
 
 

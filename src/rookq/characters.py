@@ -254,9 +254,11 @@ def _ab_direct(mu: Partition, i: int, j: int, b_family: bool) -> LaurentPoly:
     """Double sum over the classes of tau in C(mu;i) and theta in C(mu-tau;j).
 
     A pair with B = l(tau) + l(theta) and R = l(mu-tau-theta) adds
-    (1-q^{-1})^B (1-q)^R to a_{ij} and (1-q^{-1})^(B+R) to b_{ij}.  So the
-    pairs are counted by (B, R), and each count's power is expanded by
-    binomial coefficients straight into one ``int`` dict.
+    (1-q^{-1})^B (1-q)^R = (-q)^R (1-q^{-1})^(B+R) to a_{ij} and
+    (1-q^{-1})^(B+R) to b_{ij}.  So the pairs are counted by the power B + R
+    and the shift (R for a, 0 for b), and each count's one power is expanded
+    by binomial coefficients, shifted and signed by (-1)^shift, straight into
+    one ``int`` dict.
     """
     mu = _checked((), mu)[1]
     if i < 0 or j < 0 or i + j > sum(mu):
@@ -264,17 +266,14 @@ def _ab_direct(mu: Partition, i: int, j: int, b_family: bool) -> LaurentPoly:
     counts: Counter = Counter()
     for (rem, lt), n_tau in border_counts(mu, i).items():
         for (rest, lth), n_theta in border_counts(rem, j).items():
-            counts[lt + lth, len(rest)] += n_tau * n_theta
+            r = len(rest)
+            counts[lt + lth + r, 0 if b_family else r] += n_tau * n_theta
     out: Dict[int, int] = {}
     get = out.get
-    for (border, rest), count in counts.items():
-        if b_family:
-            border, rest = border + rest, 0
-        for s in range(border + 1):
-            cs = count * math.comb(border, s)
-            for r in range(rest + 1):
-                c = cs * math.comb(rest, r)
-                out[r - s] = get(r - s, 0) + (-c if (r + s) % 2 else c)
+    for (power, shift), count in counts.items():
+        for s in range(power + 1):
+            c = count * math.comb(power, s)
+            out[shift - s] = get(shift - s, 0) + (-c if (shift + s) % 2 else c)
     return LaurentPoly._make("q", {h: c for h, c in out.items() if c})
 
 
@@ -326,63 +325,40 @@ def chi_two_row(k: int, m: int, mu: Partition) -> LaurentPoly:
 def _a_weighted_sum(mu: Partition, sign_i: bool, sign_j: bool) -> LaurentPoly:
     total = LaurentPoly.zero("q")
     for (i, j), c in _ab_tables(mu)[0].items():
-        s = (-1) ** (i if sign_i else 0) * (-1) ** (j if sign_j else 0)
-        total = total + c.times_power(i + j).scale(s)
+        term = c.times_power(i + j)
+        total = total + (-term if (sign_i * i + sign_j * j) % 2 else term)
     return total
 
 
 def hook_content_factor(m: int) -> LaurentPoly:
-    """A(m; q) = ((-q)^{m-1}(q^2+6q+1) + 4)/(q+1)^2 + 2m(-q)^{m-1}(q-1)/(q+1).
-
-    The sum is a polynomial: its numerator over (q+1)^2 divides exactly.
-    """
-    neg_q = LaurentPoly.monomial("q", m - 1, (-1) ** (m - 1))
-    num = neg_q * (_Q**2 + 6 * _Q + 1) + 4 + neg_q * _QM1 * (_Q + 1) * (2 * m)
-    return num.exact_div((_Q + 1) ** 2)
+    """A(m; q) = ((-q)^{m-1}(q^2+6q+1) + 4)/(q+1)^2 + 2m(-q)^{m-1}(q-1)/(q+1)
+    for m >= 1, written out: (2m+1)(-q)^{m-1} + sum_{j<m-1} 4(j+1)(-q)^j."""
+    terms = {j: 4 * (j + 1) * (-1) ** j for j in range(m - 1)}
+    terms[m - 1] = (2 * m + 1) * (-1) ** (m - 1)
+    return LaurentPoly._make("q", terms)
 
 
 def _two_row_factor(m: int) -> LaurentPoly:
-    """3m - 3(m-1)q^{-1} + (m-1)(m-2)(1-q^{-1})^2 / 2."""
-    qinv = LaurentPoly.monomial("q", -1)
-    return (
-        LaurentPoly.const(3 * m, "q")
-        - qinv.scale(3 * (m - 1))
-        + ((_ONE - qinv) ** 2).scale((m - 1) * (m - 2) // 2)
-    )
+    """3m - 3(m-1)q^{-1} + (m-1)(m-2)(1-q^{-1})^2 / 2 for m >= 1, written out:
+    C(m+2, 2) - (m^2-1)q^{-1} + C(m-1, 2)q^{-2}."""
+    terms = {0: math.comb(m + 2, 2), -1: 1 - m * m, -2: math.comb(m - 1, 2)}
+    return LaurentPoly._make("q", {h: c for h, c in terms.items() if c})
 
 
 def identity_suite_ab(mu: Partition) -> Dict[str, bool]:
-    """The four exact generating-function identities for the a/b families."""
+    """The four exact generating-function identities for the a/b families:
+    a weighted sum over a table against a product over the parts of mu."""
     mu = tuple(mu)
-    l = len(mu)
-    report: Dict[str, bool] = {}
-
-    lhs1 = _a_weighted_sum(mu, sign_i=False, sign_j=False)
-    rhs1 = _ONE
-    for part in mu:
-        rhs1 = rhs1 * _QM1 * LaurentPoly.monomial("q", part - 1)
-    report["a-sum-plain"] = lhs1 == rhs1
-
-    lhs2 = _a_weighted_sum(mu, sign_i=True, sign_j=False)
-    rhs2 = _ONE
-    for part in mu:
-        rhs2 = rhs2 * (1 - _Q) * LaurentPoly.monomial("q", part - 1, (-1) ** (part - 1))
-    report["a-sum-alternate-one"] = lhs2 == rhs2
-
-    lhs3 = _a_weighted_sum(mu, sign_i=True, sign_j=True)
-    rhs3 = _ONE
-    for part in mu:
-        rhs3 = rhs3 * (1 - _Q) * hook_content_factor(part)
-    report["a-sum-alternate-both"] = lhs3 == rhs3
-
-    lhs4 = LaurentPoly.zero("q")
-    for _, c in _ab_tables(mu)[1].items():
-        lhs4 = lhs4 + c
-    rhs4 = _ONE_MINUS_QINV**l
-    for part in mu:
-        rhs4 = rhs4 * _two_row_factor(part)
-    report["b-sum-plain"] = lhs4 == rhs4
-    return report
+    a_plain = math.prod((_QM1.times_power(p - 1) for p in mu), start=_ONE)
+    a_one = math.prod(((1 - _Q) * (-_Q) ** (p - 1) for p in mu), start=_ONE)
+    a_both = math.prod(((1 - _Q) * hook_content_factor(p) for p in mu), start=_ONE)
+    b_plain = math.prod((_two_row_factor(p) for p in mu), start=_ONE_MINUS_QINV ** len(mu))
+    return {
+        "a-sum-plain": _a_weighted_sum(mu, sign_i=False, sign_j=False) == a_plain,
+        "a-sum-alternate-one": _a_weighted_sum(mu, sign_i=True, sign_j=False) == a_one,
+        "a-sum-alternate-both": _a_weighted_sum(mu, sign_i=True, sign_j=True) == a_both,
+        "b-sum-plain": sum(_ab_tables(mu)[1].values(), LaurentPoly.zero("q")) == b_plain,
+    }
 
 
 def perm_sums(mu: Partition) -> Tuple[LaurentPoly, LaurentPoly]:
@@ -402,30 +378,19 @@ def perm_sums(mu: Partition) -> Tuple[LaurentPoly, LaurentPoly]:
             s1 = s1 + chi_mn(lam, mu)
         for k in range(m // 2 + 1):
             lam = (m - k, k) if k else ((m,) if m else ())
-            s2 = s2 + chi_mn(lam, mu).scale(m - 2 * k + 1)
+            s2 = s2 + chi_mn(lam, mu) * (m - 2 * k + 1)
     return s1, s2
 
 
 def perm_sum_closed_forms(mu: Partition) -> Tuple[LaurentPoly, LaurentPoly]:
     """The closed forms the two permutation sums must equal."""
     mu = tuple(mu)
-    n = sum(mu)
-    l = len(mu)
-    prod_a = _ONE
-    for part in mu:
-        prod_a = prod_a * hook_content_factor(part)
+    n, l = sum(mu), len(mu)
     sign = (-1) ** (n + l)
-    rhs1 = (prod_a - LaurentPoly.monomial("q", n - l, (-1) ** (n - l))).exact_div(2 * sign)
-    rhs2 = LaurentPoly.monomial("q", n - l)
-    for part in mu:
-        rhs2 = rhs2 * _two_row_factor(part)
+    prod_a = math.prod((hook_content_factor(p) for p in mu), start=_ONE)
+    rhs1 = (prod_a - LaurentPoly.monomial("q", n - l, sign)).exact_div(2 * sign)
+    rhs2 = math.prod((_two_row_factor(p) for p in mu), start=LaurentPoly.monomial("q", n - l))
     return rhs1, rhs2
-
-
-def perm_sums_agree(mu: Partition) -> bool:
-    s1, s2 = perm_sums(mu)
-    rhs1, rhs2 = perm_sum_closed_forms(mu)
-    return s1 == rhs1 and s2 == rhs2
 
 
 # ----------------------------------------------------------------------

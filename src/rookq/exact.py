@@ -14,9 +14,10 @@ positive ``int`` and divides by it, exactly, only in its two pairings.
 Exponents are plain integers: the key ``h`` stands for ``var**h``.
 
 Each operator has one path.  ``+`` and ``*`` read the other operand through
-``_coerce`` (an ``int`` becomes a constant, any other number is refused), run
-their loop, and tag the result by ``_result_var`` (a constant adopts the other
-tag); ``-`` is negation and ``+``.
+``_coerce`` (``_make`` wraps an ``int`` as a constant, any other number is
+refused), run their loop, and tag the result by ``_result_var`` (a constant
+adopts the other tag); ``-`` is negation and ``+``.  There is no separate
+integer multiple: ``p * 3`` is ``*``.
 
 Two routes run on plain ints by Kronecker substitution (von zur Gathen and
 Gerhard, Modern Computer Algebra, 8.4): the Murnaghan-Nakayama route
@@ -138,7 +139,8 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, Number):
-            return LaurentPoly(self.var, {0: other})
+            c = _as_int(other)
+            return LaurentPoly._make(self.var, {0: c} if c else {})
         return None
 
     def _result_var(self, other: "LaurentPoly") -> str:
@@ -208,12 +210,6 @@ class LaurentPoly:
             if n & 1:
                 result = result * base
         return result
-
-    def scale(self, c: int) -> "LaurentPoly":
-        c = _as_int(c)
-        # a nonzero int times a nonzero coefficient is never zero
-        terms = {h: cc * c for h, cc in self._terms.items()} if c else {}
-        return LaurentPoly._make(self.var, terms)
 
     def times_power(self, exp: int) -> "LaurentPoly":
         """Multiply by ``var**exp``."""
@@ -291,9 +287,7 @@ class LaurentPoly:
         if self._terms != other._terms:
             return False
         # equal nonzero polynomials must share a tag unless both are constants
-        if self._terms and not (len(self._terms) == 1 and 0 in self._terms):
-            return self.var == other.var
-        return True
+        return self._is_const() or self.var == other.var
 
     def __hash__(self):
         # a constant equals itself under either tag and as a plain number

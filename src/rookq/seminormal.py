@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, NonExactDivision, ShapeTooLarge, WeightMismatch
 from .exact import LaurentPoly, balanced_digits
@@ -52,7 +52,8 @@ from .shapes import Partition, standard_count
 # a partition have distinct contents, so the contents of the labels present,
 # in order, fix the filling.
 Tableau = Tuple[Optional[int], ...]
-Vector = Dict[int, Union[int, LaurentPoly]]
+# A vector on the tableau basis at q = 2^k: ``_model`` evaluates every S_g there.
+Vector = Dict[int, int]
 
 _Q = LaurentPoly.monomial("q", 1)
 _ONE = LaurentPoly.one("q")

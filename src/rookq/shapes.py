@@ -226,16 +226,12 @@ def _strip_weight(comps: int, odd: int, cols: int, size: int, k: int) -> Laurent
     """(-1)^odd * q^a * (q-1)^b, the weight wt(theta; k, q) of a strip of
     ``comps`` components with column total ``cols`` and 0 <= size <= k cells.
 
-    At size = k it is wt(theta; q): b = comps - 1 and a = cols, or 1 for the
-    empty shape.  An empty shape below k gives q^(k-1); otherwise 0 < size <
-    k adds one factor (q-1) and shifts by q^(k-size-1).
+    The two cases of ``gbs_weighted``: at size = k it is wt(theta; q), with
+    b = comps - 1 and a = cols; below k one more factor (q-1) and a shift by
+    q^(k-size-1), b = comps and a = cols + k - size - 1, so the empty shape
+    gives q^(k-1).
     """
-    if size == k:
-        b, a = max(comps - 1, 0), cols
-    elif size == 0:
-        b, a = 0, k - 1
-    else:
-        b, a = comps, cols + k - size - 1
+    b, a = (comps - 1, cols) if size == k else (comps, cols + k - size - 1)
     sign = -1 if odd else 1
     # (q-1)^b = sum_j C(b, j) q^j (-1)^(b-j)
     return LaurentPoly._make(

@@ -396,23 +396,19 @@ class TestABFamilies:
         circulating worked example drops (the root of the disputed character
         value above)."""
         mu = (3, 2, 1)
-        expected = (1 - QINV) ** 3 + ((1 - QINV) ** 4).scale(2)
+        expected = (1 - QINV) ** 3 + (1 - QINV) ** 4 * 2
         assert a_poly(mu, 5, 1) == expected
         assert a_poly_direct(mu, 5, 1) == expected
 
     def test_b41_value(self):
         mu = (2, 2, 2)
-        expected = ((1 - QINV) ** 5).scale(6) + ((1 - QINV) ** 4).scale(3)
+        expected = (1 - QINV) ** 5 * 6 + (1 - QINV) ** 4 * 3
         assert b_poly(mu, 4, 1) == expected
         assert b_poly_direct(mu, 4, 1) == expected
 
     def test_b32_keeps_sixth_power(self):
         mu = (2, 2, 2)
-        expected = (
-            ((1 - QINV) ** 6).scale(3)
-            + ((1 - QINV) ** 5).scale(6)
-            + ((1 - QINV) ** 4).scale(6)
-        )
+        expected = (1 - QINV) ** 6 * 3 + (1 - QINV) ** 5 * 6 + (1 - QINV) ** 4 * 6
         assert b_poly(mu, 3, 2) == expected
         assert b_poly_direct(mu, 3, 2) == expected
 
@@ -455,14 +451,6 @@ class TestABFamilies:
         route = {"a": a, "b": b}
         assert {key: str(route[key[0]](*key[1:])) for key in self.FROZEN} == self.FROZEN
 
-    @pytest.mark.parametrize("w", [7, 8])
-    def test_tables_match_direct(self, w):
-        for mu in partitions_of(w):
-            for i in range(w + 1):
-                for j in range(w + 1 - i):
-                    assert a_poly(mu, i, j) == a_poly_direct(mu, i, j), (mu, i, j)
-                    assert b_poly(mu, i, j) == b_poly_direct(mu, i, j), (mu, i, j)
-
 
 class TestIdentitySuite:
     def test_single_part(self):
@@ -473,6 +461,16 @@ class TestIdentitySuite:
         for n in range(1, 7):
             report = identity_suite_ab((n,))
             assert all(report.values()), report
+
+    def test_factors_match_the_paper_forms(self):
+        # the identities reach only parts up to the verify cap; the paper's
+        # rational forms pin the written-out coefficients of every part to 40
+        for m in range(1, 41):
+            neg_q = LaurentPoly.monomial("q", m - 1, (-1) ** (m - 1))
+            num = neg_q * (Q**2 + 6 * Q + 1) + 4 + neg_q * (Q - 1) * (Q + 1) * (2 * m)
+            assert characters.hook_content_factor(m) == num.exact_div((Q + 1) ** 2), m
+            two_row = 3 * m - 3 * (m - 1) * QINV + (1 - QINV) ** 2 * ((m - 1) * (m - 2) // 2)
+            assert characters._two_row_factor(m) == two_row, m
 
 
 class TestPermSums:

@@ -30,7 +30,7 @@ ALLOWED = {
     "bitrace._validate_composition": "the one input check of both bitrace routes",
     "shapes.sort_to_partition": "sorts a composition's parts",
 }
-KERNEL = {f"exact.LaurentPoly.{n}" for n in ("__mul__", "__add__", "__sub__", "scale", "__pow__")}
+KERNEL = {f"exact.LaurentPoly.{n}" for n in ("__mul__", "__add__", "__sub__", "__pow__")}
 KERNEL.add("exact.LaurentPoly.exact_div")
 
 CELLS = [(lam, mu) for w in range(7) for mu in partitions_of(w) for lam in partitions_up_to(w)]

@@ -40,7 +40,7 @@ def weight_of_strips(comps):
         return LaurentPoly.one("q")
     sign = (-1) ** sum(rows - 1 for _, rows, _ in comps)
     w = (Q - 1) ** (len(comps) - 1)
-    return w.scale(sign).times_power(sum(cols - 1 for _, _, cols in comps))
+    return (w * sign).times_power(sum(cols - 1 for _, _, cols in comps))
 
 
 def weight_k_of_strips(comps, size, k):
