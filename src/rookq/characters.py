@@ -1,7 +1,6 @@
 """Irreducible characters chi^lambda_mu(q) of the q-rook monoid algebra.
 
-Five algorithms compute the same values; ``compute_chi`` runs any of them
-by name:
+Five algorithms compute the same values:
 
 * ``chi_oracle``     -- pairing of q-hat_mu(t)'s integer numerators with the
                         classical characters chi^lambda_rho, one exact
@@ -17,8 +16,14 @@ by name:
                         element T_mu on Halverson's seminormal module of
                         shape lambda, by explicit generator matrices.
 
+``_ROUTES`` maps each name in ``METHODS`` to its route, and ``auto`` to mn's,
+the fastest.  A request or a table looks its routes up once, when it
+resolves its methods, so a route rebound after import is the one that runs.
+``applicable(lam, mu)`` names the methods that cover a cell.
+
 Every algorithm must return an ordinary polynomial in q with integer
-coefficients; all internal divisions are exact and checked.
+coefficients; all internal divisions are exact and checked.  Called
+directly, a route refuses malformed input as ``compute_chi`` does.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from .errors import (
     InvariantViolation,
@@ -35,6 +40,7 @@ from .errors import (
     VariantMismatch,
     WeightMismatch,
 )
+from . import seminormal
 from .exact import LaurentPoly, balanced_digits
 from .shapes import (
     Partition,
@@ -57,18 +63,20 @@ METHODS = ("oracle", "iterative", "mn", "hook", "two_row", "seminormal")
 ORDERS = ("paper", "revlex")
 
 
-def _check_weights(lam: Partition, mu: Partition) -> None:
+def _checked(lam: Sequence[int], mu: Sequence[int]) -> Tuple[Partition, Partition]:
+    """The one input check: (lam, mu) as tuples of ints, or ValueError or WeightMismatch.
+    Plain loops, not generators: each route runs it on every memo miss."""
+    lam, mu = tuple(lam), tuple(mu)
+    ok, top = True, (lam[0] if lam else 0)
+    for part in lam:
+        ok = ok and isinstance(part, int) and 0 < part <= top
+        top = part
+    for part in mu:
+        ok = ok and isinstance(part, int) and part > 0
+    if not ok:
+        raise ValueError(f"lambda={list(lam)} must be a partition and mu={list(mu)} positive")
     if sum(lam) > sum(mu):
         raise WeightMismatch(f"|lambda|={sum(lam)} exceeds |mu|={sum(mu)}")
-
-
-def _checked(lam: Sequence[int], mu: Sequence[int]) -> Tuple[Partition, Partition]:
-    """The one input check: (lam, mu) as tuples of ints, or ValueError or WeightMismatch."""
-    lam, mu = tuple(lam), tuple(mu)
-    positive = all(isinstance(x, int) and x > 0 for x in lam + mu)
-    if not positive or lam != tuple(sorted(lam, reverse=True)):
-        raise ValueError(f"lambda={list(lam)} must be a partition and mu={list(mu)} positive")
-    _check_weights(lam, mu)
     return lam, mu
 
 
@@ -89,7 +97,7 @@ def chi_oracle(lam: Partition, mu: Partition) -> LaurentPoly:
     once; a quotient outside Z[t] raises InvariantViolation.  ``lam`` and ``mu``
     are tuples, which the memo hashes; ``compute_chi`` takes any sequence.
     """
-    _check_weights(lam, mu)
+    _checked(lam, mu)
     try:
         x = schur_pairing(qhat_mu(mu), lam)
     except NonExactDivision as e:
@@ -121,7 +129,7 @@ def chi_iterative(lam: Partition, mu: Partition) -> LaurentPoly:
     l(tau) + l(mu-tau) >= l(mu) and e is never positive.  Partitions are
     tuples, as for ``chi_oracle``.
     """
-    _check_weights(lam, mu)
+    _checked(lam, mu)
     if not lam:
         return chi_empty(mu)
     m = sum(lam)
@@ -162,7 +170,7 @@ def chi_mn(lam: Partition, mu: Partition) -> LaurentPoly:
     with an l1 bound B of chi beside the value; if 2B >= 2^k it recomputes
     once with 2^k > 2B, so chi is the value's balanced base-2^k digits.
     """
-    _check_weights(lam, mu)
+    _checked(lam, mu)
     k = _START_BITS
     value, bound = _mn_sum(lam, mu, k)
     if 2 * bound >= 1 << k:
@@ -394,7 +402,7 @@ def perm_sum_closed_forms(mu: Partition) -> Tuple[LaurentPoly, LaurentPoly]:
 
 
 # ----------------------------------------------------------------------
-# dispatch and table building
+# the route table and table building
 # ----------------------------------------------------------------------
 def is_hook(lam: Partition) -> bool:
     return len(lam) >= 1 and all(p == 1 for p in lam[1:])
@@ -404,44 +412,53 @@ def is_two_row(lam: Partition) -> bool:
     return 1 <= len(lam) <= 2
 
 
+# compact form -> the shapes it covers
+COMPACT_FORMS = {"hook": "a hook", "two_row": "a two-row shape"}
+
+
+def _hook(lam: Partition, mu: Partition) -> LaurentPoly:
+    if not is_hook(lam):
+        raise VariantMismatch(f"{list(lam)} is not {COMPACT_FORMS['hook']}")
+    return chi_hook(lam[0], sum(lam), mu)
+
+
+def _two_row(lam: Partition, mu: Partition) -> LaurentPoly:
+    if not is_two_row(lam):
+        raise VariantMismatch(f"{list(lam)} is not {COMPACT_FORMS['two_row']}")
+    return chi_two_row(lam[0], sum(lam), mu)
+
+
+# method -> a thunk returning its route as bound now: a route rebound after import runs
+_ROUTES: Dict[str, Callable[[], Callable]] = {
+    "oracle": lambda: chi_oracle,
+    "iterative": lambda: chi_iterative,
+    "mn": lambda: chi_mn,
+    "hook": lambda: _hook,
+    "two_row": lambda: _two_row,
+    "seminormal": lambda: seminormal.trace_standard_element,
+    "auto": lambda: chi_mn,
+}
+
+
+def applicable(lam: Partition, mu: Partition) -> Tuple[str, ...]:
+    """The methods that cover the cell (lam, mu), in ``METHODS`` order."""
+    covers = {"hook": is_hook(lam), "two_row": is_two_row(lam)}
+    covers["seminormal"] = sum(mu) <= seminormal.MAX_TRACE_WEIGHT
+    return tuple(m for m in METHODS if covers.get(m, True))
+
+
+def _resolve(methods: Sequence[str]) -> Dict[str, Callable]:
+    """method -> its route, each method once, in the order given."""
+    if unknown := [m for m in methods if m not in _ROUTES]:
+        raise ValueError(f"unknown method {unknown[0]!r}")
+    return {m: _ROUTES[m]() for m in methods}
+
+
 def compute_chi(lam: Sequence[int], mu: Sequence[int], method: str = "mn") -> LaurentPoly:
-    """Compute one character value with the requested algorithm.
-
-    ``lam`` and ``mu`` may be any sequences.  ``lam`` must be a partition and
-    every part of ``mu`` positive, else ValueError; ``mu`` need not be sorted.
-    ``auto`` is another spelling of ``mn``: the Murnaghan-Nakayama recursion
-    is faster than the hook and two-row closed forms even on their own
-    shapes, so those run only when asked for by name.
-    """
-    return _by_method(*_checked(lam, mu), method)
-
-
-def _by_method(lam: Partition, mu: Partition, method: str) -> LaurentPoly:
-    if method == "auto":
-        method = "mn"
-    if method == "oracle":
-        chi = chi_oracle(lam, mu)
-    elif method == "iterative":
-        chi = chi_iterative(lam, mu)
-    elif method == "mn":
-        chi = chi_mn(lam, mu)
-    elif method == "hook":
-        if not is_hook(lam):
-            raise VariantMismatch(f"{list(lam)} is not a hook")
-        chi = chi_hook(lam[0], sum(lam), mu)
-    elif method == "two_row":
-        if not is_two_row(lam):
-            raise VariantMismatch(f"{list(lam)} is not a two-row shape")
-        chi = chi_two_row(lam[0], sum(lam), mu)
-    elif method == "seminormal":
-        from .seminormal import trace_standard_element
-
-        chi = trace_standard_element(lam, mu)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if not chi.is_ordinary():
-        raise InvariantViolation(f"chi^{list(lam)}_{list(mu)} by {method} is not in Z[q]: {chi}")
-    return chi
+    """chi^lambda_mu by ``method``, where ``auto`` is ``mn``.  ``lam`` and ``mu`` may
+    be any sequences: ``lam`` a partition and ``mu`` of positive parts, in any
+    order, else ValueError."""
+    return cross_checked(lam, mu, (method,))
 
 
 def cross_checked(lam: Sequence[int], mu: Sequence[int], methods: Sequence[str]) -> LaurentPoly:
@@ -450,11 +467,15 @@ def cross_checked(lam: Sequence[int], mu: Sequence[int], methods: Sequence[str])
     Raises MethodMismatch, naming every method's value, when two differ;
     otherwise returns the value.  A method listed twice runs once.
     """
-    return _agreed(*_checked(lam, mu), methods)
+    return _agreed(*_checked(lam, mu), _resolve(methods))
 
 
-def _agreed(lam: Partition, mu: Partition, methods: Sequence[str]) -> LaurentPoly:
-    values = {m: _by_method(lam, mu, m) for m in dict.fromkeys(methods)}
+def _agreed(lam: Partition, mu: Partition, routes: Dict[str, Callable]) -> LaurentPoly:
+    values = {}
+    for method, route in routes.items():
+        chi = values[method] = route(lam, mu)
+        if not chi.is_ordinary():
+            raise InvariantViolation(f"chi^{list(lam)}_{list(mu)} by {method} is not in Z[q]: {chi}")
     first, *others = values.values()
     if any(chi != first for chi in others):
         raise MethodMismatch(lam, mu, {m: str(c) for m, c in values.items()})
@@ -505,14 +526,15 @@ class CharacterTable:
         order: str = "paper",
     ) -> "CharacterTable":
         methods = tuple(methods)
+        routes = _resolve(methods)
+        # every table has the row [], which no compact form covers
+        for m, shape in COMPACT_FORMS.items():
+            if m in routes:
+                takes = ", ".join(applicable((), ()))
+                raise VariantMismatch(f"a table takes {takes}, not {m}: its row [] is not {shape}")
         rows = table_rows(n, restrict=restrict_lambda_lt_n, order=order)
         cols = table_columns(n, order=order)
-        # every column weighs n, so one column checks each row's weight
-        for lam in rows:
-            _checked(lam, cols[0])
-        for mu in cols:
-            _checked((), mu)
-        cells = {(lam, mu): _agreed(lam, mu, methods) for lam in rows for mu in cols}
+        cells = {(lam, mu): _agreed(lam, mu, routes) for lam in rows for mu in cols}
         return cls(n, rows, cols, cells, restrict_lambda_lt_n, order, methods)
 
     def value(self, lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly:

@@ -11,6 +11,8 @@ Subcommands::
     rookq dims    --n N
 
 ``--method auto`` is accepted as another spelling of the default ``mn``.
+``table`` takes oracle, iterative, mn and seminormal; ``char --check`` also
+runs every method that covers the cell (``characters.applicable``).
 
 Partitions are written as comma-separated parts in brackets, e.g. ``[3,2,1]``
 and ``[]`` for the empty partition.  The environment variable
@@ -34,14 +36,7 @@ import sys
 from typing import List, Sequence, Tuple
 
 from .errors import MethodMismatch, RookqError, VariantMismatch
-from .characters import (
-    METHODS,
-    ORDERS,
-    CharacterTable,
-    cross_checked,
-    is_hook,
-    is_two_row,
-)
+from .characters import METHODS, ORDERS, CharacterTable, applicable, cross_checked
 from .bitrace import btr_def, btr_matrix, dim_rn
 from .seminormal import MAX_TRACE_WEIGHT
 from . import verify as verify_mod
@@ -106,9 +101,7 @@ def partition_str(p: Sequence[int]) -> str:
 
 def _check_seminormal(weight: int) -> None:
     if weight > MAX_TRACE_WEIGHT:
-        raise CLIError(
-            f"the seminormal method runs up to weight {MAX_TRACE_WEIGHT}, got {weight}"
-        )
+        raise CLIError(f"the seminormal method runs up to weight {MAX_TRACE_WEIGHT}, got {weight}")
 
 
 def _check_n(n: int) -> int:
@@ -180,23 +173,15 @@ def cmd_table(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if not methods:
         raise CLIError("--methods must name at least one method")
-    for m in methods:
-        if m not in METHODS:
-            raise CLIError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+    if unknown := [m for m in methods if m not in METHODS]:
+        raise CLIError(f"unknown method {unknown[0]!r}; choose from {', '.join(METHODS)}")
     if "seminormal" in methods:
         _check_seminormal(n)
     table = CharacterTable.build(
-        n,
-        methods=methods,
-        restrict_lambda_lt_n=args.restrict_lambda_lt_n,
-        order=args.order,
+        n, methods, restrict_lambda_lt_n=args.restrict_lambda_lt_n, order=args.order
     )
-    if args.format == "csv":
-        emit_table_csv(table, sys.stdout)
-    elif args.format == "json":
-        emit_table_json(table, sys.stdout)
-    else:
-        emit_table_latex(table, sys.stdout)
+    emit = {"csv": emit_table_csv, "json": emit_table_json, "latex": emit_table_latex}
+    emit[args.format](table, sys.stdout)
     return EXIT_OK
 
 
@@ -210,16 +195,7 @@ def cmd_char(args) -> int:
         raise CLIError(f"unknown method {method!r}")
     if method == "seminormal":
         _check_seminormal(sum(mu))
-    methods = [method]
-    if args.check:
-        methods += ["oracle", "iterative", "mn"]
-        if is_hook(lam):
-            methods.append("hook")
-        if is_two_row(lam):
-            methods.append("two_row")
-        if sum(mu) <= MAX_TRACE_WEIGHT:
-            methods.append("seminormal")
-    print(cross_checked(lam, mu, methods))
+    print(cross_checked(lam, mu, (method,) + (applicable(lam, mu) if args.check else ())))
     return EXIT_OK
 
 

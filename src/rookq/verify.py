@@ -256,8 +256,9 @@ def check_compact_formulas(cap: int) -> Optional[str]:
     for w in range(cap + 1):
         for mu in sh.partitions_of(w):
             for lam in sh.partitions_up_to(w):
-                for form, covers in (("hook", ch.is_hook), ("two_row", ch.is_two_row)):
-                    if covers(lam) and (detail := _route_error(lam, mu, ("oracle", form))):
+                for form in ch.applicable(lam, mu):
+                    compact = form in ch.COMPACT_FORMS
+                    if compact and (detail := _route_error(lam, mu, ("oracle", form))):
                         return detail
 
 

@@ -502,6 +502,27 @@ class TestPermSums:
                 perm_sums(mu)
 
 
+@pytest.mark.parametrize("lam, mu", cells_up_to(6), ids=str)
+def test_applicable_matches_the_routes(lam, mu):
+    methods = characters.applicable(lam, mu)
+    assert methods == tuple(m for m in characters.METHODS if m in methods)
+    for form in characters.COMPACT_FORMS:
+        try:
+            compute_chi(lam, mu, form)
+        except VariantMismatch:
+            assert form not in methods
+        else:
+            assert form in methods
+    assert ("seminormal" in methods) == (sum(mu) <= MAX_TRACE_WEIGHT)
+
+
+def test_applicable_stops_seminormal_at_its_ceiling():
+    lam, top = (2, 1), (MAX_TRACE_WEIGHT,)
+    assert characters.applicable(lam, top) == ("oracle", "iterative", "mn", "hook", "two_row", "seminormal")
+    assert characters.applicable(lam, top + (1,)) == ("oracle", "iterative", "mn", "hook", "two_row")
+    assert characters.applicable((), top) == ("oracle", "iterative", "mn", "seminormal")
+
+
 class TestDispatch:
     def test_auto_paths(self):
         # "auto" is another spelling of "mn"
@@ -518,6 +539,23 @@ class TestDispatch:
         for build in (CharacterTable.build, characters.table_rows, characters.table_columns):
             with pytest.raises(ValueError, match="paper, revlex"):
                 build(2, order="Paper")
+
+    @pytest.mark.parametrize(
+        "route, lam, mu",
+        [
+            (chi_iterative, (1,), (1, 0)),
+            (chi_mn, (1, 2), (3,)),
+            (chi_iterative, (1, 2), (3,)),
+            (chi_mn, (1,), (2, -1)),
+            (chi_mn, (1,), (0, 1)),
+            (chi_oracle, (1,), (1, 0)),
+        ],
+    )
+    def test_malformed_input_refused_by_a_direct_route(self, route, lam, mu):
+        # each once gave 0, a value for (1,) x (1, 0) where chi^(1)_(1) = 1,
+        # a TypeError or a NonExactDivision that blamed the library
+        with pytest.raises(ValueError, match="must be a partition"):
+            route(lam, mu)
 
     def test_malformed_input_refused_by_every_method(self):
         # each of these once gave a value: the oracle 1 on (2,1) x (2,0,1),
@@ -546,23 +584,34 @@ class TestDispatch:
         assert str(table.value((2, 1), (3,))) == "-q"
         assert len(table.cells) == len(table.rows) * len(table.cols)
 
-    def test_table_builder_reports_mismatch(self, monkeypatch):
+    def test_table_builder_reports_mismatch(self, monkeypatch, clear_memos):
         import rookq.characters as chmod
         from rookq.errors import MethodMismatch
 
-        real = chmod._by_method
+        real = chmod.chi_iterative
 
-        def skewed(lam, mu, method):
-            chi = real(lam, mu, method)
-            if method == "iterative" and lam == (1,) and mu == (2,):
+        def skewed(lam, mu):
+            chi = real(lam, mu)
+            if lam == (1,) and mu == (2,):
                 return chi + 1
             return chi
 
-        monkeypatch.setattr(chmod, "_by_method", skewed)
+        monkeypatch.setattr(chmod, "chi_iterative", skewed)
         with pytest.raises(MethodMismatch) as exc:
             CharacterTable.build(2, methods=("mn", "iterative"))
         assert exc.value.lam == (1,) and exc.value.mu == (2,)
         assert set(exc.value.values) == {"mn", "iterative"}
+
+    def test_route_table_names_every_method(self):
+        assert tuple(characters._ROUTES) == characters.METHODS + ("auto",)
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            compute_chi((1,), (1,), "bogus")
+
+    def test_route_is_looked_up_per_request(self, monkeypatch):
+        # a route rebound after import is the one a request runs
+        monkeypatch.setattr(characters, "chi_mn", lambda lam, mu: LaurentPoly.const(7, "q"))
+        assert str(compute_chi((1,), (1,), "auto")) == "7"
+        assert str(CharacterTable.build(1).value((), (1,))) == "7"
 
     def test_one_method_compares_no_values(self, monkeypatch, clear_memos):
         # a table by one method has nothing to cross-check, so no cell is
@@ -577,10 +626,8 @@ class TestDispatch:
             patch.setattr(LaurentPoly, "__ne__", refuse)
             table = CharacterTable.build(6, ("mn",))
         assert table.value((3, 2), (2, 2, 2)) == chi_mn((3, 2), (2, 2, 2))
-        real = characters._by_method
-        monkeypatch.setattr(
-            characters, "_by_method", lambda lam, mu, m: real(lam, mu, m) + (m == "oracle")
-        )
+        real = characters.chi_oracle
+        monkeypatch.setattr(characters, "chi_oracle", lambda lam, mu: real(lam, mu) + 1)
         with pytest.raises(MethodMismatch) as exc:
             CharacterTable.build(2, ("mn", "oracle"))
         lam, mu = exc.value.lam, exc.value.mu

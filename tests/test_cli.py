@@ -129,16 +129,16 @@ class TestCharCommand:
         assert code == 0
         assert out.strip() == "9*q^8 - 24*q^7 + 24*q^6 - 12*q^5 + 3*q^4"
 
-    def test_check_reports_a_disagreeing_route(self, capsys, monkeypatch):
+    def test_check_reports_a_disagreeing_route(self, capsys, monkeypatch, clear_memos):
         import rookq.characters as chmod
 
-        real = chmod._by_method
+        real = chmod.chi_iterative
 
-        def skewed(lam, mu, method):
-            chi = real(lam, mu, method)
-            return chi + 1 if method == "iterative" else chi
+        def skewed(lam, mu):
+            chi = real(lam, mu)
+            return chi + 1 if (lam, mu) == ((2, 1), (3, 2)) else chi
 
-        monkeypatch.setattr(chmod, "_by_method", skewed)
+        monkeypatch.setattr(chmod, "chi_iterative", skewed)
         code, out, err = run_cli(
             capsys, "char", "--lambda", "[2,1]", "--mu", "[3,2]", "--check"
         )
@@ -358,10 +358,25 @@ class TestTableCommand:
         assert "at least one method" in err
 
     @pytest.mark.parametrize("method, shape", [("hook", "a hook"), ("two_row", "a two-row shape")])
-    def test_shape_restricted_method_is_refused(self, capsys, method, shape):
+    def test_shape_restricted_method_is_refused(self, capsys, monkeypatch, clear_memos, method, shape):
         code, out, err = run_cli(capsys, "table", "--n", "3", "--methods", method)
         assert code == 3 and out == ""
         assert f"is not {shape}" in err
+        # every table has the row [], which neither shape covers, so the
+        # refusal comes before any cell, as it once did not
+        import rookq.characters as chmod
+
+        calls = []
+        for name in ("chi_mn", "chi_hook", "chi_two_row"):
+            real = getattr(chmod, name)
+            monkeypatch.setattr(chmod, name, lambda *a, real=real: calls.append(a) or real(*a))
+        for restrict in ((), ("--restrict-lambda-lt-n",)):
+            code, out, err = run_cli(capsys, "table", "--n", "3", "--methods", f"mn,{method}", *restrict)
+            assert code == 3 and out == "" and calls == []
+            assert err == (
+                f"error: a table takes oracle, iterative, mn, seminormal, not {method}: "
+                f"its row [] is not {shape}\n"
+            )
 
     def test_n_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("ROOKQ_MAX_WEIGHT", "3")
