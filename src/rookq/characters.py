@@ -38,12 +38,12 @@ from .errors import (
     MethodMismatch,
     NonExactDivision,
     VariantMismatch,
-    WeightMismatch,
 )
 from . import seminormal
 from .exact import LaurentPoly, balanced_digits
 from .shapes import (
     Partition,
+    _checked,
     border_counts,
     gbs_weighted,
     nonzero_length,
@@ -61,23 +61,6 @@ _ONE_MINUS_QINV = _ONE - LaurentPoly.monomial("q", -1)
 
 METHODS = ("oracle", "iterative", "mn", "hook", "two_row", "seminormal")
 ORDERS = ("paper", "revlex")
-
-
-def _checked(lam: Sequence[int], mu: Sequence[int]) -> Tuple[Partition, Partition]:
-    """The one input check: (lam, mu) as tuples of ints, or ValueError or WeightMismatch.
-    Plain loops, not generators: each route runs it on every memo miss."""
-    lam, mu = tuple(lam), tuple(mu)
-    ok, top = True, (lam[0] if lam else 0)
-    for part in lam:
-        ok = ok and isinstance(part, int) and 0 < part <= top
-        top = part
-    for part in mu:
-        ok = ok and isinstance(part, int) and part > 0
-    if not ok:
-        raise ValueError(f"lambda={list(lam)} must be a partition and mu={list(mu)} positive")
-    if sum(lam) > sum(mu):
-        raise WeightMismatch(f"|lambda|={sum(lam)} exceeds |mu|={sum(mu)}")
-    return lam, mu
 
 
 def frobenius_chi(x_t: LaurentPoly, mu: Partition) -> LaurentPoly:
@@ -449,6 +432,8 @@ def applicable(lam: Partition, mu: Partition) -> Tuple[str, ...]:
 
 def _resolve(methods: Sequence[str]) -> Dict[str, Callable]:
     """method -> its route, each method once, in the order given."""
+    if not methods:
+        raise ValueError("methods must name at least one method")
     if unknown := [m for m in methods if m not in _ROUTES]:
         raise ValueError(f"unknown method {unknown[0]!r}")
     return {m: _ROUTES[m]() for m in methods}

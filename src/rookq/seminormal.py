@@ -17,7 +17,7 @@ can meet (``_scale``): its columns in Z[q] are the one definition of S_i.
 
 All else runs in plain ints by Kronecker substitution (von zur Gathen and
 Gerhard, Modern Computer Algebra, 8.4): ``_model`` evaluates every S_g at
-B = 2^k, one k per shape and n, and keeps no polynomial column.  Let N_g be
+B = 2^k, one k per shape and n, and keeps no polynomial entry.  Let N_g be
 the largest column l1 norm of S_g (no column is zero, so N_g >= 1) and d_g
 the l1 norm of D_g.  B exceeds twice each of dim * prod N_g, which bounds
 a trace T(q) = chi(q) prod D_g of S_mu (a standard word uses each generator
@@ -32,20 +32,37 @@ Z[q] raises InvariantViolation: each signals a bug.
 
 A tableau is stored as its content vector (``Tableau``): S_i reads the
 content difference of labels i and i+1 off two entries, and relabels them by
-swapping the two.  ``_image`` applies a product of generators to one basis
-vector, and every relation check is built on it; the trace needs only the
-diagonal entry of each image, which ``_diagonal`` reads without building it.
+swapping the two.  ``_model`` stores each S_g once, by columns; ``_image``
+applies a product of generators to one basis vector, and every relation
+check is built on it.
+
+The traces of one shape come a whole row at a time (``_traces``).  The
+standard words of all mu |- n form a prefix tree with p(n) nodes: a prefix of
+the word of (mu_1, ..., mu_j, ...) is the word of (mu_1, ..., mu_{j-1}, m,
+1, ..., 1) with m <= mu_j, again a partition of n.  For each basis vector l
+one walk carries the row vector e_l S_{w_1} ... S_{w_j} down the tree, words
+in lexicographic order so that each parent comes before its children, and
+adds its entry l into the total of the word's mu.  A word that another word
+extends costs one sparse vector-matrix product; a leaf only reads entry l,
+as a dot product with column l of its last generator.
+``trace_standard_element`` reads one total and divides it.  A composition
+mu reads the total of its sorted parts: T_mu for the composition lies in
+H_n(q), inside R_n(q), and has minimal length in its conjugacy class, so
+every character takes the same value on it as on T of the sorted word
+(Geck and Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
+Algebras, 2000, 8.2).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import InvariantViolation, NonExactDivision, ShapeTooLarge, WeightMismatch
+from .errors import InvariantViolation, NonExactDivision, ShapeTooLarge
 from .exact import LaurentPoly, balanced_digits
-from .shapes import Partition, standard_count
+from .shapes import Partition, _checked, standard_count
 
 # An n-standard tableau as its content vector: entry l-1 is the content
 # (column - row) of label l, or None when l is absent.  The addable cells of
@@ -58,11 +75,12 @@ Vector = Dict[int, int]
 _Q = LaurentPoly.monomial("q", 1)
 _ONE = LaurentPoly.one("q")
 
-# The largest |mu| the command line runs this method on.  On a 2-core Xeon,
-# Python 3.11, on a slow day, the slowest trace from cold caches takes 0.027 s
-# over mu = (8), 0.15 s over mu = (9) and 0.6 s over every mu |- 10
-# ((4,2,1,1) x (10)); the cold CLI table takes 1.5-1.8 s (26 MB peak RSS) at
-# weight 8 and 11-13 s (62 MB) at weight 9.
+# The largest |mu| the command line runs this method on.  A trace computes
+# its whole row (``_traces``), so one cell costs about as much as all of them.
+# On a 2-core Xeon, Python 3.11, on a slow day, the slowest trace from cold
+# caches takes 0.04 s at weight 8, 0.17 s at weight 9 ((4,2,1) x (9)) and
+# 1.4-1.9 s at weight 10 ((4,2,1,1) x (10)); the cold CLI table takes
+# 0.6-0.9 s (26 MB peak RSS) at weight 8 and 3.2-3.9 s (62 MB) at weight 9.
 MAX_TRACE_WEIGHT = 9
 
 
@@ -226,6 +244,9 @@ def _model(lam: Partition, n: int):
 
 
 def _apply(action, vec: Vector) -> Vector:
+    """Entry l of vec spread by action[l], its (index, value) pairs: a matrix
+    by its columns times a column vector, or a row vector times a matrix by
+    its rows."""
     out: Vector = {}
     for l, c in vec.items():
         for r, a in action[l]:
@@ -244,15 +265,63 @@ def _image(actions, l: int) -> Vector:
     return {r: v for r, v in vec.items() if v}
 
 
-def _diagonal(actions, l: int) -> int:
-    """Entry (l, l) of A_1 A_2 ... A_m: column l of A_m, then A_{m-1}, ..., A_2
-    applied, then row l of A_1 read off the (at most two) entries of each column."""
-    if len(actions) < 2:
-        return dict(actions[0][l]).get(l, 0) if actions else 1
-    vec = dict(actions[-1][l])
-    for action in actions[-2:0:-1]:
-        vec = _apply(action, vec)
-    return sum(c * a for r, c in vec.items() for s, a in actions[0][r] if s == l)
+def _word_tree(n: int) -> List[Tuple[Partition, int, int, bool]]:
+    """The standard words of all mu |- n as a prefix tree, in lexicographic order.
+
+    Node i is (mu, g, parent, extended): its word is the parent's with the
+    generator g appended (g = 0 and parent = -1 at the root, the empty word of
+    (1^n)), and ``extended`` tells whether another word extends it.  A word
+    grows by one letter either by lengthening its last block of consecutive
+    generators, while that part stays at most the one before it, or by
+    opening a block of two after it.  Private, so that the seminormal route
+    shares no enumeration of partitions with the other routes.
+    """
+    nodes: List[Tuple[Partition, int, int, bool]] = []
+
+    def visit(parts: Partition, g: int, parent: int) -> None:
+        end, here = sum(parts), len(nodes)
+        grow = bool(parts) and (len(parts) == 1 or parts[-1] < parts[-2]) and end < n
+        opens = end + 2 <= n
+        nodes.append((parts + (1,) * (n - end), g, parent, grow or opens))
+        if grow:
+            visit(parts[:-1] + (parts[-1] + 1,), end, here)
+        if opens:
+            visit(parts + (2,), end + 1, here)
+
+    visit((), 0, -1)
+    return nodes
+
+
+@lru_cache(maxsize=None)
+def _traces(lam: Partition, n: int) -> Tuple[int, Mapping[Partition, int]]:
+    """k and, for every mu |- n, the trace of S_mu = prod S_g over mu's standard
+    word at q = 2^k: one walk of ``_word_tree(n)`` per basis vector (see the
+    module docstring).  The row vectors need the rows of each S_g, transposed
+    here from ``_model``'s columns and dropped on return."""
+    k, gens = _model(lam, n)
+    rows = [[[] for _ in cols] for cols in gens]
+    for cols, out in zip(gens, rows):
+        for l, col in enumerate(cols):
+            for r, a in col:
+                out[r].append((l, a))
+    tree = _word_tree(n)
+    totals = dict.fromkeys((mu for mu, _, _, _ in tree), 0)
+    dim = len(enumerate_tableaux(lam, n))
+    totals[tree[0][0]] = dim  # the empty word: entry l of e_l is 1 for every l
+    vecs: List[Vector] = [{}] * len(tree)
+    for l in range(dim):
+        vecs[0] = {l: 1}
+        for node in range(1, len(tree)):
+            mu, g, parent, extended = tree[node]
+            if extended:
+                vec = vecs[node] = _apply(rows[g - 1], vecs[parent])
+                value = vec.get(l, 0)
+            else:  # a leaf: its parent's row vector times column l of S_g
+                get, value = vecs[parent].get, 0
+                for r, a in gens[g - 1][l]:
+                    value += get(r, 0) * a
+            totals[mu] += value
+    return k, MappingProxyType(totals)  # read-only: the memo hands it to every caller
 
 
 def quadratic_check(i: int, lam: Sequence[int], n: int) -> bool:
@@ -303,20 +372,21 @@ def standard_word(mu: Sequence[int]) -> List[int]:
 def trace_standard_element(lam: Sequence[int], mu: Sequence[int]) -> LaurentPoly:
     """Exact trace of T_mu on the module of shape lambda; equals chi^lambda_mu.
 
-    Raises InvariantViolation when the trace fails to land in Z[q] (which
+    The first call on a shape and weight computes the traces of its whole
+    row (``_traces``); each call then decodes and divides one total.  A
+    composition mu takes the total of its sorted parts, since T_mu lies in
+    H_n(q) and has minimal length in its conjugacy class, where every
+    character of H_n(q) takes one value (Geck and Pfeiffer 2000, 8.2).
+    Raises ValueError or WeightMismatch on a malformed cell, as every route
+    does, and InvariantViolation when the trace fails to land in Z[q] (which
     would signal a bug, not a legitimate outcome).
     """
-    lam, mu = tuple(lam), tuple(mu)
-    n = sum(mu)
-    if sum(lam) > n:
-        raise WeightMismatch(f"|lambda|={sum(lam)} exceeds |mu|={n}")
-    word = standard_word(mu)
-    k, gens = _model(lam, n)
-    actions = [gens[g - 1] for g in word]
-    value = sum(_diagonal(actions, l) for l in range(len(enumerate_tableaux(lam, n))))
-    total = balanced_digits(value, k)
+    lam, mu = _checked(lam, mu)
+    part = tuple(sorted(mu, reverse=True))
+    k, totals = _traces(lam, sum(part))
+    total = balanced_digits(totals[part], k)
     # the trace of the product of the S_g is prod D_g times the trace of T_mu
-    scale = _divisor(tuple(sorted(_max_gap(g, lam) for g in word)))
+    scale = _divisor(tuple(sorted(_max_gap(g, lam) for g in standard_word(part))))
     try:
         trace: Optional[LaurentPoly] = total.exact_div(scale)
     except NonExactDivision:

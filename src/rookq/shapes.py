@@ -16,7 +16,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import NonExactDivision, NotGbsError
+from .errors import NonExactDivision, NotGbsError, WeightMismatch
 from .exact import LaurentPoly
 
 Partition = Tuple[int, ...]
@@ -94,6 +94,25 @@ def subcompositions(mu: Sequence[int], k: int) -> Tuple[Composition, ...]:
 
     rec(0, k, ())
     return tuple(out)
+
+
+def _checked(lam: Sequence[int], mu: Sequence[int]) -> Tuple[Partition, Partition]:
+    """The one input check of a character cell: (lam, mu) as tuples of ints, or
+    ValueError or WeightMismatch.  It lives here so that both ``characters`` and
+    ``seminormal`` can import it.  Plain loops, not generators: each route runs
+    it on every memo miss."""
+    lam, mu = tuple(lam), tuple(mu)
+    ok, top = True, (lam[0] if lam else 0)
+    for part in lam:
+        ok = ok and isinstance(part, int) and 0 < part <= top
+        top = part
+    for part in mu:
+        ok = ok and isinstance(part, int) and part > 0
+    if not ok:
+        raise ValueError(f"lambda={list(lam)} must be a partition and mu={list(mu)} positive")
+    if sum(lam) > sum(mu):
+        raise WeightMismatch(f"|lambda|={sum(lam)} exceeds |mu|={sum(mu)}")
+    return lam, mu
 
 
 def sort_to_partition(comp: Sequence[int]) -> Partition:

@@ -549,11 +549,16 @@ class TestDispatch:
             (chi_mn, (1,), (2, -1)),
             (chi_mn, (1,), (0, 1)),
             (chi_oracle, (1,), (1, 0)),
+            (trace_standard_element, (1, 2), (3,)),
+            (trace_standard_element, (2,), (0, 2)),
+            (trace_standard_element, (2,), (2, -1, 1)),
         ],
     )
     def test_malformed_input_refused_by_a_direct_route(self, route, lam, mu):
         # each once gave 0, a value for (1,) x (1, 0) where chi^(1)_(1) = 1,
-        # a TypeError or a NonExactDivision that blamed the library
+        # a TypeError or a NonExactDivision that blamed the library; the
+        # seminormal trace raised IndexError on (1, 2) x (3,) and gave q on the
+        # other two, where chi^(2)_(2) = q
         with pytest.raises(ValueError, match="must be a partition"):
             route(lam, mu)
 
@@ -606,6 +611,13 @@ class TestDispatch:
         assert tuple(characters._ROUTES) == characters.METHODS + ("auto",)
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             compute_chi((1,), (1,), "bogus")
+
+    def test_empty_method_list_is_refused(self):
+        # both once failed inside with "not enough values to unpack"
+        with pytest.raises(ValueError, match="at least one method"):
+            characters.cross_checked((1,), (1,), [])
+        with pytest.raises(ValueError, match="at least one method"):
+            CharacterTable.build(2, ())
 
     def test_route_is_looked_up_per_request(self, monkeypatch):
         # a route rebound after import is the one a request runs

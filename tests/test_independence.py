@@ -24,7 +24,7 @@ ALLOWED = {
     "exact.LaurentPoly.is_ordinary": "each route's own check that its value lies in Z[q]",
     "exact._as_int": "the value type's coefficient check",
     "exact.balanced_digits": "decodes an int at q = 2^k, for mn and seminormal by design",
-    "characters._checked": "the one input check of the character routes and the a/b families",
+    "shapes._checked": "the one input check of the character routes and the a/b families",
     "bitrace._validate_pair": "the one input check of both bitrace routes",
     "bitrace._validate_composition": "the one input check of both bitrace routes",
     "shapes.sort_to_partition": "sorts a composition's parts",

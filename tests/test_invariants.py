@@ -118,7 +118,7 @@ class TestInvariantChecks:
         # its scale (q + 1)^2 does not divide
         skews = [("c.times_power(-1)", (1,), (2,)), ("c + 1", (2, 1), (4,))]
         action = seminormal._gen_action
-        views = [seminormal._model]
+        views = [seminormal._model, seminormal._traces]
         for skew, lam, mu in skews:
             body = f"tuple(tuple((r, {skew}) for r, c in col) for col in action(i, lam, n))"
             with monkeypatch.context() as patch:

@@ -279,20 +279,31 @@ class TestTraces:
         clear_memos()
         assert 2 * dim < 2 ** sn._model(lam, n)[0]
 
-    def test_one_pass_over_one_view_per_generator(self, monkeypatch, capsys, clear_memos):
-        lam, mu = (3, 2, 1), (4, 2, 1)
-        diagonal, calls = sn._diagonal, []
-
-        def counted(actions, l):
-            calls.append(l)
-            return diagonal(actions, l)
-
+    def test_walk_makes_one_product_per_extended_word(self, monkeypatch, capsys, clear_memos):
+        # the tree holds the standard word of every mu |- n once, each parent
+        # before its children and in lexicographic order
+        for n in range(9):
+            tree = sn._word_tree(n)
+            words = []
+            for mu, g, parent, _ in tree:
+                words.append(words[parent] + [g] if parent >= 0 else [])
+                assert words[-1] == standard_word(mu), (n, mu)
+            assert words == sorted(words)
+            assert sorted(mu for mu, *_ in tree) == sorted(partitions_of(n))
+            extended = [any(w[: len(v)] == v and w != v for w in words) for v in words]
+            assert [node[3] for node in tree] == extended, n
+        # per basis vector, one vector-matrix product per nonempty word that
+        # another word extends (the empty word's row vector is e_l itself)
+        lam, n = (3, 2, 1), 7
+        apply, products = sn._apply, []
         with monkeypatch.context() as patch:
-            patch.setattr(sn, "_diagonal", counted)
-            trace_standard_element(lam, mu)
-        assert calls == list(range(len(enumerate_tableaux(lam, sum(mu)))))
-        # the memo keeps the evaluated generators alone: no (row, LaurentPoly)
-        # entry of a polynomial column outlives a table run
+            patch.setattr(sn, "_apply", lambda *args: products.append(1) or apply(*args))
+            trace_standard_element(lam, (4, 2, 1))
+        dim = len(enumerate_tableaux(lam, n))
+        words = sum(extended for _, g, _, extended in sn._word_tree(n) if g)
+        assert words == 8 and len(products) == dim * words
+        # the memo keeps the evaluated generators and the totals alone: no
+        # (row, LaurentPoly) entry of a polynomial column outlives a table run
         def polynomial_entries():
             gc.collect()
             pairs = (o for o in gc.get_objects() if type(o) is tuple and len(o) == 2)
@@ -306,19 +317,22 @@ class TestTraces:
         gens = sn._model(lam, 6)[1]
         assert sn._model.cache_info().hits > 0
         assert all(type(v) is int for cols in gens for col in cols for _, v in col)
+        assert all(type(v) is int for v in sn._traces(lam, 6)[1].values())
 
-    def test_diagonal_pass_matches_the_full_images(self):
-        # for every cell to weight 6, entry (l, l) read by the diagonal pass
-        # equals the one of the full image of v_l, and one division by the
-        # product of the D_g equals dividing by each D_g in turn
+    def test_walk_totals_match_the_full_images(self):
+        # for every cell to weight 6, the walk's total for mu equals the sum of
+        # the diagonal entries of the full images of every v_l, and one
+        # division by the product of the D_g equals dividing by each D_g in turn
         for n in range(7):
             for lam in partitions_up_to(n):
                 k, gens = sn._model(lam, n)
+                totals = sn._traces(lam, n)[1]
+                assert sorted(totals) == sorted(partitions_of(n))
+                dim = len(enumerate_tableaux(lam, n))
                 for mu in partitions_of(n):
                     word = standard_word(mu)
                     actions = [gens[g - 1] for g in word]
-                    dim = len(enumerate_tableaux(lam, n))
-                    value = sum(sn._diagonal(actions, l) for l in range(dim))
+                    value = totals[mu]
                     assert value == sum(sn._image(actions, l).get(l, 0) for l in range(dim)), (lam, mu)
                     total = stepwise = balanced_digits(value, k)
                     for g in word:
